@@ -21,8 +21,8 @@ success, 1 on domain errors (incompatible inputs, unmet preconditions,
 oracle mismatch), 2 on parse or usage errors.  Reports are deterministic:
 identical inputs give byte-identical output, and every JSON report records
 the polynomial factorization seed.  The environment variable
-MTCODES_ENUM_BUDGET overrides the enumeration budget used for minimum
-distances and --oracle cross-checks.
+MTCODES_ENUM_BUDGET overrides the enumeration budget (default 2^20 words)
+used for minimum distances and --oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -378,13 +378,22 @@ def cmd_intersect(args, budget) -> int:
     payload["first"] = args.first
     payload["second"] = args.second
     payload["kappa"] = args.galois
-    payload["route"] = "gpm" if use_mt else "linear"
-
+    details = note = None
     if use_mt:
         if args.galois is None:
             details = c1.intersection_details(c2)
         else:
-            details = c1.galois_intersection_details(c2, args.galois)
+            try:
+                details = c1.galois_intersection_details(c2, args.galois)
+            except DomainError as exc:
+                if args.mt:
+                    raise
+                note = f"GPM route unavailable: {exc}; using the linear route"
+    payload["route"] = "gpm" if details is not None else "linear"
+    if note is not None:
+        payload["note"] = note
+
+    if details is not None:
         payload["qc_gpm"] = poly_rows(details.qc_gpm)
         payload["qc_companion"] = poly_rows(details.qc_companion)
         payload["intersection"] = code_payload("intersection", details.code, budget)

@@ -4,14 +4,28 @@ Field elements are plain ints in ``range(q)``.  The base-p digits of the int
 are the coordinates of the element in the polynomial basis 1, w, w^2, ...,
 w^(e-1), where w is the class of x modulo the field's irreducible modulus.
 All arithmetic goes through a :class:`Field` instance, which owns the modulus
-and, for small q, dense lookup tables.  0 and 1 always encode the additive
-and multiplicative identities, and for prime fields the encoding is just the
-usual residue.
+and chooses its arithmetic representation once, at construction:
+
+* q <= 256: dense q x q add and mul tables, with negation and inverse
+  tables beside them.
+* prime fields with q > 256: integer arithmetic mod p; ``inv`` is
+  ``pow(a, p - 2, p)``.
+* extension fields with 256 < q <= 2^16: log/antilog tables of length
+  O(q) to the base of a primitive element, for ``mul`` and ``inv``, and
+  Zech logarithms (log(1 + g^n)) for ``add`` in odd characteristic; in
+  characteristic 2 addition is the XOR of the digit vectors.
+* extension fields with q > 2^16: loops over the base-p digits, and
+  ``inv`` by square-and-multiply.
+
+0 and 1 always encode the additive and multiplicative identities, and for
+prime fields the encoding is just the usual residue.
 
 Keeping elements as bare ints (rather than wrapper objects) makes vectors and
 polynomial coefficient lists cheap and hashable; the cost is that every
 operation needs the field in hand, which in practice every caller already
-has.
+has.  Polynomial arithmetic calls the fused row primitive
+:meth:`Field.add_scaled` once per row rather than ``add``/``mul`` once per
+coefficient.
 """
 
 from __future__ import annotations
@@ -23,6 +37,8 @@ from .errors import ParseError
 
 # Largest q for which dense add/mul tables are precomputed.
 _TABLE_LIMIT = 256
+# Largest q of an extension field that gets log/antilog tables.
+_LOG_LIMIT = 2**16
 
 
 def _is_prime(n: int) -> bool:
@@ -130,8 +146,11 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 
     Candidates are compared by their coefficient tuples read from the
     constant term upward; the leading 1 is implied.  For e = 1 this is x.
+    For e > 1 candidates with constant term 0 are divisible by x and are
+    skipped without a test.
     """
-    for tail in itertools.product(range(p), repeat=e):
+    first = range(1, p) if e > 1 else range(p)
+    for tail in itertools.product(first, *[range(p)] * (e - 1)):
         f = tail + (1,)
         if _pp_is_irreducible(p, f):
             return f
@@ -171,12 +190,19 @@ class Field:
         # w = class of x; for prime fields the modulus is x and w = 0.
         self.omega = p % self.q if e > 1 else None
         self._powers_of_omega: dict[int, int] | None = None
+        # The representation is the set of tables that are not None; with
+        # none, arithmetic runs on ints (e = 1) or base-p digits (e > 1).
+        self._add_table: list[list[int]] | None = None
+        self._mul_table: list[list[int]] | None = None
+        self._inv_table: list[int] | None = None
+        self._neg_table: list[int] | None = None
+        self._log: list | None = None
+        self._exp: list[int] | None = None
+        self._zech: list | None = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._add_table = None
-            self._mul_table = None
-            self._inv_table = None
+        elif e > 1 and self.q <= _LOG_LIMIT:
+            self._build_log_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -228,18 +254,43 @@ class Field:
                 m = self._raw_mul(a, b)
                 mul[a][b] = m
                 mul[b][a] = m
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = row.index(1)
         self._add_table = add
         self._mul_table = mul
-        self._inv_table = inv
+        self._inv_table = [0] + [mul[a].index(1) for a in range(1, q)]
+        self._neg_table = [row.index(0) for row in add]
+
+    def _build_log_tables(self):
+        """exp[i] = g^i and log[g^i] = i for a primitive element g.
+
+        exp has length 2(q - 1), so a sum of two logs indexes it without a
+        reduction.  In odd characteristic zech[n] = log(1 + g^n), or None
+        where 1 + g^n = 0, also over two periods so that a difference of
+        logs (negative ones by Python's index wrap) indexes it directly.
+        """
+        q, p = self.q, self.p
+        g = next(c for c in range(p, q) if self.mult_order(c) == q - 1)
+        exp = [1] * (q - 1)
+        for i in range(1, q - 1):
+            exp[i] = self._raw_mul(exp[i - 1], g)
+        log: list = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp += exp
+        # -1 = g^((q-1)/2) in odd characteristic; -a = a in characteristic 2.
+        half = 0 if p == 2 else (q - 1) // 2
+        self._neg_table = [0] + [exp[log[a] + half] for a in range(1, q)]
+        if p != 2:
+            zech = [log[self._raw_add(1, exp[n])] for n in range(q - 1)]
+            self._zech = zech + zech
+        self._log = log
+        self._exp = exp
 
     def _raw_add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         p = self.p
+        if p == 2:
+            return a ^ b
         out = 0
         mult = 1
         while a or b:
@@ -256,22 +307,44 @@ class Field:
         prod = _pp_mul(self.p, ca, cb)
         return self.from_coeffs(_pp_mod(self.p, prod, self.modulus))
 
+    def _zech_add(self, a: int, b: int) -> int:
+        # g^la + g^lb = g^la * (1 + g^(lb - la))
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return self._add_table[a][b]
+        if self._zech is not None:
+            return self._zech_add(a, b)
         return self._raw_add(a, b)
 
     def neg(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        if self.e == 1:
+            return -a % self.p
         if self.p == 2:
             return a
         return self.from_coeffs((-c) % self.p for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
+        if self.e == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]] if a and b else 0
         return self._raw_mul(a, b)
 
     def inv(self, a: int) -> int:
@@ -279,7 +352,50 @@ class Field:
             raise ZeroDivisionError("0 has no inverse")
         if self._inv_table is not None:
             return self._inv_table[a]
+        if self._exp is not None:
+            return self._exp[self.q - 1 - self._log[a]]
+        if self.e == 1:
+            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
+
+    def add_scaled(self, out: list[int], off: int, c: int, terms) -> None:
+        """out[off + j] += c * b for every (j, b) in terms, in place.
+
+        The row primitive of polynomial arithmetic: ``terms`` is any
+        iterable of (index, coefficient) pairs, e.g. ``enumerate(row)`` or
+        the nonzero entries of a sparse row.
+        """
+        if not c:
+            return
+        add = self._add_table
+        if add is not None:
+            crow = self._mul_table[c]
+            for j, b in terms:
+                j += off
+                out[j] = add[out[j]][crow[b]]
+        elif self.e == 1:
+            p = self.p
+            for j, b in terms:
+                j += off
+                out[j] = (out[j] + c * b) % p
+        elif self._exp is not None:
+            exp, log = self._exp, self._log
+            lc = log[c]
+            if self.p == 2:
+                for j, b in terms:
+                    if b:
+                        out[j + off] ^= exp[lc + log[b]]
+            else:
+                zadd = self._zech_add
+                for j, b in terms:
+                    if b:
+                        j += off
+                        out[j] = zadd(out[j], exp[lc + log[b]])
+        else:
+            raw_add, raw_mul = self._raw_add, self._raw_mul
+            for j, b in terms:
+                j += off
+                out[j] = raw_add(out[j], raw_mul(c, b))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -301,14 +417,17 @@ class Field:
         return self.pow(a, self.p**k)
 
     def mult_order(self, a: int) -> int:
-        """Least t >= 1 with a^t = 1; error on 0."""
+        """Least t >= 1 with a^t = 1; error on 0.
+
+        t divides q - 1, so it is found by dividing q - 1 by each of its
+        prime factors r while a^(t/r) = 1.
+        """
         if a == 0:
             raise ValueError("0 has no multiplicative order")
-        t = 1
-        b = a
-        while b != 1:
-            b = self.mul(b, a)
-            t += 1
+        t = self.q - 1
+        for r in _prime_factors(t):
+            while t % r == 0 and self.pow(a, t // r) == 1:
+                t //= r
         return t
 
     # -- text forms ----------------------------------------------------------

@@ -19,8 +19,9 @@ from functools import cached_property
 from .errors import BudgetError, ParseError
 from .gf import Field
 
-# Default ceiling on q^k enumerations for minimum distance.
-DISTANCE_BUDGET = 2**24
+# Default ceiling on q^k enumerations, for minimum distance here and for
+# the oracle; the CLI's MTCODES_ENUM_BUDGET overrides it.
+ENUM_BUDGET = 2**20
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -289,11 +290,11 @@ class LinearCode:
         """Exact minimum weight by enumerating all q^k codewords.
 
         Returns math.inf for the zero code.  Raises BudgetError when q^k
-        exceeds the budget (default 2**24).
+        exceeds the budget (default ENUM_BUDGET = 2**20).
         """
         if self.k == 0:
             return math.inf
-        budget = DISTANCE_BUDGET if budget is None else budget
+        budget = ENUM_BUDGET if budget is None else budget
         field = self.field
         if field.q**self.k > budget:
             raise BudgetError(

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from .errors import BudgetError
 from .gf import Field
-from .lincode import LinearCode
-
-ENUM_BUDGET = 2**20
+from .lincode import ENUM_BUDGET, LinearCode
 
 
 def _check_budget(q: int, k: int, budget: int | None):

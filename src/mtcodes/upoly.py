@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .gf import Field, _split_sum
+from .gf import Field, _prime_factors, _split_sum
 
 NEG_INF = float("-inf")
 
@@ -44,6 +44,18 @@ class Poly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @staticmethod
+    def _trusted(field: Field, cs: list[int]) -> "Poly":
+        """Wrap a coefficient list already in range(q), trimming trailing
+        zeros; skips the conversion and range check of the constructor, for
+        results computed by field arithmetic.  Takes ownership of ``cs``."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = object.__new__(Poly)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "coeffs", tuple(cs))
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
@@ -51,7 +63,7 @@ class Poly:
 
     @staticmethod
     def zero(field: Field) -> "Poly":
-        return Poly(field, ())
+        return Poly._trusted(field, [])
 
     @staticmethod
     def one(field: Field) -> "Poly":
@@ -117,71 +129,76 @@ class Poly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        add = f.add
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly(f, out)
+        return self._plus_scaled(other, 1)
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, (f.neg(c) for c in self.coeffs))
+        return self.scale(self.field.neg(1))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._plus_scaled(other, self.field.neg(1))
+
+    def _plus_scaled(self, other: "Poly", c: int) -> "Poly":
+        """self + c * other."""
+        f = self.field
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        f.add_scaled(out, 0, c, enumerate(b))
+        return Poly._trusted(f, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         f = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
+        if len(a) > len(b):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
-        add, mul = f.add, f.mul
+        # One scaled row of the longer factor per nonzero coefficient of
+        # the shorter; its zero entries are dropped once, up front.
+        row = [(j, bj) for j, bj in enumerate(b) if bj]
+        add_scaled = f.add_scaled
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(f, out)
+                add_scaled(out, i, ai, row)
+        return Poly._trusted(f, out)
 
     def scale(self, c: int) -> "Poly":
         f = self.field
-        if c == 0:
-            return Poly.zero(f)
-        mul = f.mul
-        return Poly(f, (mul(c, a) for a in self.coeffs))
+        out = [0] * len(self.coeffs)
+        f.add_scaled(out, 0, c, enumerate(self.coeffs))
+        return Poly._trusted(f, out)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
         if self.is_zero() or k == 0:
             return self
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return Poly._trusted(self.field, [0] * k + list(self.coeffs))
 
     def __divmod__(self, other: "Poly"):
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
+        b = other.coeffs
+        db = len(b) - 1
         if len(rem) - 1 < db:
             return Poly.zero(f), self
-        inv_lead = f.inv(other.lead)
+        inv_lead = f.inv(b[-1])
+        # -b below its leading term, nonzero entries only: subtracting
+        # qc * b from the remainder adds qc * (-b); the leading term only
+        # cancels rem[k], which is never read again.
+        neg = f.neg
+        row = [(i, neg(bi)) for i, bi in enumerate(b[:-1]) if bi]
         quot = [0] * (len(rem) - db)
-        sub, mul = f.sub, f.mul
+        mul, add_scaled = f.mul, f.add_scaled
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
-            if c == 0:
-                continue
-            qc = mul(c, inv_lead)
-            quot[k - db] = qc
-            for i, bi in enumerate(other.coeffs):
-                if bi:
-                    rem[k - db + i] = sub(rem[k - db + i], mul(qc, bi))
-        return Poly(f, quot), Poly(f, rem)
+            if c:
+                qc = mul(c, inv_lead)
+                quot[k - db] = qc
+                add_scaled(rem, k - db, qc, row)
+        del rem[db:]
+        return Poly._trusted(f, quot), Poly._trusted(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -223,7 +240,7 @@ class Poly:
         for i in range(1, len(self.coeffs)):
             # i * c means c added to itself i times: (i mod p) scalar
             out.append(f.mul(i % f.p, self.coeffs[i]))
-        return Poly(f, out)
+        return Poly._trusted(f, out)
 
     def map_coeffs(self, fn) -> "Poly":
         return Poly(self.field, (fn(c) for c in self.coeffs))
@@ -240,7 +257,7 @@ class Poly:
         out = []
         for i in range(0, len(self.coeffs), p):
             out.append(f.frobenius(self.coeffs[i], f.e - 1))
-        return Poly(f, out)
+        return Poly._trusted(f, out)
 
     # -- text form --------------------------------------------------------
 
@@ -318,7 +335,7 @@ def reciprocal_poly(f: Poly, m: int) -> Poly:
     out = [0] * (m + 1)
     for i, c in enumerate(f.coeffs):
         out[m - i] = c
-    return Poly(f.field, out)
+    return Poly._trusted(f.field, out)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -375,20 +392,6 @@ class Factorization:
         return all(m == 1 for _, m in self.factors)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin irreducibility test over GF(q)."""
     d = f.degree
@@ -401,7 +404,7 @@ def is_irreducible(f: Poly) -> bool:
     x = Poly.x(fld)
     if x.pow_mod(q**d, f) != x % f:
         return False
-    for r in _prime_divisors(d):
+    for r in _prime_factors(d):
         g = poly_gcd(x.pow_mod(q ** (d // r), f) - x, f)
         if g.degree is not NEG_INF and g.degree > 0:
             return False
@@ -457,7 +460,7 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def _random_poly(fld: Field, max_deg: int, rng: random.Random) -> Poly:
-    return Poly(fld, [rng.randrange(fld.q) for _ in range(max_deg + 1)])
+    return Poly._trusted(fld, [rng.randrange(fld.q) for _ in range(max_deg + 1)])
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:

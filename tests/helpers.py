@@ -202,3 +202,62 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     # minimum distance on the first code
     d = code1.min_distance()
     assert d == oracle.min_distance_of_words(w1)
+
+
+# -- large-field pairs ------------------------------------------------------
+
+def small_dim_pair(rng: random.Random, f: Field) -> tuple[MTCode, MTCode]:
+    """A seeded same-profile pair over f, each code generated by one row
+    whose block-i entry is a multiple of (x^m_i - lam_i)/(x - r) for a root
+    r of x^m_i - lam_i.  Such an entry spans one dimension, so both codes
+    have dimension at most ell <= 2 and enumerate in at most q^2 words even
+    for q above the 256-element table limit."""
+    ell = rng.randint(1, 2)
+    blocks = tuple(rng.randint(1, 4) for _ in range(ell))
+    base = [rng.randrange(1, f.q) for _ in range(ell)]
+    shifts = tuple(f.pow(r, m) for r, m in zip(base, blocks))
+    profile = MTProfile(f, blocks, shifts)
+    roots = [[r for r in range(1, f.q) if f.pow(r, m) == lam] for m, lam in zip(blocks, shifts)]
+
+    def code():
+        row = []
+        for m, lam, rs in zip(blocks, shifts, roots):
+            eig = Poly.binomial(f, m, lam) // Poly(f, [f.neg(rng.choice(rs)), 1])
+            row.append(eig.scale(rng.randrange(f.q)))
+        return MTCode(profile, [tuple(row)])
+
+    return code(), code()
+
+
+def check_small_dim_pair(rng: random.Random, f: Field) -> None:
+    """Structured operations on a small_dim_pair against codeword sets.
+
+    The ambient space is too large to scan for a dual, so the Galois dual
+    is checked by its dimension and by orthogonality of its generators to
+    the code's under the kappa-Galois form."""
+    code1, code2 = small_dim_pair(rng, f)
+    prof = code1.profile
+    check_equation_identities(code1)
+    check_equation_identities(code2)
+
+    lin1, lin2 = code1.to_linear(), code2.to_linear()
+    w1, w2 = oracle.enumerate_code(lin1), oracle.enumerate_code(lin2)
+    assert len(w1) == f.q**code1.dim
+    assert all(oracle.twisted_shift(f, prof.blocks, prof.shifts, w) in w1 for w in w1)
+
+    both = w1 & w2
+    assert oracle.same_code(code1.intersect(code2).to_linear(), both)
+    assert code1.trivially_intersects(code2) == (both == {(0,) * code1.n})
+    assert code1.is_subcode_of(code2) == (w1 <= w2)
+    assert code1.min_distance() == oracle.min_distance_of_words(w1)
+    assert oracle.same_code(code1.reversed_code().to_linear(), oracle.reverse_words(w1))
+
+    kappa = rng.randrange(f.e)
+    dual = code1.galois_dual(kappa).to_linear()
+    assert dual.k == code1.n - code1.dim
+    for u in lin1.gen:
+        for v in dual.gen:
+            acc = 0
+            for a, b in zip(u, v):
+                acc = f.add(acc, f.mul(a, f.frobenius(b, kappa)))
+            assert acc == 0

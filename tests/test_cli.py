@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,31 @@ def test_intersect_mixed_kinds_uses_linear(capsys):
 def test_intersect_mt_flag_rejects_mixed(capsys):
     code, _, err = run_cli(capsys, "intersect", F4_DOC, "C1", "C2lin", "--mt")
     assert code == 1
+
+
+def test_intersect_galois_incompatible_falls_back_to_linear(capsys):
+    code, payload, _ = run_json(capsys, "intersect", F3_DOC, "C3", "C5", "--galois", "0", "--oracle")
+    assert code == 0
+    assert payload["route"] == "linear"
+    assert payload["note"].startswith("GPM route unavailable: shift constants are not Galois-dual")
+    assert payload["oracle"] == "confirmed"
+    code, _, err = run_cli(capsys, "intersect", F3_DOC, "C3", "C5", "--galois", "0", "--mt")
+    assert code == 1
+    assert "Galois-dual" in err
+
+
+def test_default_budget_skips_large_distance(tmp_path, capsys, monkeypatch):
+    # a [24, 21] binary code: 2^21 words exceed the default budget of 2^20
+    monkeypatch.delenv("MTCODES_ENUM_BUDGET", raising=False)
+    rows = [" ".join("1" if j == i or j >= 21 else "0" for j in range(24)) for i in range(21)]
+    doc = tmp_path / "big.txt"
+    doc.write_text("GF(2)\ncode B\nmatrix 21 24\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "info", str(doc))
+    assert code == 0
+    assert payload["codes"][0]["dimension"] == 21
+    assert payload["codes"][0]["distance"] is None
+    assert time.perf_counter() - start < 5.0
 
 
 def test_oracle_budget_skip(capsys, monkeypatch):

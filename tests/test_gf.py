@@ -1,5 +1,8 @@
 """Field arithmetic: axioms on every small field, plus pinned table facts."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,3 +143,100 @@ def test_mult_order_divides_group_order():
             t = f.mult_order(a)
             assert (f.q - 1) % t == 0
             assert f.pow(a, t) == 1
+
+
+# -- the field representations ----------------------------------------------
+#
+# q <= 256 uses dense tables, prime q > 256 integer arithmetic, extension
+# fields up to 2^16 log/antilog tables, larger ones base-p digit loops.
+# Each is checked against the digit-level definitions _raw_add/_raw_mul.
+
+TINY_FIELDS = [field(p) for p in (2, 3, 5, 7, 11, 13)] + [
+    field(2, 2), field(2, 3), field(2, 4), field(3, 2),
+]
+# GF(257) and GF(17^2) are the large fields the suite exercises throughout;
+# GF(2^9) is the characteristic-2 log-table case and GF(3^11) a digit field.
+LARGE_FIELDS = [field(257), field(17, 2), field(2, 9), field(3, 11)]
+
+
+def raw_neg(f, a):
+    return f.from_coeffs((-c) % f.p for c in f.coeffs(a))
+
+
+@pytest.mark.parametrize("f", TINY_FIELDS, ids=lambda f: f"q{f.q}")
+def test_ops_match_raw_definitions_exhaustive(f):
+    els = list(f.elements())
+    for a in els:
+        neg = [b for b in els if f._raw_add(a, b) == 0]
+        assert [f.neg(a)] == neg
+        if a:
+            assert [f.inv(a)] == [b for b in els if f._raw_mul(a, b) == 1]
+        for b in els:
+            assert f.add(a, b) == f._raw_add(a, b)
+            assert f.mul(a, b) == f._raw_mul(a, b)
+            assert f._raw_add(f.sub(a, b), b) == a
+
+
+@pytest.mark.parametrize("f", LARGE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_ops_match_raw_definitions_sampled(f):
+    rng = random.Random(f.q)
+    samples = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(300)]
+    for a, b in zip(samples, reversed(samples)):
+        assert f.add(a, b) == f._raw_add(a, b)
+        assert f.mul(a, b) == f._raw_mul(a, b)
+        assert f.neg(a) == raw_neg(f, a)
+        assert f.sub(a, b) == f._raw_add(a, raw_neg(f, b))
+        if a:
+            assert f._raw_mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("f", TINY_FIELDS[-2:] + LARGE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_add_scaled_matches_raw_definitions(f):
+    rng = random.Random(7 * f.q)
+    for _ in range(20):
+        row = [rng.choice([0, rng.randrange(f.q)]) for _ in range(rng.randint(0, 8))]
+        out = [rng.randrange(f.q) for _ in range(len(row) + 3)]
+        off, c = rng.randint(0, 3), rng.randrange(f.q)
+        want = list(out)
+        for j, b in enumerate(row):
+            want[off + j] = f._raw_add(want[off + j], f._raw_mul(c, b))
+        f.add_scaled(out, off, c, enumerate(row))
+        assert out == want
+
+
+@pytest.mark.parametrize("f", [field(257), field(17, 2)], ids=lambda f: f"q{f.q}")
+def test_axioms_sampled_large(f):
+    rng = random.Random(f.q + 1)
+    for _ in range(300):
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert f.add(a, b) == f.add(b, a)
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
+        assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.add(a, 0) == a and f.mul(a, 1) == a
+        assert f.add(a, f.neg(a)) == 0
+        assert f.sub(a, b) == f.add(a, f.neg(b))
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+            assert f.pow(a, f.q - 1) == 1
+        for k in range(f.e + 1):
+            assert f.frobenius(f.mul(a, b), k) == f.mul(f.frobenius(a, k), f.frobenius(b, k))
+
+
+def test_mult_order_is_least_exponent():
+    for f in TINY_FIELDS + [field(17, 2)]:
+        for a in range(1, f.q):
+            t, b = 1, a
+            while b != 1:
+                b = f.mul(b, a)
+                t += 1
+            assert f.mult_order(a) == t
+
+
+def test_mult_order_large_field_is_fast():
+    start = time.perf_counter()
+    f = field(2, 31)
+    assert f.mult_order(2) == 2**31 - 1  # 2^31 - 1 is prime, so w is primitive
+    assert f.mult_order(1) == 1
+    assert time.perf_counter() - start < 1.0

@@ -12,7 +12,14 @@ import pytest
 from mtcodes import LinearCode, MTCode, MTProfile, field, oracle
 from mtcodes.errors import BudgetError
 
-from helpers import check_structured_vs_oracle, f4, random_linear_code, sweep_pair, words
+from helpers import (
+    check_small_dim_pair,
+    check_structured_vs_oracle,
+    f4,
+    random_linear_code,
+    sweep_pair,
+    words,
+)
 
 
 F2 = field(2)
@@ -23,6 +30,12 @@ F3 = field(3)
 def test_structured_matches_oracle(idx):
     rng = random.Random(5000 + idx)
     check_structured_vs_oracle(rng, idx)
+
+
+@pytest.mark.parametrize("f", [field(257), field(17, 2)], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("idx", range(4))
+def test_structured_matches_oracle_large_field(f, idx):
+    check_small_dim_pair(random.Random(9000 + 10 * idx + f.q), f)
 
 
 def test_twisted_shift_definition():

@@ -192,3 +192,79 @@ def test_factor_random_round_trip(seed):
         assert m >= 1
         assert q.lead == 1
         assert is_irreducible(q)
+
+
+# -- fields above the 256-element table limit --------------------------------
+
+LARGE = [field(257), field(17, 2)]
+
+
+def schoolbook_mul(a, b):
+    """Reference product, one Field.add/mul call per coefficient pair."""
+    f = a.field
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+    return Poly(f, out)
+
+
+@pytest.mark.parametrize("f", [F3, f4(), f9_mod221(), field(2, 9)] + LARGE, ids=lambda f: f"q{f.q}")
+def test_mul_matches_schoolbook(f):
+    rng = random.Random(f.q)
+    for _ in range(30):
+        a, b = rand_poly(rng, f, 9), rand_poly(rng, f, 6)
+        assert a * b == schoolbook_mul(a, b) == b * a
+        assert a - b == a + (-b)
+        assert (a - b) + b == a
+
+
+@pytest.mark.parametrize("f", LARGE, ids=lambda f: f"q{f.q}")
+def test_divmod_invariant_large(f):
+    rng = random.Random(f.q + 3)
+    for _ in range(60):
+        a = rand_poly(rng, f, 12)
+        b = rand_poly(rng, f, 5)
+        if b.is_zero():
+            continue
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+    # sparse divisor: x^N - lam, as reduced by the twisted-code layers
+    lam = rng.randrange(1, f.q)
+    b = Poly.binomial(f, 7, lam)
+    a = rand_poly(rng, f, 20)
+    q, r = divmod(a, b)
+    assert q * b + r == a and r.degree < 7
+
+
+@pytest.mark.parametrize("f", LARGE, ids=lambda f: f"q{f.q}")
+def test_factor_round_trip_large(f):
+    rng = random.Random(f.q + 5)
+    for _ in range(4):
+        p = rand_poly(rng, f, 6)
+        if p.is_zero():
+            continue
+        fac = factor(p)
+        assert fac.expand() == p
+        for g, m in fac:
+            assert m >= 1 and g.lead == 1
+            assert is_irreducible(g)
+
+
+@pytest.mark.parametrize("f", LARGE, ids=lambda f: f"q{f.q}")
+def test_factor_known_products_large(f):
+    # x^N - 1 with N | q - 1 splits into N distinct linear factors
+    n = 16 if f.q == 257 else 12
+    fac = factor(Poly.binomial(f, n, 1))
+    assert [(g.degree, m) for g, m in fac] == [(1, 1)] * n
+    roots = {f.neg(g.coeffs[0]) for g, _ in fac}
+    assert all(f.pow(r, n) == 1 for r in roots) and len(roots) == n
+    # an explicit product of irreducibles, one of them squared
+    quad = next(g for g in (Poly(f, [c, 0, 1]) for c in range(1, f.q)) if is_irreducible(g))
+    lin = Poly(f, [3, 1])
+    target = quad * lin * lin * Poly.constant(f, 5)
+    fac = factor(target)
+    assert fac.unit == 5
+    assert sorted((g.coeffs, m) for g, m in fac) == sorted([(quad.coeffs, 1), (lin.coeffs, 2)])
+    assert fac.expand() == target
