@@ -12,8 +12,7 @@ and chooses its arithmetic representation once, at construction:
   ``pow(a, p - 2, p)``.
 * extension fields with 256 < q <= 2^16: log/antilog tables of length
   O(q) to the base of a primitive element, for ``mul`` and ``inv``, and
-  Zech logarithms (log(1 + g^n)) for ``add`` in odd characteristic; in
-  characteristic 2 addition is the XOR of the digit vectors.
+  Zech logarithms (log(1 + g^n)) for ``add``.
 * extension fields with q > 2^16: loops over the base-p digits, and
   ``inv`` by square-and-multiply.
 
@@ -37,7 +36,10 @@ from .errors import ParseError
 
 # Largest q for which dense add/mul tables are precomputed.
 _TABLE_LIMIT = 256
-# Largest q of an extension field that gets log/antilog tables.
+# Largest q of an extension field that gets log/antilog tables.  They take
+# about 100 bytes per element (6 MB at 2^16, 26 MB at 2^18) and are built in
+# O(q * e); at 2^16 the build takes about 0.1 s, against 50 us for one
+# digit-loop mul.
 _LOG_LIMIT = 2**16
 
 
@@ -263,15 +265,22 @@ class Field:
         """exp[i] = g^i and log[g^i] = i for a primitive element g.
 
         exp has length 2(q - 1), so a sum of two logs indexes it without a
-        reduction.  In odd characteristic zech[n] = log(1 + g^n), or None
-        where 1 + g^n = 0, also over two periods so that a difference of
-        logs (negative ones by Python's index wrap) indexes it directly.
+        reduction.  zech[n] = log(1 + g^n), or None where 1 + g^n = 0, also
+        over two periods so that a difference of logs (negative ones by
+        Python's index wrap) indexes it directly.
         """
         q, p = self.q, self.p
         g = next(c for c in range(p, q) if self.mult_order(c) == q - 1)
+        # Multiplying by g is GF(p)-linear on the digits, so g*a is the sum
+        # of g*(low half of a) and g*(high half of a), read from two tables
+        # of about sqrt(q) entries: one digit-vector addition per element.
+        h = p ** (self.e // 2)
+        lo = [self._raw_mul(g, a) for a in range(h)]
+        hi = [self._raw_mul(g, a * h) for a in range(q // h)]
         exp = [1] * (q - 1)
+        a = 1
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], g)
+            a = exp[i] = self._raw_add(lo[a % h], hi[a // h])
         log: list = [None] * q
         for i, a in enumerate(exp):
             log[a] = i
@@ -279,9 +288,9 @@ class Field:
         # -1 = g^((q-1)/2) in odd characteristic; -a = a in characteristic 2.
         half = 0 if p == 2 else (q - 1) // 2
         self._neg_table = [0] + [exp[log[a] + half] for a in range(1, q)]
-        if p != 2:
-            zech = [log[self._raw_add(1, exp[n])] for n in range(q - 1)]
-            self._zech = zech + zech
+        # 1 + a changes only the lowest base-p digit of a.
+        zech = [log[a + 1 if (a + 1) % p else a + 1 - p] for a in exp[: q - 1]]
+        self._zech = zech + zech
         self._log = log
         self._exp = exp
 
@@ -381,16 +390,11 @@ class Field:
         elif self._exp is not None:
             exp, log = self._exp, self._log
             lc = log[c]
-            if self.p == 2:
-                for j, b in terms:
-                    if b:
-                        out[j + off] ^= exp[lc + log[b]]
-            else:
-                zadd = self._zech_add
-                for j, b in terms:
-                    if b:
-                        j += off
-                        out[j] = zadd(out[j], exp[lc + log[b]])
+            zadd = self._zech_add
+            for j, b in terms:
+                if b:
+                    j += off
+                    out[j] = zadd(out[j], exp[lc + log[b]])
         else:
             raw_add, raw_mul = self._raw_add, self._raw_mul
             for j, b in terms:

@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -169,12 +168,10 @@ def test_default_budget_skips_large_distance(tmp_path, capsys, monkeypatch):
     rows = [" ".join("1" if j == i or j >= 21 else "0" for j in range(24)) for i in range(21)]
     doc = tmp_path / "big.txt"
     doc.write_text("GF(2)\ncode B\nmatrix 21 24\n" + "\n".join(rows) + "\n")
-    start = time.perf_counter()
     code, payload, _ = run_json(capsys, "info", str(doc))
     assert code == 0
     assert payload["codes"][0]["dimension"] == 21
     assert payload["codes"][0]["distance"] is None
-    assert time.perf_counter() - start < 5.0
 
 
 def test_oracle_budget_skip(capsys, monkeypatch):

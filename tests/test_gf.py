@@ -1,7 +1,6 @@
 """Field arithmetic: axioms on every small field, plus pinned table facts."""
 
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -155,8 +154,9 @@ TINY_FIELDS = [field(p) for p in (2, 3, 5, 7, 11, 13)] + [
     field(2, 2), field(2, 3), field(2, 4), field(3, 2),
 ]
 # GF(257) and GF(17^2) are the large fields the suite exercises throughout;
-# GF(2^9) is the characteristic-2 log-table case and GF(3^11) a digit field.
-LARGE_FIELDS = [field(257), field(17, 2), field(2, 9), field(3, 11)]
+# GF(2^9) and GF(3^7) are characteristic-2 and odd log-table cases with more
+# than two digits, and GF(3^11) a digit field.
+LARGE_FIELDS = [field(257), field(17, 2), field(2, 9), field(3, 7), field(3, 11)]
 
 
 def raw_neg(f, a):
@@ -234,9 +234,25 @@ def test_mult_order_is_least_exponent():
             assert f.mult_order(a) == t
 
 
-def test_mult_order_large_field_is_fast():
-    start = time.perf_counter()
+def test_mult_order_uses_prime_factors(monkeypatch):
+    # q - 1 = 2^31 - 1 is prime, so w is primitive and one power decides it
     f = field(2, 31)
-    assert f.mult_order(2) == 2**31 - 1  # 2^31 - 1 is prime, so w is primitive
-    assert f.mult_order(1) == 1
-    assert time.perf_counter() - start < 1.0
+    calls = []
+    real_pow = Field.pow
+    monkeypatch.setattr(Field, "pow", lambda self, a, n: calls.append(n) or real_pow(self, a, n))
+    assert f.mult_order(2) == 2**31 - 1
+    assert calls == [1]
+    calls.clear()
+    # for a = 1 every division by a prime factor of 288 = 2^5 * 3^2 succeeds
+    assert field(17, 2).mult_order(1) == 1
+    assert calls == [144, 72, 36, 18, 9, 3, 1]
+
+
+@pytest.mark.parametrize("f", [field(17, 2), field(2, 9), field(3, 7)], ids=lambda f: f"q{f.q}")
+def test_antilog_table_is_powers_of_generator(f):
+    exp = f._exp
+    g = exp[1]
+    assert f.mult_order(g) == f.q - 1
+    assert exp[0] == 1
+    assert all(exp[i] == f._raw_mul(exp[i - 1], g) for i in range(1, 2 * (f.q - 1)))
+    assert all(f._log[exp[i]] == i for i in range(f.q - 1))
