@@ -33,13 +33,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode
-from .pmat import PolyMatrix, chain_type, deg_det, rank_mod, reduce_to_gpm, solve_identical
-from .upoly import FACTOR_SEED, Poly, factor, reciprocal_poly
+from .pmat import ChainType, PolyMatrix, _chain_type, _rank_mod, reduce_to_gpm, solve_identical
+from .upoly import FACTOR_SEED, Factorization, Poly, factor, is_irreducible, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
 
@@ -91,6 +91,15 @@ class MTProfile:
     def annihilator(self) -> Poly:
         """x^N - 1."""
         return Poly.binomial(self.field, self.period, 1)
+
+    @cached_property
+    def factorization(self) -> Factorization:
+        """x^N - 1 factored once per profile, every factor certified
+        irreducible once; layer tables read it without re-testing."""
+        fac = factor(self.annihilator(), seed=FACTOR_SEED)
+        if not all(is_irreducible(p) for p, _ in fac):
+            raise AssertionError("factor returned a reducible factor of x^N - 1")
+        return fac
 
     def cofactors(self) -> tuple[Poly, ...]:
         """(x^N - 1) / (x^m_i - lam_i), one per block."""
@@ -240,7 +249,10 @@ class MTCode:
 
     @property
     def dim(self) -> int:
-        return deg_det(self.companion)
+        """n - sum deg G_ii: deg det A for A @ G = diag(x^m_i - lam_i), read
+        off the triangular GPM."""
+        gpm = self.gpm.rows
+        return self.n - sum(gpm[i][i].degree for i in range(self.profile.ell))
 
     @property
     def n(self) -> int:
@@ -260,19 +272,24 @@ class MTCode:
         return f"MTCode([{self.n},{self.dim}] {self.profile.describe()})"
 
     def to_linear(self) -> LinearCode:
-        """Expand the GPM rows under the shift action to a scalar generator."""
+        """Expand the GPM rows under the shift action to a scalar generator.
+
+        The words x^j * g_i for 0 <= j < m_i - deg G_ii are a basis: G is
+        upper triangular, so a vanishing combination vanishes column by
+        column, and there are dim of them.
+        """
         if self._linear is None:
             prof = self.profile
             rows = []
-            for prow in self.gpm.rows:
+            for i, prow in enumerate(self.gpm.rows):
                 vec = prof.vector_from_polys(prow)
-                for _ in range(prof.period):
+                for _ in range(prof.blocks[i] - prow[i].degree):
                     rows.append(vec)
                     vec = prof.apply_shift(vec)
             code = LinearCode(self.field, prof.n, rows)
             if code.k != self.dim:
                 raise AssertionError(
-                    "scalar expansion rank disagrees with deg det of the companion"
+                    "scalar expansion rank disagrees with the GPM's dimension"
                 )
             self._linear = code
         return self._linear
@@ -513,8 +530,8 @@ class FactorLayer:
 
     @property
     def weighted(self) -> int:
-        d = self.factor.degree
-        return d * sum((self.power - h) * r for h, r in enumerate(self.type_vector))
+        """log_q of the layer's size, as `ChainType.size_log_q`."""
+        return ChainType(self.factor, self.power, self.type_vector).size_log_q
 
 
 @dataclass(frozen=True)
@@ -535,13 +552,13 @@ class LayerTable:
 
 
 def _layer_table(mat: PolyMatrix, profile: MTProfile, target: int) -> LayerTable:
-    fac = factor(profile.annihilator(), seed=FACTOR_SEED)
+    fac = profile.factorization
     layers = []
     for p_j, f_j in fac:
         if f_j == 1:
-            tv = (rank_mod(mat, p_j),)
+            tv = (_rank_mod(mat, p_j),)
         else:
-            tv = chain_type(mat, p_j, f_j).type_vector
+            tv = _chain_type(mat, p_j, f_j).type_vector
         layers.append(FactorLayer(p_j, f_j, tv))
     return LayerTable(tuple(layers), target, fac.seed)
 

@@ -428,6 +428,11 @@ def rank_mod(m: PolyMatrix, p: Poly) -> int:
     """Rank of m over the field GF(q)[x]/<p>, p irreducible."""
     if not is_irreducible(p):
         raise ValueError("modulus must be irreducible")
+    return _rank_mod(m, p)
+
+
+def _rank_mod(m: PolyMatrix, p: Poly) -> int:
+    """`rank_mod` for a p already known to be irreducible."""
     rows = [[e % p for e in row] for row in m.rows]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -475,6 +480,11 @@ def chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
         raise ValueError("chain exponent must be >= 1")
     if not is_irreducible(p):
         raise ValueError("modulus must be irreducible")
+    return _chain_type(m, p, f)
+
+
+def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
+    """`chain_type` for f >= 1 and a p already known to be irreducible."""
     powers = [p]
     for _ in range(f - 1):
         powers.append(powers[-1] * p)

@@ -10,13 +10,22 @@ the same grammar plus binary/unary minus, arbitrary whitespace, and terms in
 any order.
 
 Factorization is square-free split, then distinct-degree, then randomized
-equal-degree splitting.  The random choices come from a generator seeded per
-call, so identical inputs always factor identically; the seed participates
-in any report that includes a factorization.
+equal-degree splitting, except for x^N - 1 (up to a unit): with
+N = N' * p^s it is the product of Phi_d^(p^s) over d | N', each cyclotomic
+polynomial Phi_d is built by exact division of binomials, and all its
+irreducible factors have degree ord_d(q), so equal-degree splitting alone
+finishes it.  The random choices come from a generator seeded per call, so
+identical inputs always factor identically; the seed participates in any
+report that includes a factorization.  Factor lists are sorted, so both
+routes give the same list.  An ``MTProfile`` keeps the factorization of its
+x^N - 1 (``MTProfile.factorization``), so a profile factors once however
+many layer tables read it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -493,12 +502,64 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree(g, d, rng) + _equal_degree(f.exact_div(g), d, rng)
 
 
+def _binomial_degree(f: Poly) -> int | None:
+    """N when the monic f is x^N - 1, else None."""
+    cs = f.coeffs
+    if len(cs) < 2 or cs[0] != f.field.neg(1) or any(cs[1:-1]):
+        return None
+    return len(cs) - 1
+
+
+def _mult_order_mod(q: int, d: int) -> int:
+    """Least t >= 1 with q^t = 1 (mod d), for gcd(q, d) = 1."""
+    t, r = 1, q % d
+    while r != 1 % d:
+        r = r * q % d
+        t += 1
+    return t
+
+
+def _cyclotomic(fld: Field, d: int) -> Poly:
+    """Phi_d = prod over squarefree e | d of (x^(d/e) - 1)^mu(e), by
+    multiplying the binomials of even mu and dividing by those of odd."""
+    num, den = Poly.one(fld), []
+    primes = _prime_factors(d)
+    for k in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, k):
+            b = Poly.binomial(fld, d // math.prod(sub), 1)
+            if k % 2:
+                den.append(b)
+            else:
+                num = num * b
+    for b in den:
+        num = num.exact_div(b)
+    return num
+
+
+def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly, int]]:
+    """Irreducible factors of x^n - 1 with multiplicities, unsorted:
+    x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s, and Phi_d
+    splits into irreducibles of degree ord_d(q)."""
+    mult = 1
+    while n % fld.p == 0:
+        n //= fld.p
+        mult *= fld.p
+    found = []
+    for d in range(1, n + 1):
+        if n % d == 0:
+            for irr in _equal_degree(_cyclotomic(fld, d), _mult_order_mod(fld.q, d), rng):
+                found.append((irr, mult))
+    return found
+
+
 def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:
     """Full factorization into monic irreducibles.
 
     The equal-degree stage is randomized; `seed` fixes its choices so equal
     inputs give byte-equal factor lists.  Factors are sorted by degree, then
-    by coefficient tuple.
+    by coefficient tuple.  x^N - 1 takes the cyclotomic route of
+    `_binomial_factors`; every other input goes square-free, then
+    distinct-degree, then equal-degree.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -508,9 +569,13 @@ def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:
     found: list[tuple[Poly, int]] = []
     if work.degree == 0:
         return Factorization(f.field, unit, (), seed)
-    for part, mult in _squarefree_parts(work):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                found.append((irr, mult))
+    n = _binomial_degree(work)
+    if n is not None:
+        found = _binomial_factors(f.field, n, rng)
+    else:
+        for part, mult in _squarefree_parts(work):
+            for prod, d in _distinct_degree(part):
+                for irr in _equal_degree(prod, d, rng):
+                    found.append((irr, mult))
     found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(f.field, unit, tuple(found), seed)

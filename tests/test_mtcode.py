@@ -6,14 +6,15 @@ they are frozen here so any drift in the reduction pipeline is caught exactly.
 """
 
 import math
+import random
 
 import pytest
 
-from mtcodes import LinearCode, MTCode, MTProfile, field, hnf
+from mtcodes import LinearCode, MTCode, MTProfile, Poly, deg_det, field, hnf
 from mtcodes.errors import DomainError
 from mtcodes.mtcode import advise_intersection_structure
 
-from helpers import f4, f9_mod221, pmat, words
+from helpers import f4, f9_mod221, pmat, random_mt_code, sweep_pair, words
 
 
 F3 = field(3)
@@ -469,3 +470,60 @@ def test_zero_and_full_codes():
     assert full.min_distance() == 1
     assert z.is_subcode_of(full)
     assert full.intersect(z) == z
+
+
+# -- work done once ----------------------------------------------------------
+
+
+def test_profile_factors_x_n_minus_1_once(monkeypatch):
+    import mtcodes.mtcode as mtcode_mod
+
+    calls = []
+    real = mtcode_mod.factor
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mtcode_mod, "factor", counting)
+    prof = MTProfile(F3, (3, 4), (1, 2))  # N = 24: layers by rank and by chain type
+    rng = random.Random(7)
+    codes = [random_mt_code(rng, prof) for _ in range(3)]
+    for code in codes:
+        assert code.property_check("lcd", 0).table is not None
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert codes[i].trivial_intersection_evidence(codes[j]).target == codes[j].dim
+    assert len(calls) == 1
+    assert prof.factorization.expand() == prof.annihilator()
+
+
+def test_dim_reads_the_gpm_diagonal():
+    rng = random.Random(11)
+    for idx in range(60):
+        for code in sweep_pair(rng, idx):
+            assert code.dim == deg_det(code.companion)
+            assert code.dual().dim == deg_det(code.dual().companion)
+
+
+def test_to_linear_expands_dim_rows(monkeypatch):
+    import mtcodes.mtcode as mtcode_mod
+
+    f = field(257)
+    prof = MTProfile(f, (7, 8, 9), (3, 3, 3))
+    assert prof.period == 129024
+    rows = [
+        [Poly.parse(f, "5 + x"), Poly.zero(f), Poly.parse(f, "226 + 45*x + x^2")],
+        [Poly.zero(f), Poly.zero(f), Poly.parse(f, "212 + x")],
+    ]
+    code = MTCode(prof, rows)
+    fed = []
+    real = mtcode_mod.LinearCode
+
+    def spy(field_, n, gen):
+        fed.append(len(gen))
+        return real(field_, n, gen)
+
+    monkeypatch.setattr(mtcode_mod, "LinearCode", spy)
+    lin = code.to_linear()
+    assert (code.n, code.dim) == (24, 15)
+    assert fed == [code.dim] and lin.k == code.dim

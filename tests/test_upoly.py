@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcodes import Poly, factor, field, reciprocal_poly
-from mtcodes.upoly import FACTOR_SEED, NEG_INF, is_irreducible, lcm_poly, poly_ext_gcd, poly_gcd
+from mtcodes.upoly import (
+    FACTOR_SEED,
+    NEG_INF,
+    _distinct_degree,
+    _equal_degree,
+    _squarefree_parts,
+    is_irreducible,
+    lcm_poly,
+    poly_ext_gcd,
+    poly_gcd,
+)
 
 from helpers import f4, f9_mod221, poly
 
@@ -268,3 +278,73 @@ def test_factor_known_products_large(f):
     assert fac.unit == 5
     assert sorted((g.coeffs, m) for g, m in fac) == sorted([(quad.coeffs, 1), (lin.coeffs, 2)])
     assert fac.expand() == target
+
+
+# -- x^N - 1 by its cyclotomic structure -------------------------------------
+
+
+def coset_sizes(q, n):
+    """Sizes of the q-cyclotomic cosets {a, aq, aq^2, ...} mod n, sorted."""
+    seen, sizes = set(), []
+    for a in range(n):
+        if a not in seen:
+            coset = set()
+            b = a
+            while b not in coset:
+                coset.add(b)
+                b = b * q % n
+            seen |= coset
+            sizes.append(len(coset))
+    return sorted(sizes)
+
+
+def general_factors(p, seed=FACTOR_SEED):
+    """The square-free, distinct-degree, equal-degree pipeline on a monic p."""
+    rng = random.Random(seed)
+    found = []
+    for part, mult in _squarefree_parts(p):
+        for prod, d in _distinct_degree(part):
+            for irr in _equal_degree(prod, d, rng):
+                found.append((irr, mult))
+    found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return tuple(found)
+
+
+BINOMIAL_CASES = [
+    (field(2), (21, 24)),
+    (F3, (13, 36)),
+    (f4(), (15, 20)),
+    (f9_mod221(), (20, 15)),
+    (field(2, 4), (17, 30)),
+    (field(257), (24, 514)),
+    (field(17, 2), (24, 51)),
+    (field(2, 9), (63, 146)),
+]
+
+
+@pytest.mark.parametrize("f, ns", BINOMIAL_CASES, ids=[f"q{f.q}" for f, _ in BINOMIAL_CASES])
+def test_factor_binomial_follows_cyclotomic_cosets(f, ns, monkeypatch):
+    import mtcodes.upoly as upoly
+
+    def general_route(*_):
+        raise AssertionError("x^N - 1 took the general route")
+
+    monkeypatch.setattr(upoly, "_squarefree_parts", general_route)
+    for n in ns:
+        n_prime, mult = n, 1
+        while n_prime % f.p == 0:
+            n_prime //= f.p
+            mult *= f.p
+        target = Poly.binomial(f, n, 1)
+        fac = factor(target)
+        assert sorted(g.degree for g, _ in fac) == coset_sizes(f.q, n_prime)
+        assert all(m == mult for _, m in fac)
+        assert all(is_irreducible(g) for g, _ in fac)
+        assert fac.expand() == target
+
+
+@pytest.mark.parametrize("f", [F3, f4()], ids=lambda f: f"q{f.q}")
+def test_factor_binomial_matches_general_pipeline(f):
+    for n in range(1, 61):
+        target = Poly.binomial(f, n, 1)
+        assert factor(target).factors == general_factors(target)
