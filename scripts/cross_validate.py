@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of structured operations against brute force.
 
-Samples same-profile pairs of multi-twisted codes over small fields and
-compares every structured computation (intersection, Galois dual, hull,
-reversal, reversibility test, minimum distance, property congruences)
-with a set-level enumeration oracle.  Any disagreement is printed with
-the seed that produced it, so a failure reproduces with
+Runs the test suite's sweep case (`tests/helpers.py`: `sweep_pair` draws a
+same-profile pair of multi-twisted codes over a small field, and
+`check_structured_vs_oracle` compares every structured operation with a
+set-level enumeration oracle) for a range of seeds.  A case that fails is
+printed with its seed, so it reproduces with
 
-    python3 scripts/cross_validate.py --seed-base <base> --cases 1
+    python3 scripts/cross_validate.py --seed-base <seed> --cases 1
 
 The defaults finish in a few seconds; crank --cases for a longer soak.
 """
@@ -17,139 +17,42 @@ import pathlib
 import random
 import sys
 import time
-from dataclasses import dataclass
+import traceback
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from mtcodes import MTCode, MTProfile, field
-from mtcodes import oracle
-from mtcodes.errors import DomainError
-
-# ambient sizes are capped so the oracle's q^n dual scan stays cheap
-FIELD_CAPS = (
-    (field(2), 12),
-    (field(3), 7),
-    (field(2, 2), 6),
-)
+from helpers import check_structured_vs_oracle
 
 
-@dataclass
-class SweepConfig:
-    cases: int = 100
-    seed_base: int = 77_000
-    max_ell: int = 3
-    max_block: int = 4
-    max_rows: int = 2
-    verbose: bool = False
-
-
-def sample_pair(rng: random.Random, idx: int, cfg: SweepConfig) -> tuple[MTCode, MTCode]:
-    f, max_n = FIELD_CAPS[idx % len(FIELD_CAPS)]
-    while True:
-        ell = rng.randint(1, cfg.max_ell)
-        blocks = tuple(rng.randint(1, cfg.max_block) for _ in range(ell))
-        if sum(blocks) <= max_n:
-            break
-    shifts = tuple(rng.choice(range(1, f.q)) for _ in range(ell))
-    profile = MTProfile(f, blocks, shifts)
-
-    def draw() -> MTCode:
-        rows = []
-        for _ in range(rng.randint(0, cfg.max_rows)):
-            rows.append(tuple(
-                profile.polys_from_vector(
-                    tuple(rng.randrange(f.q) for _ in range(profile.n))
-                )
-            ))
-        return MTCode(profile, rows)
-
-    return draw(), draw()
-
-
-def check_case(rng: random.Random, idx: int, cfg: SweepConfig) -> list[str]:
-    """Runs one sampled pair through every comparison; returns mismatches."""
-    bad: list[str] = []
-    c1, c2 = sample_pair(rng, idx, cfg)
-    f = c1.field
-    w1 = oracle.enumerate_code(c1.to_linear())
-    w2 = oracle.enumerate_code(c2.to_linear())
-
-    def expect(label: str, ok: bool) -> None:
-        if not ok:
-            bad.append(label)
-
-    expect("invariance", oracle.is_invariant(
-        c1.to_linear(), c1.profile.blocks, c1.profile.shifts))
-    expect("codeword count", len(w1) == f.q ** c1.dim)
-
-    meet = c1.intersect(c2)
-    expect("intersection", oracle.same_code(meet.to_linear(), w1 & w2))
-    expect("trivial flag", c1.trivially_intersects(c2) == (len(w1 & w2) == 1))
-
-    kappa = rng.randrange(f.e)
-    dual_words = oracle.galois_dual_set(c1.to_linear(), kappa)
-    expect("galois dual", oracle.same_code(c1.galois_dual(kappa).to_linear(), dual_words))
-    try:
-        hull = c1.galois_hull_details(kappa).code
-        expect("hull", oracle.same_code(hull.to_linear(), w1 & dual_words))
-    except DomainError:
-        pass  # shift profile rules out a same-profile hull; nothing to compare
-
-    expect("reversal", oracle.same_code(
-        c1.reversed_code().to_linear(), oracle.reverse_words(w1)))
-
-    dist = c1.min_distance()
-    expect("distance", dist == oracle.min_distance_of_words(w1))
-
-    for prop, target in (
-        ("self_orthogonal", w1 <= dual_words),
-        ("dual_containing", dual_words <= w1),
-        ("lcd", len(w1 & dual_words) == 1),
-    ):
-        check = c1.property_check(prop, kappa=kappa)
-        if check.holds is not None:
-            expect(prop, check.holds == target)
-    rev = c1.property_check("reversible")
-    if rev.holds is not None:
-        expect("reversible", rev.holds == (oracle.reverse_words(w1) == w1))
-
-    return bad
-
-
-def run(cfg: SweepConfig) -> int:
+def run(cases: int, seed_base: int, verbose: bool) -> int:
     t0 = time.monotonic()
     failures = 0
-    for idx in range(cfg.cases):
-        seed = cfg.seed_base + idx
-        bad = check_case(random.Random(seed), idx, cfg)
-        if bad:
+    for seed in range(seed_base, seed_base + cases):
+        # The seed also picks the field (seed modulo the sweep's fields),
+        # so a case is named by its seed alone.
+        try:
+            check_structured_vs_oracle(random.Random(seed), seed)
+        except Exception:  # one failing case must not end the soak
             failures += 1
-            print(f"MISMATCH seed={seed}: {', '.join(bad)}")
-        elif cfg.verbose:
-            print(f"ok seed={seed}")
+            print(f"MISMATCH seed={seed}")
+            traceback.print_exc(file=sys.stdout)
+        else:
+            if verbose:
+                print(f"ok seed={seed}")
     dt = time.monotonic() - t0
-    print(f"{cfg.cases} cases, {failures} mismatches, {dt:.1f}s")
+    print(f"{cases} cases, {failures} mismatches, {dt:.1f}s")
     return 1 if failures else 0
 
 
-def parse_args(argv=None) -> SweepConfig:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=100)
     ap.add_argument("--seed-base", type=int, default=77_000)
-    ap.add_argument("--max-ell", type=int, default=3)
-    ap.add_argument("--max-block", type=int, default=4)
-    ap.add_argument("--max-rows", type=int, default=2)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
-    return SweepConfig(
-        cases=args.cases,
-        seed_base=args.seed_base,
-        max_ell=args.max_ell,
-        max_block=args.max_block,
-        max_rows=args.max_rows,
-        verbose=args.verbose,
-    )
+    return run(args.cases, args.seed_base, args.verbose)
 
 
 if __name__ == "__main__":
-    sys.exit(run(parse_args()))
+    sys.exit(main())

@@ -38,7 +38,7 @@ from functools import cached_property, reduce
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode
-from .pmat import ChainType, PolyMatrix, _chain_type, _rank_mod, reduce_to_gpm, solve_identical
+from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair, _rank_mod
 from .upoly import FACTOR_SEED, Factorization, Poly, factor, is_irreducible, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
@@ -209,8 +209,7 @@ class MTCode:
         diag = profile.modulus_diag()
         stack = PolyMatrix(profile.field, row_list + [list(r) for r in diag.rows])
         try:
-            self.gpm = reduce_to_gpm(stack, profile.moduli())
-            self.companion = solve_identical(self.gpm, profile.moduli())
+            self.gpm, self.companion = _gpm_pair(stack, profile.moduli())
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
         self._linear: LinearCode | None = None
@@ -514,8 +513,7 @@ def _qc_intersection(top: PolyMatrix, profile: MTProfile, second: MTCode) -> Gpm
     ann = profile.annihilator()
     qc_moduli = [ann] * profile.ell
     stack = PolyMatrix.stack(top, PolyMatrix.diagonal(qc_moduli))
-    q = reduce_to_gpm(stack, qc_moduli)
-    p = solve_identical(q, qc_moduli)
+    q, p = _gpm_pair(stack, qc_moduli)
     code = MTCode(profile, p.transpose() @ second.gpm)
     return GpmIntersection(code, q, p)
 

@@ -2,16 +2,21 @@
 
 The central routine is the row Hermite normal form: column-forward
 elimination producing an upper echelon matrix with monic pivots, entries
-above each pivot reduced to lower degree, and zero rows at the bottom.  The
-unimodular left transform is tracked alongside, so membership questions
-("write this vector in the row module") reduce to back-substitution against
-the echelon rows.
+above each pivot reduced to lower degree, and zero rows at the bottom.  One
+elimination core (`_echelon`) does this without a transform.  The public
+`hnf` runs it on [M | I] to carry the unimodular left transform along, so
+membership questions ("write this vector in the row module") reduce to
+back-substitution against the echelon rows.
 
 On top of HNF sit the operations the twisted-code layer needs: reduction of
 a generating stack to a square generator polynomial matrix, solving
 A * G = diag(x^m_i - lam_i) for the companion A, degree-of-determinant,
 rank over GF(q)[x]/<p> for irreducible p, and the type of the row span over
-the chain ring GF(q)[x]/<p^f>.
+the chain ring GF(q)[x]/<p^f>.  A GPM and its companion come from one
+elimination: a stack ending in diag(x^m_i - lam_i) is reduced modulo those
+moduli as it is eliminated, so degrees stay below the block lengths, and A
+follows from the triangular G by back-substitution, whose exact divisions
+certify that the module contains the diagonal rows.
 
 Text form: one row per line, entries separated by '|', each entry in the
 Poly grammar.
@@ -223,44 +228,68 @@ class HnfResult:
         return len(self.pivots)
 
 
-def hnf(m: PolyMatrix) -> HnfResult:
-    """Row Hermite normal form with tracked left transform.
+def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = None) -> list[tuple[int, int]]:
+    """Bring the first n_cols columns of ``rows`` to Hermite normal form in
+    place, without a transform, and return the (row, column) pivots.
 
     Columns are processed left to right.  Within a column the candidate of
     least degree is promoted, the rows below are reduced by division until
     the column is clear, the pivot is scaled monic, and entries above are
     reduced to degree below the pivot's.  Zero rows end at the bottom; the
-    result is unique for a fixed row module.
+    result is unique for a fixed row module.  Rows may be wider than
+    n_cols: columns past n_cols ride along in every row operation.
+
+    With ``moduli`` the stack is ``rows`` followed by diag(moduli).  The
+    diagonal row of column k joins the stack when column k is reached;
+    until then it is an untouched generator, so every other row's column-k
+    entry is reduced modulo moduli[k], up front and after each row
+    operation.  Each reduction subtracts a multiple of that generator, so
+    the module, and with it the normal form, is unchanged, while entry
+    degrees stay below the moduli's (the F_q[x] analogue of the
+    modulo-determinant HNF of Domich, Kannan and Trotter).
     """
-    field = m.field
-    n_rows, n_cols = m.shape
-    rows = [list(r) for r in m.rows]
-    u = [list(r) for r in PolyMatrix.identity(field, n_rows).rows]
+    if moduli is not None:
+        zero = Poly.zero(field)
+        bound = [len(d.coeffs) for d in moduli]  # deg d_k + 1
+
+        def settle(row, c):
+            """Reduce the entries of row right of column c modulo their
+            still-pending diagonal generators."""
+            for k in range(c + 1, n_cols):
+                if len(row[k].coeffs) >= bound[k]:
+                    row[k] = row[k] % moduli[k]
+
+        for row in rows:
+            settle(row, -1)
+
+    def sub_scaled(dst, src, q, c):
+        rows[dst] = [a - q * b if b else a for a, b in zip(rows[dst], rows[src])]
+        if moduli is not None:
+            settle(rows[dst], c)
+
     r = 0
     pivots = []
-
-    def sub_scaled(dst, src, q):
-        rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
-
     for c in range(n_cols):
+        if moduli is not None:
+            diag = [zero] * n_cols
+            diag[c] = moduli[c]
+            rows.append(diag)
+        n_rows = len(rows)
         while True:
             cand = None
             for i in range(r, n_rows):
                 e = rows[i][c]
-                if not e.is_zero() and (cand is None or e.degree < rows[cand][c].degree):
+                if e and (cand is None or e.degree < rows[cand][c].degree):
                     cand = i
             if cand is None:
                 break
             if cand != r:
                 rows[r], rows[cand] = rows[cand], rows[r]
-                u[r], u[cand] = u[cand], u[r]
             dirty = False
             for i in range(r + 1, n_rows):
-                if not rows[i][c].is_zero():
-                    q, _ = divmod(rows[i][c], rows[r][c])
-                    sub_scaled(i, r, q)
-                    if not rows[i][c].is_zero():
+                if rows[i][c]:
+                    sub_scaled(i, r, rows[i][c] // rows[r][c], c)
+                    if rows[i][c]:
                         dirty = True
             if not dirty:
                 break
@@ -270,16 +299,32 @@ def hnf(m: PolyMatrix) -> HnfResult:
         if lead != 1:
             inv = field.inv(lead)
             rows[r] = [e.scale(inv) for e in rows[r]]
-            u[r] = [e.scale(inv) for e in u[r]]
+        deg = rows[r][c].degree
         for i in range(r):
-            if not rows[i][c].is_zero() and rows[i][c].degree >= rows[r][c].degree:
-                q, _ = divmod(rows[i][c], rows[r][c])
-                sub_scaled(i, r, q)
+            if rows[i][c].degree >= deg:
+                sub_scaled(i, r, rows[i][c] // rows[r][c], c)
         pivots.append((r, c))
         r += 1
-        if r == n_rows:
-            break
-    return HnfResult(PolyMatrix(field, rows), PolyMatrix(field, u), tuple(pivots))
+    return pivots
+
+
+def hnf(m: PolyMatrix) -> HnfResult:
+    """Row Hermite normal form with its unimodular left transform.
+
+    Runs the elimination core on [m | I]: the right half ends as the
+    transform.  Callers that need only the normal form, such as
+    `reduce_to_gpm` and `deg_det`, run the core on m alone.
+    """
+    field = m.field
+    n_rows, n_cols = m.shape
+    eye = PolyMatrix.identity(field, n_rows).rows
+    rows = [list(row) + list(e) for row, e in zip(m.rows, eye)]
+    pivots = _echelon(field, rows, n_cols)
+    return HnfResult(
+        PolyMatrix(field, [row[:n_cols] for row in rows]),
+        PolyMatrix(field, [row[n_cols:] for row in rows]),
+        tuple(pivots),
+    )
 
 
 def deg_det(m: PolyMatrix):
@@ -287,12 +332,10 @@ def deg_det(m: PolyMatrix):
     n_r, n_c = m.shape
     if n_r != n_c:
         raise ValueError("determinant of a non-square matrix")
-    if n_r == 0:
-        return 0
-    res = hnf(m)
-    if res.rank < n_r:
+    rows = [list(r) for r in m.rows]
+    if len(_echelon(m.field, rows, n_c)) < n_r:
         return NEG_INF
-    return sum(res.h.rows[i][i].degree for i in range(n_r))
+    return sum(rows[i][i].degree for i in range(n_r))
 
 
 def det(m: PolyMatrix) -> Poly:
@@ -356,41 +399,86 @@ def express_in_row_module(res: HnfResult, vector) -> list[Poly]:
     return out
 
 
-def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
-    """HNF a generating stack down to the square generator polynomial matrix.
+_NOT_DIAGONAL = "row module does not contain the diagonal submodule"
 
-    diag_polys are the block moduli x^m_i - lam_i; the stack's row module
-    must contain each of them on its own axis.
+
+def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
+    """Rows of the A with A @ G = diag(d) for an upper-triangular G.
+
+    Row i: A_ij = 0 for j < i, A_ii = d_i / G_ii and
+    A_ij = -(sum_{i <= k < j} A_ik * G_kj) / G_jj.  The solution over
+    GF(q)(x) is unique, so every division is exact exactly when d_i * e_i
+    lies in the row module of G; otherwise this raises ValueError.
+    """
+    ell = len(diag_polys)
+    if any(not gpm_rows[j][j] for j in range(ell)):
+        raise ValueError(_NOT_DIAGONAL)
+    zero = Poly.zero(field)
+    out = []
+    for i, d in enumerate(diag_polys):
+        row = [zero] * ell
+        num = d
+        for j in range(i, ell):
+            if j > i:
+                num = zero
+                for k in range(i, j):
+                    if row[k] and gpm_rows[k][j]:
+                        num = num - row[k] * gpm_rows[k][j]
+            q, rem = divmod(num, gpm_rows[j][j])
+            if rem:
+                raise ValueError(_NOT_DIAGONAL)
+            row[j] = q
+        out.append(row)
+    return out
+
+
+def _gpm_pair(stack: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
+    """The reduced GPM G of a generating stack and its companion A, with
+    A @ G = diag(diag_polys), from one elimination and no transform.
+
+    When the stack ends in diag(diag_polys), as every stack the code layer
+    builds does, the elimination reduces each column modulo its block
+    modulus.  The companion comes from back-substitution on the triangular
+    G; its exactness certifies that the module contains the diagonal rows.
     """
     diag_polys = list(diag_polys)
     ell = len(diag_polys)
     _, n_c = stack.shape
     if n_c != ell:
         raise ValueError(f"stack has {n_c} columns but {ell} block moduli")
-    res = hnf(stack)
-    if res.rank < ell:
-        raise ValueError("row module does not contain the diagonal submodule")
-    gpm = PolyMatrix(stack.field, res.h.rows[:ell])
-    # Membership of each diagonal row certifies the precondition.
-    gres = hnf(gpm)
-    zero = Poly.zero(stack.field)
-    for i, d in enumerate(diag_polys):
-        v = [zero] * ell
-        v[i] = d
-        try:
-            express_in_row_module(gres, v)
-        except ValueError:
-            raise ValueError(
-                "row module does not contain the diagonal submodule"
-            ) from None
-    return gpm
+    field = stack.field
+    rows = [list(r) for r in stack.rows]
+    moduli = None
+    if ell and all(diag_polys) and len(rows) >= ell:
+        if stack.rows[-ell:] == PolyMatrix.diagonal(diag_polys).rows:
+            del rows[-ell:]
+            moduli = diag_polys
+    if len(_echelon(field, rows, ell, moduli)) < ell:
+        raise ValueError(_NOT_DIAGONAL)
+    gpm = rows[:ell]
+    return PolyMatrix(field, gpm), PolyMatrix(field, _back_substitute(field, gpm, diag_polys))
+
+
+def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
+    """HNF a generating stack down to the square generator polynomial matrix.
+
+    diag_polys are the block moduli x^m_i - lam_i; the stack's row module
+    must contain each of them on its own axis, which the back-substitution
+    for the companion certifies.  No transform is tracked, and a stack that
+    ends in diag(diag_polys) is reduced modulo the moduli as it is
+    eliminated (see `_echelon`).
+    """
+    return _gpm_pair(stack, diag_polys)[0]
 
 
 def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
     """The unique A with A @ gpm = diag(diag_polys).
 
-    Verified by multiplying back; a failure there means the input was not a
-    generator polynomial matrix for these moduli.
+    An upper-triangular gpm, such as `reduce_to_gpm` returns, is solved by
+    back-substitution alone; any other square gpm first goes through
+    `hnf`, whose transform U carries the solution for U @ gpm back to
+    gpm.  Verified by multiplying back; a failure there means the input was
+    not a generator polynomial matrix for these moduli.
     """
     diag_polys = list(diag_polys)
     ell = len(diag_polys)
@@ -398,14 +486,11 @@ def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
     if r != ell or c != ell:
         raise ValueError("generator polynomial matrix must be square")
     field = gpm.field
-    res = hnf(gpm)
-    zero = Poly.zero(field)
-    rows = []
-    for i, d in enumerate(diag_polys):
-        v = [zero] * ell
-        v[i] = d
-        rows.append(express_in_row_module(res, v))
-    a = PolyMatrix(field, rows)
+    if all(not gpm.rows[i][j] for i in range(ell) for j in range(i)):
+        a = PolyMatrix(field, _back_substitute(field, gpm.rows, diag_polys))
+    else:
+        res = hnf(gpm)
+        a = PolyMatrix(field, _back_substitute(field, res.h.rows, diag_polys)) @ res.transform
     if (a @ gpm) != PolyMatrix.diagonal(diag_polys):
         raise AssertionError("companion solve failed the multiply-back check")
     return a

@@ -185,28 +185,11 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         f = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
+        db = len(other.coeffs) - 1
         if len(rem) - 1 < db:
             return Poly.zero(f), self
-        inv_lead = f.inv(b[-1])
-        # -b below its leading term, nonzero entries only: subtracting
-        # qc * b from the remainder adds qc * (-b); the leading term only
-        # cancels rem[k], which is never read again.
-        neg = f.neg
-        row = [(i, neg(bi)) for i, bi in enumerate(b[:-1]) if bi]
-        quot = [0] * (len(rem) - db)
-        mul, add_scaled = f.mul, f.add_scaled
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c:
-                qc = mul(c, inv_lead)
-                quot[k - db] = qc
-                add_scaled(rem, k - db, qc, row)
-        del rem[db:]
+        quot = _long_divide(f, rem, _divisor_row(other))
         return Poly._trusted(f, quot), Poly._trusted(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -227,12 +210,24 @@ class Poly:
         return self.scale(self.field.inv(self.lead))
 
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
-        result = Poly.one(self.field)
-        base = self % mod
+        """self^n modulo mod, by squaring; mod's reduction row is built
+        once for every reduction."""
+        f = self.field
+        div = _divisor_row(mod)
+
+        def reduce(p: "Poly") -> "Poly":
+            if len(p.coeffs) <= div[0]:
+                return p
+            rem = list(p.coeffs)
+            _long_divide(f, rem, div)
+            return Poly._trusted(f, rem)
+
+        result = Poly.one(f)
+        base = reduce(self)
         while n:
             if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
+                result = reduce(result * base)
+            base = reduce(base * base)
             n >>= 1
         return result
 
@@ -300,6 +295,36 @@ class Poly:
                 coeffs.append(0)
             coeffs[d] = field.add(coeffs[d], c)
         return Poly(field, coeffs)
+
+
+def _divisor_row(b: Poly) -> tuple[int, int, list[tuple[int, int]]]:
+    """b prepared for long division: its degree, the inverse of its leading
+    coefficient, and -b below the leading term as (index, coeff) pairs of
+    its nonzero entries.  Subtracting qc * b from a remainder adds
+    qc * (-b); the leading term only cancels a coefficient that is never
+    read again."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    f, cs = b.field, b.coeffs
+    neg = f.neg
+    return len(cs) - 1, f.inv(cs[-1]), [(i, neg(bi)) for i, bi in enumerate(cs[:-1]) if bi]
+
+
+def _long_divide(f: Field, rem: list[int], div) -> list[int]:
+    """Divide the coefficient list rem in place by a `_divisor_row` of
+    degree db, leaving the remainder's db low coefficients in rem; return
+    the quotient's coefficients (rem must have at least db + 1)."""
+    db, inv_lead, row = div
+    quot = [0] * (len(rem) - db)
+    mul, add_scaled = f.mul, f.add_scaled
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            qc = mul(c, inv_lead)
+            quot[k - db] = qc
+            add_scaled(rem, k - db, qc, row)
+    del rem[db:]
+    return quot
 
 
 def _parse_poly_term(field: Field, term: str) -> tuple[int, int]:

@@ -497,6 +497,33 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
     assert prof.factorization.expand() == prof.annihilator()
 
 
+def test_construction_runs_one_elimination(monkeypatch):
+    import mtcodes.pmat as pmat_mod
+
+    calls = {"echelon": 0, "express": 0}
+    real_echelon = pmat_mod._echelon
+    real_express = pmat_mod.express_in_row_module
+
+    def counting_echelon(*args, **kwargs):
+        calls["echelon"] += 1
+        return real_echelon(*args, **kwargs)
+
+    def counting_express(*args, **kwargs):
+        calls["express"] += 1
+        return real_express(*args, **kwargs)
+
+    monkeypatch.setattr(pmat_mod, "_echelon", counting_echelon)
+    monkeypatch.setattr(pmat_mod, "express_in_row_module", counting_express)
+    prof = MTProfile(F3, (3, 4, 2), (1, 2, 2))
+    rng = random.Random(5)
+    first = random_mt_code(rng, prof)
+    assert calls == {"echelon": 1, "express": 0}
+    second = random_mt_code(rng, prof)
+    calls["echelon"] = 0
+    first.intersect(second)
+    assert calls == {"echelon": 2, "express": 0}
+
+
 def test_dim_reads_the_gpm_diagonal():
     rng = random.Random(11)
     for idx in range(60):

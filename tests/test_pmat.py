@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtcodes.mtcode as mtcode_mod
 from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod, reduce_to_gpm, solve_identical
 from mtcodes.pmat import det, express_in_row_module
 from mtcodes.upoly import NEG_INF
 
-from helpers import f4, pmat, poly
+from helpers import f4, pmat, poly, small_dim_pair, sweep_pair
 
 
 F3 = field(3)
@@ -142,6 +143,102 @@ def test_gpm_companion_round_trip(seed):
     assert a @ g == PolyMatrix.diagonal(moduli)
     # dimension identity: deg det A + deg det G = sum of block degrees
     assert deg_det(a) + deg_det(g) == sum(m.degree for m in moduli)
+
+
+def reference_gpm_pair(stack, moduli):
+    """Reference GPM pair: G from the transform-tracking `hnf` of the whole
+    stack, without modular reduction, and A from one membership solve per
+    diagonal row."""
+    ell = len(moduli)
+    g = PolyMatrix(stack.field, hnf(stack).h.rows[:ell])
+    res = hnf(g)
+    zero = Poly.zero(stack.field)
+    rows = []
+    for i, d in enumerate(moduli):
+        v = [zero] * ell
+        v[i] = d
+        rows.append(express_in_row_module(res, v))
+    return g, PolyMatrix(stack.field, rows)
+
+
+def recorded_gpm_stacks(monkeypatch, build):
+    """Every (stack, moduli, G, A) the code layer reduces while build()
+    runs: constructions, duals and intersections' quasi-cyclic stacks."""
+    seen = []
+    real = mtcode_mod._gpm_pair
+
+    def spy(stack, moduli):
+        out = real(stack, moduli)
+        seen.append((stack, list(moduli)) + out)
+        return out
+
+    monkeypatch.setattr(mtcode_mod, "_gpm_pair", spy)
+    build()
+    return seen
+
+
+def sweep_and_large_field_codes():
+    rng = random.Random(404)
+    for idx in range(24):
+        c1, c2 = sweep_pair(rng, idx)
+        c1.intersect(c2)
+        c1.galois_dual(rng.randrange(c1.field.e))
+        c1.reversed_code()
+    for f in (field(257), field(17, 2)):
+        for _ in range(3):
+            c1, c2 = small_dim_pair(rng, f)
+            c1.intersect(c2)
+            c1.dual()
+
+
+def test_gpm_pair_matches_transform_hnf_reference(monkeypatch):
+    seen = recorded_gpm_stacks(monkeypatch, sweep_and_large_field_codes)
+    # Blocks have length at most 4, so a modulus of higher degree is the
+    # x^N - 1 of an intersection's quasi-cyclic stack.
+    qc_stacks = [s for s in seen if s[1][0].degree > 4]
+    assert len(seen) > 150 and len(qc_stacks) > 10
+    for stack, moduli, g, a in seen:
+        ref_g, ref_a = reference_gpm_pair(stack, moduli)
+        assert reduce_to_gpm(stack, moduli) == g == ref_g
+        assert solve_identical(g, moduli) == a == ref_a
+
+
+def test_gpm_reduction_ignores_degree_beyond_the_block():
+    f = F3
+    moduli = [Poly.binomial(f, 3, 2), Poly.binomial(f, 4, 1)]
+    big = Poly(f, [1] + [0] * 499 + [1])  # 1 + x^500
+    top = [[big, big * poly(f, "2 + x")], [poly(f, "x^7"), big.shift(3)]]
+    reduced = [[e % d for e, d in zip(row, moduli)] for row in top]
+    diag = PolyMatrix.diagonal(moduli)
+    g = reduce_to_gpm(PolyMatrix.stack(PolyMatrix(f, top), diag), moduli)
+    assert g == reduce_to_gpm(PolyMatrix.stack(PolyMatrix(f, reduced), diag), moduli)
+    assert max(e.degree for row in g.rows for e in row) <= 4
+    assert solve_identical(g, moduli) @ g == diag
+
+
+def test_solve_identical_on_a_non_triangular_gpm():
+    f = F3
+    moduli = [Poly.binomial(f, 3, 1), Poly.binomial(f, 2, 2)]
+    stack = PolyMatrix.stack(pmat(f, [["1 + x", "2 + x"]]), PolyMatrix.diagonal(moduli))
+    g = reduce_to_gpm(stack, moduli)
+    lower = pmat(f, [["1", "0"], ["x", "1"]])
+    mixed = lower @ g
+    assert not mixed.rows[1][0].is_zero()
+    ref_g, ref_a = reference_gpm_pair(PolyMatrix.stack(mixed, PolyMatrix.diagonal(moduli)), moduli)
+    a = solve_identical(mixed, moduli)
+    assert a @ mixed == PolyMatrix.diagonal(moduli)
+    # a @ lower solves the identical equation for g itself
+    assert ref_g == g and a @ lower == ref_a
+
+
+def test_full_rank_stack_without_the_diagonal_is_rejected():
+    f = F3
+    moduli = [poly(f, "1 + x^2")] * 2
+    stack = pmat(f, [["x", "0"], ["0", "x"]])
+    with pytest.raises(ValueError, match="diagonal submodule"):
+        reduce_to_gpm(stack, moduli)
+    with pytest.raises(ValueError, match="diagonal submodule"):
+        solve_identical(stack, moduli)
 
 
 def test_rank_mod_examples():
