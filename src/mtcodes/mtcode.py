@@ -206,10 +206,9 @@ class MTCode:
             row_list = [list(r) for r in rows.rows]
         else:
             row_list = [list(r) for r in rows]
-        diag = profile.modulus_diag()
-        stack = PolyMatrix(profile.field, row_list + [list(r) for r in diag.rows])
+        top = PolyMatrix(profile.field, row_list)
         try:
-            self.gpm, self.companion = _gpm_pair(stack, profile.moduli())
+            self.gpm, self.companion = _gpm_pair(top, profile.moduli())
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
         self._linear: LinearCode | None = None
@@ -512,8 +511,7 @@ class GpmIntersection:
 def _qc_intersection(top: PolyMatrix, profile: MTProfile, second: MTCode) -> GpmIntersection:
     ann = profile.annihilator()
     qc_moduli = [ann] * profile.ell
-    stack = PolyMatrix.stack(top, PolyMatrix.diagonal(qc_moduli))
-    q, p = _gpm_pair(stack, qc_moduli)
+    q, p = _gpm_pair(top, qc_moduli)
     code = MTCode(profile, p.transpose() @ second.gpm)
     return GpmIntersection(code, q, p)
 

@@ -3,18 +3,19 @@
 The central routine is the row Hermite normal form: column-forward
 elimination producing an upper echelon matrix with monic pivots, entries
 above each pivot reduced to lower degree, and zero rows at the bottom.  One
-elimination core (`_echelon`) does this without a transform.  The public
-`hnf` runs it on [M | I] to carry the unimodular left transform along, so
-membership questions ("write this vector in the row module") reduce to
-back-substitution against the echelon rows.
+elimination core (`_echelon`) does this without a transform; `hnf` is its
+only entry.  On request `hnf` runs the core on [M | I] to carry the
+unimodular left transform along, so membership questions ("write this
+vector in the row module") reduce to back-substitution against the echelon
+rows.
 
 On top of HNF sit the operations the twisted-code layer needs: reduction of
 a generating stack to a square generator polynomial matrix, solving
 A * G = diag(x^m_i - lam_i) for the companion A, degree-of-determinant,
 rank over GF(q)[x]/<p> for irreducible p, and the type of the row span over
 the chain ring GF(q)[x]/<p^f>.  A GPM and its companion come from one
-elimination: a stack ending in diag(x^m_i - lam_i) is reduced modulo those
-moduli as it is eliminated, so degrees stay below the block lengths, and A
+transform-free elimination: a stack ending in diag(x^m_i - lam_i) is
+reduced modulo those moduli as it is eliminated, so degrees stay below the block lengths, and A
 follows from the triangular G by back-substitution, whose exact divisions
 certify that the module contains the diagonal rows.
 
@@ -217,10 +218,11 @@ class PolyMatrix:
 
 @dataclass(frozen=True)
 class HnfResult:
-    """h = transform @ origin, det(transform) a nonzero constant."""
+    """h = transform @ origin, det(transform) a nonzero constant; transform
+    is None when it was not requested."""
 
     h: PolyMatrix
-    transform: PolyMatrix
+    transform: PolyMatrix | None
     pivots: tuple[tuple[int, int], ...]  # (row, column) of each pivot
 
     @property
@@ -308,21 +310,37 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     return pivots
 
 
-def hnf(m: PolyMatrix) -> HnfResult:
-    """Row Hermite normal form with its unimodular left transform.
+def hnf(m: PolyMatrix, moduli=None, *, transform: bool = True) -> HnfResult:
+    """Row Hermite normal form, with its unimodular left transform on request.
 
-    Runs the elimination core on [m | I]: the right half ends as the
-    transform.  Callers that need only the normal form, such as
-    `reduce_to_gpm` and `deg_det`, run the core on m alone.
+    With ``transform`` (the default) the elimination core runs on [m | I]
+    and the right half ends as the transform; without it the core runs on
+    m alone and ``transform`` is None.
+
+    ``moduli`` d_0, ..., d_{c-1} stand for the rows diag(moduli) stacked
+    below m: the result is the normal form of that stack, eliminated with
+    column k reduced modulo d_k (see `_echelon`), so no entry reaches the
+    degree of its modulus.  No transform is kept for such a stack.
     """
     field = m.field
-    n_rows, n_cols = m.shape
-    eye = PolyMatrix.identity(field, n_rows).rows
-    rows = [list(row) + list(e) for row, e in zip(m.rows, eye)]
-    pivots = _echelon(field, rows, n_cols)
+    rows = [list(row) for row in m.rows]
+    n_cols = m.shape[1]
+    if moduli is not None:
+        moduli = list(moduli)
+        if transform:
+            raise ValueError("no transform is kept for a stack reduced modulo its moduli")
+        if rows and n_cols != len(moduli):
+            raise ValueError(f"matrix has {n_cols} columns but {len(moduli)} moduli")
+        if not all(moduli):
+            raise ValueError("moduli must be nonzero")
+        n_cols = len(moduli)
+    elif transform:
+        eye = PolyMatrix.identity(field, len(rows)).rows
+        rows = [row + list(e) for row, e in zip(rows, eye)]
+    pivots = _echelon(field, rows, n_cols, moduli)
     return HnfResult(
         PolyMatrix(field, [row[:n_cols] for row in rows]),
-        PolyMatrix(field, [row[n_cols:] for row in rows]),
+        PolyMatrix(field, [row[n_cols:] for row in rows]) if transform else None,
         tuple(pivots),
     )
 
@@ -332,10 +350,10 @@ def deg_det(m: PolyMatrix):
     n_r, n_c = m.shape
     if n_r != n_c:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m.rows]
-    if len(_echelon(m.field, rows, n_c)) < n_r:
+    res = hnf(m, transform=False)
+    if res.rank < n_r:
         return NEG_INF
-    return sum(rows[i][i].degree for i in range(n_r))
+    return sum(res.h.rows[i][i].degree for i in range(n_r))
 
 
 def det(m: PolyMatrix) -> Poly:
@@ -432,31 +450,23 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
     return out
 
 
-def _gpm_pair(stack: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
-    """The reduced GPM G of a generating stack and its companion A, with
-    A @ G = diag(diag_polys), from one elimination and no transform.
-
-    When the stack ends in diag(diag_polys), as every stack the code layer
-    builds does, the elimination reduces each column modulo its block
-    modulus.  The companion comes from back-substitution on the triangular
-    G; its exactness certifies that the module contains the diagonal rows.
-    """
-    diag_polys = list(diag_polys)
+def _with_companion(res: HnfResult, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
+    """The GPM G, the first rows of a generating stack's HNF, and its
+    companion A with A @ G = diag(diag_polys), by back-substitution."""
     ell = len(diag_polys)
-    _, n_c = stack.shape
-    if n_c != ell:
-        raise ValueError(f"stack has {n_c} columns but {ell} block moduli")
-    field = stack.field
-    rows = [list(r) for r in stack.rows]
-    moduli = None
-    if ell and all(diag_polys) and len(rows) >= ell:
-        if stack.rows[-ell:] == PolyMatrix.diagonal(diag_polys).rows:
-            del rows[-ell:]
-            moduli = diag_polys
-    if len(_echelon(field, rows, ell, moduli)) < ell:
+    if res.rank < ell:
         raise ValueError(_NOT_DIAGONAL)
-    gpm = rows[:ell]
+    field = res.h.field
+    gpm = res.h.rows[:ell]
     return PolyMatrix(field, gpm), PolyMatrix(field, _back_substitute(field, gpm, diag_polys))
+
+
+def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
+    """The reduced GPM G of the stack [top; diag(diag_polys)] and its
+    companion A, from one elimination reduced modulo the block moduli and
+    no transform."""
+    diag_polys = list(diag_polys)
+    return _with_companion(hnf(top, diag_polys, transform=False), diag_polys)
 
 
 def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
@@ -464,33 +474,36 @@ def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
 
     diag_polys are the block moduli x^m_i - lam_i; the stack's row module
     must contain each of them on its own axis, which the back-substitution
-    for the companion certifies.  No transform is tracked, and a stack that
-    ends in diag(diag_polys) is reduced modulo the moduli as it is
-    eliminated (see `_echelon`).
+    for the companion certifies.  No transform is tracked.  A stack that
+    ends in diag(diag_polys) is eliminated as its other rows over those
+    moduli (see `hnf`), so degrees stay below the block lengths; any other
+    stack is eliminated as it is.
     """
-    return _gpm_pair(stack, diag_polys)[0]
+    diag_polys = list(diag_polys)
+    ell = len(diag_polys)
+    if stack.shape[1] != ell:
+        raise ValueError(f"stack has {stack.shape[1]} columns but {ell} block moduli")
+    top, moduli = stack, None
+    if ell and all(diag_polys) and stack.rows[-ell:] == PolyMatrix.diagonal(diag_polys).rows:
+        top, moduli = PolyMatrix(stack.field, stack.rows[:-ell]), diag_polys
+    return _with_companion(hnf(top, moduli, transform=False), diag_polys)[0]
 
 
 def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
     """The unique A with A @ gpm = diag(diag_polys).
 
-    An upper-triangular gpm, such as `reduce_to_gpm` returns, is solved by
-    back-substitution alone; any other square gpm first goes through
-    `hnf`, whose transform U carries the solution for U @ gpm back to
-    gpm.  Verified by multiplying back; a failure there means the input was
-    not a generator polynomial matrix for these moduli.
+    With H = U @ gpm the HNF of gpm, back-substitution on the triangular H
+    solves A' @ H = diag(diag_polys), and A = A' @ U; an inexact division
+    there raises ValueError.  Verified by multiplying back; a failure there
+    means the input was not a generator polynomial matrix for these moduli.
     """
     diag_polys = list(diag_polys)
     ell = len(diag_polys)
     r, c = gpm.shape
     if r != ell or c != ell:
         raise ValueError("generator polynomial matrix must be square")
-    field = gpm.field
-    if all(not gpm.rows[i][j] for i in range(ell) for j in range(i)):
-        a = PolyMatrix(field, _back_substitute(field, gpm.rows, diag_polys))
-    else:
-        res = hnf(gpm)
-        a = PolyMatrix(field, _back_substitute(field, res.h.rows, diag_polys)) @ res.transform
+    res = hnf(gpm)
+    a = _with_companion(res, diag_polys)[1] @ res.transform
     if (a @ gpm) != PolyMatrix.diagonal(diag_polys):
         raise AssertionError("companion solve failed the multiply-back check")
     return a

@@ -167,9 +167,9 @@ def recorded_gpm_stacks(monkeypatch, build):
     seen = []
     real = mtcode_mod._gpm_pair
 
-    def spy(stack, moduli):
-        out = real(stack, moduli)
-        seen.append((stack, list(moduli)) + out)
+    def spy(top, moduli):
+        out = real(top, moduli)
+        seen.append((PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)), list(moduli)) + out)
         return out
 
     monkeypatch.setattr(mtcode_mod, "_gpm_pair", spy)
@@ -229,6 +229,18 @@ def test_solve_identical_on_a_non_triangular_gpm():
     assert a @ mixed == PolyMatrix.diagonal(moduli)
     # a @ lower solves the identical equation for g itself
     assert ref_g == g and a @ lower == ref_a
+
+
+def test_hnf_over_moduli_is_the_hnf_of_the_stack():
+    f = F3
+    moduli = [Poly.binomial(f, 3, 1), Poly.binomial(f, 2, 2)]
+    top = pmat(f, [["1 + x^5", "2 + x"], ["x^4", "x^3"]])
+    res = hnf(top, moduli, transform=False)
+    full = hnf(PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)))
+    assert res.h == full.h and res.pivots == full.pivots
+    assert res.transform is None
+    with pytest.raises(ValueError):
+        hnf(top, moduli)
 
 
 def test_full_rank_stack_without_the_diagonal_is_rejected():
