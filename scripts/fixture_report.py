@@ -21,6 +21,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from mtcodes import MTCode
 from mtcodes.cli import load_document
 from mtcodes.errors import BudgetError
+from mtcodes.lincode import ENUM_BUDGET
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -37,7 +38,7 @@ PROPS = ("self_orthogonal", "dual_containing", "lcd", "reversible")
 class ReportConfig:
     fixtures: tuple[str, ...] = DEFAULT_FIXTURES
     kappa: int = 0
-    distance_budget: int = 2**20
+    distance_budget: int = ENUM_BUDGET
     pairwise: bool = True
     extra: dict = dc_field(default_factory=dict)
 
@@ -109,7 +110,7 @@ def parse_args(argv=None) -> ReportConfig:
                     help="documents to survey, relative to the repo root")
     ap.add_argument("--kappa", type=int, default=0,
                     help="Galois exponent for the property panel")
-    ap.add_argument("--budget", type=int, default=2**20,
+    ap.add_argument("--budget", type=int, default=ENUM_BUDGET,
                     help="enumeration cap for distances; larger codes print '?'")
     ap.add_argument("--no-pairwise", action="store_true",
                     help="skip the pairwise intersection table")

@@ -26,6 +26,14 @@ ENUM_BUDGET = 2**20
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def check_enum_budget(q: int, k: int, budget: int | None = None) -> None:
+    """Raise BudgetError when the q^k words of a k-dimensional code exceed
+    the budget (default ENUM_BUDGET)."""
+    budget = ENUM_BUDGET if budget is None else budget
+    if q**k > budget:
+        raise BudgetError(f"enumerating {q}^{k} codewords exceeds budget {budget}")
+
+
 # ---------------------------------------------------------------------------
 # scalar matrix helpers
 # ---------------------------------------------------------------------------
@@ -287,40 +295,40 @@ class LinearCode:
     # -- metrics -----------------------------------------------------------
 
     def min_distance(self, budget: int | None = None) -> float:
-        """Exact minimum weight by enumerating all q^k codewords.
+        """Exact minimum weight, over one codeword per projective point.
 
-        Returns math.inf for the zero code.  Raises BudgetError when q^k
-        exceeds the budget (default ENUM_BUDGET = 2**20).
+        Scaling keeps the weight, so for each row g_i of the RREF generator
+        only g_i plus the combinations of the rows below it are walked, in
+        reflected q-ary Gray order: (q^k - 1)/(q - 1) words, one
+        Field.add_scaled each.  Returns math.inf for the zero code, and
+        raises BudgetError when q^k exceeds the budget (ENUM_BUDGET).
         """
         if self.k == 0:
             return math.inf
-        budget = ENUM_BUDGET if budget is None else budget
-        field = self.field
-        if field.q**self.k > budget:
-            raise BudgetError(
-                f"enumerating {field.q}^{self.k} codewords exceeds budget {budget}"
-            )
-        best = self.n + 1
-        add = field.add
-        scaled = [
-            [tuple(field.mul(c, e) for e in row) for c in range(field.q)]
-            for row in self.gen
-        ]
-        def walk(i, vec, nonzero):
-            nonlocal best
-            if i == len(scaled):
-                if nonzero:
-                    w = sum(1 for e in vec if e)
-                    if w < best:
-                        best = w
-                return
-            for c in range(field.q):
-                if c == 0:
-                    walk(i + 1, vec, nonzero)
-                else:
-                    nxt = tuple(add(a, b) for a, b in zip(vec, scaled[i][c]))
-                    walk(i + 1, nxt, True)
-        walk(0, (0,) * self.n, False)
+        check_enum_budget(self.field.q, self.k, budget)
+        field, q, n = self.field, self.field.q, self.n
+        terms = [[(j, e) for j, e in enumerate(row) if e] for row in self.gen]
+        best = n
+        for i, row in enumerate(self.gen):
+            word, below = list(row), terms[i + 1 :]
+            digit, step = [0] * len(below), [1] * len(below)
+            for t in range(1, q ** len(below) + 1):
+                best = min(best, n - word.count(0))
+                if best == 1:
+                    return 1
+                # The digit that changes next is the number of trailing zeros
+                # of t in base q; it is len(below) once every word is seen.
+                j = 0
+                while t % q == 0:
+                    t //= q
+                    j += 1
+                if j == len(below):
+                    break
+                old = digit[j]
+                new = digit[j] = old + step[j]
+                if new in (0, q - 1):
+                    step[j] = -step[j]
+                field.add_scaled(word, 0, field.sub(new, old), below[j])
         return best
 
 

@@ -37,7 +37,7 @@ from functools import cached_property, reduce
 
 from .errors import BudgetError, DomainError
 from .gf import Field
-from .lincode import LinearCode
+from .lincode import LinearCode, check_enum_budget
 from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair, _rank_mod
 from .upoly import FACTOR_SEED, Factorization, Poly, factor, is_irreducible, reciprocal_poly
 
@@ -293,6 +293,10 @@ class MTCode:
         return self._linear
 
     def min_distance(self, budget: int | None = None) -> float:
+        """LinearCode.min_distance of to_linear(), with the budget checked
+        before the expansion."""
+        if self.dim:
+            check_enum_budget(self.field.q, self.dim, budget)
         return self.to_linear().min_distance(budget)
 
     def contains_word(self, vec) -> bool:

@@ -9,21 +9,14 @@ only; every routine takes an enumeration budget and refuses to exceed it.
 
 from __future__ import annotations
 
-from .errors import BudgetError
 from .gf import Field
-from .lincode import ENUM_BUDGET, LinearCode
-
-
-def _check_budget(q: int, k: int, budget: int | None):
-    limit = ENUM_BUDGET if budget is None else budget
-    if q**k > limit:
-        raise BudgetError(f"enumeration of {q}^{k} words exceeds budget {limit}")
+from .lincode import LinearCode, check_enum_budget
 
 
 def enumerate_code(code: LinearCode, budget: int | None = None) -> set[tuple[int, ...]]:
     """All codewords, by walking every combination of generator rows."""
     f = code.field
-    _check_budget(f.q, code.k, budget)
+    check_enum_budget(f.q, code.k, budget)
     words = {(0,) * code.n}
     for row in code.gen:
         scaled = [tuple(f.mul(c, e) for e in row) for c in range(f.q)]
@@ -46,7 +39,7 @@ def galois_dual_set(code: LinearCode, kappa: int = 0, budget: int | None = None)
     form is linear in c, so testing the generator rows suffices.
     """
     f = code.field
-    _check_budget(f.q, code.n, budget)
+    check_enum_budget(f.q, code.n, budget)
     gens = [tuple(f.frobenius(c, f.e - kappa) for c in row) for row in code.gen]
     out = set()
     for raw in range(f.q**code.n):

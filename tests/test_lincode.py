@@ -5,10 +5,10 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtcodes import LinearCode, field
+from mtcodes import LinearCode, field, oracle
 from mtcodes.errors import BudgetError
 from mtcodes.lincode import mat_mul, mat_rank, rref
 
@@ -157,6 +157,50 @@ def test_min_distance():
     big = LinearCode.full(F3, 20)
     with pytest.raises(BudgetError):
         big.min_distance(budget=100)
+
+
+# Every representation of Field: dense tables (q <= 256), log/Zech tables
+# (GF(17^2)) and prime-field integer arithmetic (GF(257)).
+DISTANCE_FIELDS = (F2, F3, f4(), field(3, 2), field(17, 2), field(257))
+
+
+@st.composite
+def small_codes(draw):
+    """Codes with q^k <= 4096, some columns forced to zero."""
+    f = draw(st.sampled_from(DISTANCE_FIELDS))
+    n = draw(st.integers(1, 8))
+    k_max = max(k for k in range(1, n + 1) if f.q**k <= 4096)
+    k = draw(st.integers(1, k_max))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    entry = st.integers(0, f.q - 1)
+    rows = [
+        [0 if j in zero_cols else draw(entry) for j in range(n)] for _ in range(k)
+    ]
+    return LinearCode(f, n, rows)
+
+
+@given(small_codes())
+@example(LinearCode(field(257), 1, [(5,)]))
+@example(LinearCode(field(17, 2), 3, [(0, 7, 200)]))
+@example(LinearCode.full(f4(), 5))
+@example(LinearCode(f4(), 4, [(1, 0, 1, 1), (0, 1, 2, 2)]))  # weight 2 needs w^2 * g_1
+@example(LinearCode(field(3, 2), 4, [(1, 0, 1, 1), (0, 1, 3, 3)]))  # weight 2 needs -w^-1 * g_1
+@example(LinearCode(F3, 4, [(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 0)]))
+@example(LinearCode(F2, 7, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1),
+                            (0, 0, 1, 0, 0, 1, 1), (0, 0, 0, 1, 1, 1, 1)]))
+@settings(max_examples=150, deadline=None)
+def test_min_distance_matches_oracle(code):
+    assert code.min_distance() == oracle.min_distance_of_words(oracle.enumerate_code(code))
+
+
+@pytest.mark.parametrize("f", [F2, F3, field(3, 2), field(257)])
+def test_min_distance_budget_is_q_to_the_k(f):
+    code = LinearCode(f, 3, [(1, 2 % f.q, 0), (0, 1, 1)])
+    assert code.min_distance(budget=f.q**2) == oracle.min_distance_of_words(
+        oracle.enumerate_code(code)
+    )
+    with pytest.raises(BudgetError):
+        code.min_distance(budget=f.q**2 - 1)
 
 
 def test_contains_and_compatibility():

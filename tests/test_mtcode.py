@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from mtcodes import LinearCode, MTCode, MTProfile, Poly, deg_det, field, hnf
-from mtcodes.errors import DomainError
+from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, deg_det, field, hnf
+from mtcodes.errors import BudgetError, DomainError
 from mtcodes.mtcode import advise_intersection_structure
 
 from helpers import f4, f9_mod221, pmat, random_mt_code, sweep_pair, words
@@ -554,3 +554,29 @@ def test_to_linear_expands_dim_rows(monkeypatch):
     lin = code.to_linear()
     assert (code.n, code.dim) == (24, 15)
     assert fed == [code.dim] and lin.k == code.dim
+
+
+def test_c6_distance_walks_one_word_per_projective_point(monkeypatch):
+    lin = c6().to_linear()
+    calls = 0
+    real = Field.add_scaled
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Field, "add_scaled", counting)
+    assert lin.min_distance() == 5
+    assert 0 < calls <= (9**5 - 1) // 8
+
+
+def test_min_distance_checks_budget_before_expanding(monkeypatch):
+    code = c6()
+
+    def unexpected(self):
+        raise AssertionError("to_linear called for a walk over budget")
+
+    monkeypatch.setattr(MTCode, "to_linear", unexpected)
+    with pytest.raises(BudgetError):
+        code.min_distance(budget=9**5 - 1)
