@@ -325,24 +325,25 @@ def _as_linear(code) -> LinearCode:
 # oracle cross-checks
 # ---------------------------------------------------------------------------
 
-def _oracle_note(fn) -> str:
-    try:
-        return "confirmed" if fn() else "MISMATCH"
-    except BudgetError:
-        return "skipped (budget exceeded)"
+def _report(payload: dict, args, check=None) -> int:
+    """Emit the report and return the exit status: 1 when the --oracle
+    cross-check ``check`` (a call saying whether enumeration agrees) finds a
+    mismatch, else 0."""
+    if args.oracle and check is not None:
+        try:
+            payload["oracle"] = "confirmed" if check() else "MISMATCH"
+        except BudgetError:
+            payload["oracle"] = "skipped (budget exceeded)"
+    emit(payload, args.json)
+    return 1 if payload.get("oracle") == "MISMATCH" else 0
 
 
-def _oracle_intersection(lin1, lin2, result, kappa, budget):
-    def run():
-        if kappa is None:
-            words = oracle.intersect_codes(lin1, lin2, budget)
-        else:
-            words = oracle.galois_dual_set(lin1, kappa, budget) & oracle.enumerate_code(
-                lin2, budget
-            )
-        return oracle.same_code(_as_linear(result), words, budget)
-
-    return _oracle_note(run)
+def _oracle_intersection(lin1, lin2, result, kappa, budget) -> bool:
+    if kappa is None:
+        words = oracle.intersect_codes(lin1, lin2, budget)
+    else:
+        words = oracle.galois_dual_set(lin1, kappa, budget) & oracle.enumerate_code(lin2, budget)
+    return oracle.same_code(_as_linear(result), words, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +357,7 @@ def cmd_info(args, budget) -> int:
         doc.get(args.name)
     payload = base_payload("info", doc)
     payload["codes"] = [code_payload(n, doc.codes[n], budget) for n in names]
-    emit(payload, args.json)
-    return 0
+    return _report(payload, args)
 
 
 def cmd_intersect(args, budget) -> int:
@@ -396,24 +396,17 @@ def cmd_intersect(args, budget) -> int:
     if details is not None:
         payload["qc_gpm"] = poly_rows(details.qc_gpm)
         payload["qc_companion"] = poly_rows(details.qc_companion)
-        payload["intersection"] = code_payload("intersection", details.code, budget)
         result = details.code
+    elif args.galois is None:
+        result = _as_linear(c1).intersect(_as_linear(c2))
     else:
-        lin1, lin2 = _as_linear(c1), _as_linear(c2)
-        if args.galois is None:
-            result = lin1.intersect(lin2)
-        else:
-            result = lin1.galois_intersect(lin2, args.galois)
-        payload["intersection"] = code_payload("intersection", result, budget)
-
-    if args.oracle:
-        payload["oracle"] = _oracle_intersection(
-            _as_linear(c1), _as_linear(c2), result, args.galois, budget
-        )
-        emit(payload, args.json)
-        return 1 if payload["oracle"] == "MISMATCH" else 0
-    emit(payload, args.json)
-    return 0
+        result = _as_linear(c1).galois_intersect(_as_linear(c2), args.galois)
+    payload["intersection"] = code_payload("intersection", result, budget)
+    return _report(
+        payload,
+        args,
+        lambda: _oracle_intersection(_as_linear(c1), _as_linear(c2), result, args.galois, budget),
+    )
 
 
 def _layers_payload(table) -> dict:
@@ -445,21 +438,17 @@ def _property_payload(check) -> dict:
     return out
 
 
-def _oracle_property(code, prop: str, kappa: int, verdict: bool, budget) -> str:
+def _oracle_property(code, prop: str, kappa: int, verdict: bool, budget) -> bool:
     lin = _as_linear(code)
-
-    def run():
-        words = oracle.enumerate_code(lin, budget)
-        if prop == "reversible":
-            return (oracle.reverse_words(words) == words) == verdict
-        dual = oracle.galois_dual_set(lin, kappa, budget)
-        if prop == "self_orthogonal":
-            return (words <= dual) == verdict
-        if prop == "dual_containing":
-            return (dual <= words) == verdict
-        return ((words & dual) == {(0,) * lin.n}) == verdict
-
-    return _oracle_note(run)
+    words = oracle.enumerate_code(lin, budget)
+    if prop == "reversible":
+        return (oracle.reverse_words(words) == words) == verdict
+    dual = oracle.galois_dual_set(lin, kappa, budget)
+    if prop == "self_orthogonal":
+        return (words <= dual) == verdict
+    if prop == "dual_containing":
+        return (dual <= words) == verdict
+    return ((words & dual) == {(0,) * lin.n}) == verdict
 
 
 def _linear_property(lin: LinearCode, prop: str, kappa: int):
@@ -502,13 +491,12 @@ def cmd_check(args, budget) -> int:
             "distance_second": _finite(advice.d2),
             "notes": list(advice.notes),
         }
-        emit(payload, args.json)
-        return 0
+        return _report(payload, args)
 
     if args.hull is not None:
-        return _cmd_check_hull(args, doc, code, payload, budget)
+        return _cmd_check_hull(args, code, payload, budget)
     if args.reverse:
-        return _cmd_reverse_payload(args, doc, code, payload, budget)
+        return _cmd_reverse_payload(args, code, payload, budget)
 
     prop, kappa = _selected_property(args)
     payload["check"] = prop
@@ -531,14 +519,9 @@ def cmd_check(args, budget) -> int:
         }
 
     if verdict is None:
-        emit(payload, args.json)
+        _report(payload, args)
         return 1
-    if args.oracle:
-        payload["oracle"] = _oracle_property(code, prop, kappa or 0, verdict, budget)
-        emit(payload, args.json)
-        return 1 if payload["oracle"] == "MISMATCH" else 0
-    emit(payload, args.json)
-    return 0
+    return _report(payload, args, lambda: _oracle_property(code, prop, kappa or 0, verdict, budget))
 
 
 def _selected_property(args) -> tuple[str, int | None]:
@@ -551,10 +534,11 @@ def _selected_property(args) -> tuple[str, int | None]:
     return "reversible", None
 
 
-def _cmd_check_hull(args, doc, code, payload, budget) -> int:
+def _cmd_check_hull(args, code, payload, budget) -> int:
     kappa = args.hull
     payload["check"] = "hull"
     payload["kappa"] = kappa
+    hull = None
     if isinstance(code, MTCode):
         try:
             details = code.galois_hull_details(kappa)
@@ -563,48 +547,26 @@ def _cmd_check_hull(args, doc, code, payload, budget) -> int:
         else:
             payload["qc_gpm"] = poly_rows(details.qc_gpm)
             payload["qc_companion"] = poly_rows(details.qc_companion)
-            payload["hull"] = code_payload("hull", details.code, budget)
-            if args.oracle:
-                payload["oracle"] = _oracle_intersection(
-                    _as_linear(code), _as_linear(code), details.code, kappa, budget
-                )
-                emit(payload, args.json)
-                return 1 if payload["oracle"] == "MISMATCH" else 0
-            emit(payload, args.json)
-            return 0
-    lin = _as_linear(code)
-    hull = lin.hull(kappa)
+            hull = details.code
+    if hull is None:
+        hull = _as_linear(code).hull(kappa)
     payload["hull"] = code_payload("hull", hull, budget)
-    if args.oracle:
-        payload["oracle"] = _oracle_intersection(lin, lin, hull, kappa, budget)
-        emit(payload, args.json)
-        return 1 if payload["oracle"] == "MISMATCH" else 0
-    emit(payload, args.json)
-    return 0
+    return _report(
+        payload, args, lambda: _oracle_intersection(_as_linear(code), _as_linear(code), hull, kappa, budget)
+    )
 
 
-def _cmd_reverse_payload(args, doc, code, payload, budget) -> int:
+def _cmd_reverse_payload(args, code, payload, budget) -> int:
     payload["check"] = "reverse"
-    if isinstance(code, MTCode):
-        rev = code.reversed_code()
-        payload["reversed"] = code_payload("reversed", rev, budget)
-        payload["equals_original"] = rev.to_linear() == code.to_linear()
-    else:
-        rev = code.reversed_code()
-        payload["reversed"] = code_payload("reversed", rev, budget)
-        payload["equals_original"] = rev == code
-    if args.oracle:
-        lin = _as_linear(code)
+    rev = code.reversed_code()
+    payload["reversed"] = code_payload("reversed", rev, budget)
+    payload["equals_original"] = _as_linear(rev) == _as_linear(code)
 
-        def run():
-            words = oracle.reverse_words(oracle.enumerate_code(lin, budget))
-            return oracle.same_code(_as_linear(rev), words, budget)
+    def check():
+        words = oracle.reverse_words(oracle.enumerate_code(_as_linear(code), budget))
+        return oracle.same_code(_as_linear(rev), words, budget)
 
-        payload["oracle"] = _oracle_note(run)
-        emit(payload, args.json)
-        return 1 if payload["oracle"] == "MISMATCH" else 0
-    emit(payload, args.json)
-    return 0
+    return _report(payload, args, check)
 
 
 def cmd_dual(args, budget) -> int:
@@ -615,18 +577,12 @@ def cmd_dual(args, budget) -> int:
     payload["kappa"] = args.galois
     dual = code.dual() if args.galois is None else code.galois_dual(args.galois)
     payload["dual"] = code_payload("dual", dual, budget)
-    if args.oracle:
-        lin = _as_linear(code)
 
-        def run():
-            words = oracle.galois_dual_set(lin, args.galois or 0, budget)
-            return oracle.same_code(_as_linear(dual), words, budget)
+    def check():
+        words = oracle.galois_dual_set(_as_linear(code), args.galois or 0, budget)
+        return oracle.same_code(_as_linear(dual), words, budget)
 
-        payload["oracle"] = _oracle_note(run)
-        emit(payload, args.json)
-        return 1 if payload["oracle"] == "MISMATCH" else 0
-    emit(payload, args.json)
-    return 0
+    return _report(payload, args, check)
 
 
 def cmd_reverse(args, budget) -> int:
@@ -634,7 +590,7 @@ def cmd_reverse(args, budget) -> int:
     code = doc.get(args.name)
     payload = base_payload("reverse", doc)
     payload["name"] = args.name
-    return _cmd_reverse_payload(args, doc, code, payload, budget)
+    return _cmd_reverse_payload(args, code, payload, budget)
 
 
 # ---------------------------------------------------------------------------

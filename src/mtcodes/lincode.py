@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, DomainError, ParseError
 from .gf import Field
 
 # Default ceiling on q^k enumerations, for minimum distance here and for
@@ -32,6 +32,13 @@ def check_enum_budget(q: int, k: int, budget: int | None = None) -> None:
     budget = ENUM_BUDGET if budget is None else budget
     if q**k > budget:
         raise BudgetError(f"enumerating {q}^{k} codewords exceeds budget {budget}")
+
+
+def check_kappa(field: Field, kappa: int) -> None:
+    """Raise DomainError unless 0 <= kappa < e, for a kappa-Galois form over
+    GF(p^e)."""
+    if not 0 <= kappa < field.e:
+        raise DomainError(f"kappa must lie in [0, {field.e}), got {kappa}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +130,6 @@ def parse_matrix_block(field: Field, lines, start: int) -> tuple[Matrix, int]:
     return tuple(rows), start + 1 + n_rows
 
 
-def format_matrix_block(field: Field, rows) -> str:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    body = "\n".join(" ".join(field.format_element(e) for e in row) for row in rows)
-    head = f"matrix {n_rows} {n_cols}"
-    return head + ("\n" + body if body else "")
-
-
 # ---------------------------------------------------------------------------
 # the code itself
 # ---------------------------------------------------------------------------
@@ -141,12 +140,15 @@ class LinearCode:
     def __init__(self, field: Field, length: int, rows=()):
         if length < 1:
             raise ValueError("length must be positive")
-        for row in rows:
+        work = [[int(e) for e in row] for row in rows]
+        for row in work:
             if len(row) != length:
                 raise ValueError("generator rows must have the code length")
+            if not 0 <= min(row) <= max(row) < field.q:
+                raise ValueError(f"generator entries must lie in range({field.q})")
         self.field = field
         self.n = length
-        self.gen, self._pivots = rref(field, [[int(e) for e in row] for row in rows])
+        self.gen, self._pivots = rref(field, work)
 
     @staticmethod
     def zero(field: Field, length: int) -> "LinearCode":
@@ -208,7 +210,7 @@ class LinearCode:
 
     def _check_compatible(self, other: "LinearCode"):
         if self.field != other.field or self.n != other.n:
-            raise ValueError("codes live in different spaces")
+            raise DomainError("codes live in different spaces")
 
     # -- duals ---------------------------------------------------------------
 
@@ -220,14 +222,10 @@ class LinearCode:
 
         Generated by sigma^(e-kappa) applied entrywise to the parity check.
         """
-        self._check_kappa(kappa)
+        check_kappa(self.field, kappa)
         field = self.field
         rows = frobenius_rows(field, self.parity, field.e - kappa)
         return LinearCode(field, self.n, rows)
-
-    def _check_kappa(self, kappa: int):
-        if not 0 <= kappa < self.field.e:
-            raise ValueError(f"kappa must lie in [0, {self.field.e}), got {kappa}")
 
     # -- intersections ---------------------------------------------------
 
@@ -252,7 +250,7 @@ class LinearCode:
         """self^(perp kappa) intersected with other, without forming the dual:
         the check matrix of the Galois dual is sigma^(e-kappa)(G1)."""
         self._check_compatible(other)
-        self._check_kappa(kappa)
+        check_kappa(self.field, kappa)
         field = self.field
         if other.k == 0:
             return other

@@ -13,7 +13,7 @@ A @ G = diag(x^m_i - lam_i): the identical equation.  Everything in this
 module works through G and A:
 
 * duals and Galois duals (via the reciprocal transform of A),
-* reversed codes and the block-reversal map (via the dual companion B),
+* reversed codes (via the dual companion B),
 * intersections of codes sharing a profile (via an auxiliary quasi-cyclic
   code of co-index N = lcm(t_i * m_i), t_i the order of lam_i),
 * trivial-intersection and Galois LCD tests via ranks modulo the
@@ -37,8 +37,8 @@ from functools import cached_property, reduce
 
 from .errors import BudgetError, DomainError
 from .gf import Field
-from .lincode import LinearCode, check_enum_budget
-from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair, _rank_mod
+from .lincode import LinearCode, check_enum_budget, check_kappa
+from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair
 from .upoly import FACTOR_SEED, Factorization, Poly, factor, is_irreducible, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
@@ -147,13 +147,6 @@ class MTProfile:
         out = []
         for s, block in zip(self.shifts, self.split_blocks(vec)):
             out.extend((f.mul(s, block[-1]),) + block[:-1])
-        return tuple(out)
-
-    def reverse_blockwise(self, vec) -> tuple[int, ...]:
-        """The map sending block (a_0, ..., a_{m-1}) to (a_{m-1}, ..., a_0)."""
-        out = []
-        for block in self.split_blocks(vec):
-            out.extend(reversed(block))
         return tuple(out)
 
     def polys_from_vector(self, vec) -> list[Poly]:
@@ -317,18 +310,12 @@ class MTCode:
         return self._dual
 
     def galois_dual(self, kappa: int = 0) -> "MTCode":
-        self._check_kappa(kappa)
+        check_kappa(self.field, kappa)
         base = self.dual()
         k = self.field.e - kappa
         return MTCode(self.profile.galois_dual_profile(kappa), base.gpm.frobenius(k))
 
-    def _check_kappa(self, kappa: int):
-        if not 0 <= kappa < self.field.e:
-            raise DomainError(
-                f"kappa must lie in [0, {self.field.e}), got {kappa}"
-            )
-
-    # -- reversal and block maps ---------------------------------------------
+    # -- reversal ------------------------------------------------------------
 
     def reversed_code(self) -> "MTCode":
         """The coordinate-reversed code, multi-twisted for the reversed
@@ -336,12 +323,6 @@ class MTCode:
         b = self.dual().companion
         j = PolyMatrix.backward_identity(self.field, self.profile.ell)
         return MTCode(self.profile.reversed_profile(), b.transpose() @ j)
-
-    def block_reversed_code(self) -> "MTCode":
-        """Reverse coordinates inside each block: a lam^-1-twisted code with
-        GPM B^T."""
-        b = self.dual().companion
-        return MTCode(self.profile.dual_profile(), b.transpose())
 
     # -- containment and intersections -----------------------------------
 
@@ -369,7 +350,7 @@ class MTCode:
 
         Requires compatible shifts: sigma^(e-kappa)(lam_i^-1) = delta_i.
         """
-        self._check_kappa(kappa)
+        check_kappa(self.field, kappa)
         f = self.field
         if self.profile.blocks != other.profile.blocks or f != other.field:
             raise DomainError("operation requires identical block lengths")
@@ -403,8 +384,8 @@ class MTCode:
         The auxiliary quasi-cyclic code Q generated by
         A1^T @ diag((x^N-1)/(x^m_i-lam_i)) @ G2^T has dim(Q) = dim(C2) -
         dim(C1 cap C2); its dimension is read off per irreducible factor
-        p_j of x^N - 1, by rank when f_j = 1 and by chain-ring type
-        otherwise.
+        p_j of x^N - 1 as the chain-ring type over GF(q)[x]/<p_j^f_j> (for
+        f_j = 1, the rank modulo p_j).
         """
         self._require_same_profile(other)
         prof = self.profile
@@ -442,7 +423,7 @@ class MTCode:
         return None
 
     def _check_congruence_property(self, prop: str, kappa: int, use_companion: bool) -> "PropertyCheck":
-        self._check_kappa(kappa)
+        check_kappa(self.field, kappa)
         note = self._galois_precondition(kappa)
         if note is not None:
             return PropertyCheck(prop, kappa, None, note, None, None)
@@ -459,7 +440,7 @@ class MTCode:
         return PropertyCheck(prop, kappa, residue.is_zero(), None, residue, None)
 
     def _check_lcd(self, kappa: int) -> "PropertyCheck":
-        self._check_kappa(kappa)
+        check_kappa(self.field, kappa)
         note = self._galois_precondition(kappa)
         if note is not None:
             return PropertyCheck("lcd", kappa, None, note, None, None)
@@ -553,14 +534,8 @@ class LayerTable:
 
 def _layer_table(mat: PolyMatrix, profile: MTProfile, target: int) -> LayerTable:
     fac = profile.factorization
-    layers = []
-    for p_j, f_j in fac:
-        if f_j == 1:
-            tv = (_rank_mod(mat, p_j),)
-        else:
-            tv = _chain_type(mat, p_j, f_j).type_vector
-        layers.append(FactorLayer(p_j, f_j, tv))
-    return LayerTable(tuple(layers), target, fac.seed)
+    layers = tuple(FactorLayer(p_j, f_j, _chain_type(mat, p_j, f_j).type_vector) for p_j, f_j in fac)
+    return LayerTable(layers, target, fac.seed)
 
 
 @dataclass(frozen=True)

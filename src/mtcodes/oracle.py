@@ -82,10 +82,6 @@ def reverse_words(words) -> set[tuple[int, ...]]:
     return {tuple(reversed(w)) for w in words}
 
 
-def code_from_words(field: Field, length: int, words) -> LinearCode:
-    return LinearCode(field, length, sorted(words))
-
-
 def same_code(code: LinearCode, words, budget: int | None = None) -> bool:
     """Exact set equality between a linear code and an explicit word set."""
     return enumerate_code(code, budget) == set(words)

@@ -11,13 +11,18 @@ rows.
 
 On top of HNF sit the operations the twisted-code layer needs: reduction of
 a generating stack to a square generator polynomial matrix, solving
-A * G = diag(x^m_i - lam_i) for the companion A, degree-of-determinant,
-rank over GF(q)[x]/<p> for irreducible p, and the type of the row span over
-the chain ring GF(q)[x]/<p^f>.  A GPM and its companion come from one
-transform-free elimination: a stack ending in diag(x^m_i - lam_i) is
-reduced modulo those moduli as it is eliminated, so degrees stay below the block lengths, and A
+A * G = diag(x^m_i - lam_i) for the companion A, and the degree of the
+determinant, read off the HNF diagonal (the determinant itself is never
+needed).  A GPM and its companion come from one transform-free
+elimination: a stack ending in diag(x^m_i - lam_i) is reduced modulo those
+moduli as it is eliminated, so degrees stay below the block lengths, and A
 follows from the triangular G by back-substitution, whose exact divisions
 certify that the module contains the diagonal rows.
+
+The type of a row span over the chain ring GF(q)[x]/<p^f>, p irreducible,
+comes from one elimination (`_chain_type`): one column sweep modulo
+p^(f-h) per layer h.  The rank over the field GF(q)[x]/<p> is the type for
+f = 1.
 
 Text form: one row per line, entries separated by '|', each entry in the
 Poly grammar.
@@ -53,23 +58,6 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def from_ints(field: Field, rows) -> "PolyMatrix":
-        """Rows of ints or int-lists: ints become constants, lists coefficient
-        vectors."""
-        out = []
-        for row in rows:
-            prow = []
-            for e in row:
-                if isinstance(e, Poly):
-                    prow.append(e)
-                elif isinstance(e, int):
-                    prow.append(Poly.constant(field, e))
-                else:
-                    prow.append(Poly(field, e))
-            out.append(prow)
-        return PolyMatrix(field, out)
 
     @staticmethod
     def identity(field: Field, n: int) -> "PolyMatrix":
@@ -212,9 +200,6 @@ class PolyMatrix:
     def deg_det(self):
         return deg_det(self)
 
-    def det(self) -> Poly:
-        return det(self)
-
 
 @dataclass(frozen=True)
 class HnfResult:
@@ -356,67 +341,6 @@ def deg_det(m: PolyMatrix):
     return sum(res.h.rows[i][i].degree for i in range(n_r))
 
 
-def det(m: PolyMatrix) -> Poly:
-    """Fraction-free Bareiss determinant."""
-    n_r, n_c = m.shape
-    if n_r != n_c:
-        raise ValueError("determinant of a non-square matrix")
-    field = m.field
-    if n_r == 0:
-        return Poly.one(field)
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = Poly.one(field)
-    for k in range(n_r - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n_r) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                return Poly.zero(field)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n_r):
-            for j in range(k + 1, n_r):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Poly.zero(field)
-        prev = a[k][k]
-    d = a[n_r - 1][n_r - 1]
-    return d if sign > 0 else -d
-
-
-def express_in_row_module(res: HnfResult, vector) -> list[Poly]:
-    """Coefficients c (over the ORIGINAL rows) with c @ origin = vector.
-
-    Raises DomainError-free ValueError if the vector lies outside the row
-    module; callers that need a domain error wrap it.
-    """
-    field = res.h.field
-    v = list(vector)
-    n_rows, n_cols = res.h.shape
-    if len(v) != n_cols:
-        raise ValueError("vector length does not match matrix width")
-    coeff = [Poly.zero(field)] * n_rows
-    for r, c in res.pivots:
-        if v[c].is_zero():
-            continue
-        q, rem = divmod(v[c], res.h.rows[r][c])
-        if not rem.is_zero():
-            raise ValueError("vector is not in the row module")
-        coeff[r] = q
-        v = [a - q * b for a, b in zip(v, res.h.rows[r])]
-    if any(not e.is_zero() for e in v):
-        raise ValueError("vector is not in the row module")
-    # c over H rows -> c @ transform gives coefficients over the input rows.
-    out = []
-    for j in range(n_rows):
-        acc = Poly.zero(field)
-        for i in range(n_rows):
-            if coeff[i] and res.transform.rows[i][j]:
-                acc = acc + coeff[i] * res.transform.rows[i][j]
-        out.append(acc)
-    return out
-
-
 _NOT_DIAGONAL = "row module does not contain the diagonal submodule"
 
 
@@ -523,33 +447,11 @@ def _inv_mod(a: Poly, m: Poly) -> Poly:
 
 
 def rank_mod(m: PolyMatrix, p: Poly) -> int:
-    """Rank of m over the field GF(q)[x]/<p>, p irreducible."""
+    """Rank of m over the field GF(q)[x]/<p>, p irreducible: the chain-ring
+    type for exponent 1."""
     if not is_irreducible(p):
         raise ValueError("modulus must be irreducible")
-    return _rank_mod(m, p)
-
-
-def _rank_mod(m: PolyMatrix, p: Poly) -> int:
-    """`rank_mod` for a p already known to be irreducible."""
-    rows = [[e % p for e in row] for row in m.rows]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = _inv_mod(rows[rank][c], p)
-        rows[rank] = [(e * inv) % p for e in rows[rank]]
-        for i in range(n_rows):
-            if i != rank and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return _chain_type(m, p, 1).type_vector[0]
 
 
 @dataclass(frozen=True)
@@ -568,12 +470,8 @@ class ChainType:
 
 
 def chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
-    """Type of the row span of m over the chain ring GF(q)[x]/<p^f>.
-
-    Layer h of the reduction finds the rows still carrying a unit entry,
-    eliminates with them (they contribute to r_h), divides what remains by
-    p, and recurses with the exponent dropped by one.
-    """
+    """Type of the row span of m over the chain ring GF(q)[x]/<p^f>, p
+    irreducible: one column sweep per layer (see `_chain_type`)."""
     if f < 1:
         raise ValueError("chain exponent must be >= 1")
     if not is_irreducible(p):
@@ -582,37 +480,40 @@ def chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
 
 
 def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
-    """`chain_type` for f >= 1 and a p already known to be irreducible."""
+    """`chain_type` for f >= 1 and a p already known to be irreducible.
+
+    Layer h is one column sweep modulo p^(f-h): in each column a row whose
+    entry is a unit (nonzero mod p) clears that column in every other row
+    and is set aside, counting towards r_h.  Clearing never brings a unit
+    back into a swept column, so what remains is divisible by p and is
+    divided by it for the next layer.
+    """
     powers = [p]
     for _ in range(f - 1):
         powers.append(powers[-1] * p)
     rows = [[e % powers[-1] for e in row] for row in m.rows]
+    n_cols = m.shape[1]
     type_vector = []
     for h in range(f):
         mod_h = powers[f - h - 1]  # p^(f-h), the modulus for this layer
+        last = h == f - 1  # modulo p itself every nonzero entry is a unit
         r_h = 0
-        while True:
-            found = None
-            for i, row in enumerate(rows):
-                for j, e in enumerate(row):
-                    if not (e % p).is_zero():
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if not found:
+        for c in range(n_cols):
+            if not rows:
                 break
-            i, j = found
-            pivot_row = rows.pop(i)
-            inv = _inv_mod(pivot_row[j], mod_h)
-            pivot_row = [(e * inv) % mod_h for e in pivot_row]
-            rows = [
-                [(a - row[j] * b) % mod_h for a, b in zip(row, pivot_row)]
-                for row in rows
-            ]
+            at = next((i for i, row in enumerate(rows) if row[c] and (last or row[c] % p)), None)
+            if at is None:
+                continue
+            pivot_row = rows.pop(at)
+            inv = _inv_mod(pivot_row[c], mod_h)
+            pivot_row = [(e * inv) % mod_h if e else e for e in pivot_row]
+            for i, row in enumerate(rows):
+                a = row[c]
+                if a:
+                    rows[i] = [(x - a * y) % mod_h if y else x for x, y in zip(row, pivot_row)]
             r_h += 1
         type_vector.append(r_h)
-        if h < f - 1:
+        if not last:
             # Everything left is divisible by p exactly; peel one layer.
             mod_next = powers[f - h - 2]
             rows = [[e.exact_div(p) % mod_next for e in row] for row in rows]

@@ -110,9 +110,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.coeffs == (1,)
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     @property
     def lead(self) -> int:
         if not self.coeffs:
@@ -394,12 +391,6 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         return r0, s0, t0
     c = f.inv(r0.lead)
     return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
-def lcm_poly(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,66 @@ def pmat(f: Field, rows: list[list[str]]) -> PolyMatrix:
     return PolyMatrix(f, [[Poly.parse(f, e) for e in row] for row in rows])
 
 
+# -- independent references for polynomial matrices --------------------------
+
+def det(m: PolyMatrix) -> Poly:
+    """Fraction-free Bareiss determinant, independent of the HNF."""
+    n_r, n_c = m.shape
+    if n_r != n_c:
+        raise ValueError("determinant of a non-square matrix")
+    field = m.field
+    if n_r == 0:
+        return Poly.one(field)
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = Poly.one(field)
+    for k in range(n_r - 1):
+        if a[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n_r) if not a[i][k].is_zero()), None)
+            if pivot is None:
+                return Poly.zero(field)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n_r):
+            for j in range(k + 1, n_r):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = num.exact_div(prev)
+            a[i][k] = Poly.zero(field)
+        prev = a[k][k]
+    d = a[n_r - 1][n_r - 1]
+    return d if sign > 0 else -d
+
+
+def express_in_row_module(res, vector) -> list[Poly]:
+    """Coefficients c over the original rows with c @ origin = vector, for a
+    transform-tracking `hnf` result; ValueError outside the row module."""
+    field = res.h.field
+    v = list(vector)
+    n_rows, n_cols = res.h.shape
+    if len(v) != n_cols:
+        raise ValueError("vector length does not match matrix width")
+    coeff = [Poly.zero(field)] * n_rows
+    for r, c in res.pivots:
+        if v[c].is_zero():
+            continue
+        q, rem = divmod(v[c], res.h.rows[r][c])
+        if not rem.is_zero():
+            raise ValueError("vector is not in the row module")
+        coeff[r] = q
+        v = [a - q * b for a, b in zip(v, res.h.rows[r])]
+    if any(not e.is_zero() for e in v):
+        raise ValueError("vector is not in the row module")
+    # c over H rows -> c @ transform gives coefficients over the input rows.
+    out = []
+    for j in range(n_rows):
+        acc = Poly.zero(field)
+        for i in range(n_rows):
+            if coeff[i] and res.transform.rows[i][j]:
+                acc = acc + coeff[i] * res.transform.rows[i][j]
+        out.append(acc)
+    return out
+
+
 def words(f: Field, rows: str) -> tuple[tuple[int, ...], ...]:
     """Parse a whitespace matrix like '1 0 w / 0 1 w^2' into scalar rows."""
     out = []

@@ -59,6 +59,32 @@ def test_unknown_code_exits_1(capsys):
     assert "NOPE" in err and "C1" in err  # lists what the document does hold
 
 
+MIXED_LENGTHS = "GF(2)\ncode A\nmatrix 1 3\n1 1 0\ncode B\nmatrix 1 4\n1 0 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", F4_DOC, "C1lin", "--galois", "5"],
+        ["check", F4_DOC, "C1lin", "--so", "3"],
+        ["check", F4_DOC, "C1", "--hull", "5"],
+        ["intersect", F4_DOC, "C1lin", "C1lin", "--galois", "9"],
+        ["intersect", "MIXED_LENGTHS", "A", "B"],
+    ],
+    ids=["dual-kappa", "so-kappa", "hull-kappa", "intersect-kappa", "intersect-lengths"],
+)
+def test_linear_domain_errors_exit_1(tmp_path, capsys, argv):
+    # kappa out of range and codes of different lengths are domain errors:
+    # one 'error:' line and exit 1, never an exception out of main
+    doc = tmp_path / "mixed.txt"
+    doc.write_text(MIXED_LENGTHS)
+    argv = [str(doc) if a == "MIXED_LENGTHS" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_parse_failure_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("GF(6)\n")

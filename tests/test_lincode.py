@@ -212,6 +212,15 @@ def test_contains_and_compatibility():
         code.intersect(other)
 
 
+def test_entries_must_be_field_elements():
+    # the same range(q) check as Poly: no IndexError from rref, and no
+    # silent reduction of 300 modulo 257
+    for f, row in ((F3, (5, 7)), (field(257), (300, 1)), (F3, (1, -1))):
+        with pytest.raises(ValueError, match="range"):
+            LinearCode(f, 2, [row])
+    assert LinearCode(field(257), 2, [(256, 1)]).gen == ((1, 256),)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_dimension_formula_property(seed):

@@ -199,28 +199,6 @@ def test_c1_reversed_gpm():
     assert rev.to_linear() == code.to_linear().reversed_code()
 
 
-def test_block_reversed_code_words():
-    code = c2()
-    br = code.block_reversed_code()
-    prof = code.profile
-    expected = {tuple(v) for v in map(prof.reverse_blockwise, _all_words(code))}
-    assert _all_words(br) == expected
-
-
-def _all_words(mtcode):
-    lin = mtcode.to_linear()
-    from itertools import product
-    f = lin.field
-    out = set()
-    for coefs in product(range(f.q), repeat=lin.k):
-        v = [0] * lin.n
-        for c, row in zip(coefs, lin.gen):
-            if c:
-                v = [f.add(a, f.mul(c, b)) for a, b in zip(v, row)]
-        out.add(tuple(v))
-    return out
-
-
 # -- intersections -----------------------------------------------------------
 
 def test_c1_c2_intersection_linear_words():
@@ -500,28 +478,23 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
 def test_construction_runs_one_elimination(monkeypatch):
     import mtcodes.pmat as pmat_mod
 
-    calls = {"echelon": 0, "express": 0}
+    calls = 0
     real_echelon = pmat_mod._echelon
-    real_express = pmat_mod.express_in_row_module
 
     def counting_echelon(*args, **kwargs):
-        calls["echelon"] += 1
+        nonlocal calls
+        calls += 1
         return real_echelon(*args, **kwargs)
 
-    def counting_express(*args, **kwargs):
-        calls["express"] += 1
-        return real_express(*args, **kwargs)
-
     monkeypatch.setattr(pmat_mod, "_echelon", counting_echelon)
-    monkeypatch.setattr(pmat_mod, "express_in_row_module", counting_express)
     prof = MTProfile(F3, (3, 4, 2), (1, 2, 2))
     rng = random.Random(5)
     first = random_mt_code(rng, prof)
-    assert calls == {"echelon": 1, "express": 0}
+    assert calls == 1
     second = random_mt_code(rng, prof)
-    calls["echelon"] = 0
+    calls = 0
     first.intersect(second)
-    assert calls == {"echelon": 2, "express": 0}
+    assert calls == 2
 
 
 def test_dim_reads_the_gpm_diagonal():

@@ -96,9 +96,3 @@ def test_min_distance_of_words():
     assert oracle.min_distance_of_words({(0, 0)}) == math.inf
     assert oracle.min_distance_of_words({(0, 0), (1, 0), (1, 1)}) == 1
 
-
-def test_code_from_words_round_trip():
-    rng = random.Random(29)
-    code = random_linear_code(rng, F3, 5, max_k=3)
-    ws = oracle.enumerate_code(code)
-    assert oracle.code_from_words(F3, 5, ws) == code

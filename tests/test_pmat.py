@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import mtcodes.mtcode as mtcode_mod
 from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod, reduce_to_gpm, solve_identical
-from mtcodes.pmat import det, express_in_row_module
-from mtcodes.upoly import NEG_INF
+from mtcodes.upoly import NEG_INF, is_irreducible
 
-from helpers import f4, pmat, poly, small_dim_pair, sweep_pair
+from helpers import det, express_in_row_module, f4, pmat, poly, small_dim_pair, sweep_pair
 
 
 F3 = field(3)
@@ -281,26 +280,60 @@ def test_chain_type_examples():
     assert empty.size_log_q == 0
 
 
+def row_span_size(m, modulus):
+    """Size of the row span of m over GF(q)[x]/<modulus>, by enumeration:
+    the span is the GF(q)-span of x^k * row for k < deg(modulus)."""
+    f, d = m.field, modulus.degree
+    gens = []
+    for row in m.rows:
+        for k in range(d):
+            entries = [(e.shift(k) % modulus).coeffs for e in row]
+            gens.append(tuple(cs[i] if i < len(cs) else 0 for cs in entries for i in range(d)))
+    span = {(0,) * (d * m.shape[1])}
+    for g in gens:
+        span = {tuple(f.add(a, f.mul(s, b)) for a, b in zip(w, g)) for w in span for s in range(f.q)}
+    return len(span)
+
+
 def test_chain_type_counts_row_span():
-    # brute force: span size over the chain ring must equal q^size_log_q
-    f = field(2)
-    p = poly(f, "1 + x")
-    fpow = p * p
-    m = pmat(f, [["1 + x", "1"], ["0", "1 + x"]])
-    t = chain_type(m, p, 2)
-    ring = []
-    for c0 in range(2):
-        for c1 in range(2):
-            ring.append(Poly(f, [c0, c1]))
-    span = set()
-    for a in ring:
-        for b in ring:
-            v = tuple(
-                ((a * m.rows[0][j] + b * m.rows[1][j]) % fpow).coeffs
-                for j in range(2)
-            )
-            span.add(v)
-    assert len(span) == 2**t.size_log_q
+    # A seeded sweep: the span over the chain ring GF(q)[x]/<p^f> has
+    # q^size_log_q elements.  Entries carry random powers of p so that
+    # every layer of the type vector is exercised.
+    rng = random.Random(20250)
+    moduli = {
+        field(2): ["1 + x", "1 + x + x^2"],
+        F3: ["2 + x", "1 + x^2"],
+        f4(): ["w + x", "w + x + x^2"],
+        field(3, 2): ["w + x"],
+    }
+    cases = [(fld, poly(fld, text)) for fld, texts in moduli.items() for text in texts]
+    assert all(is_irreducible(p) for _, p in cases)
+    layered = 0
+    for _ in range(120):
+        fld, p = rng.choice(cases)
+        power = rng.randint(1, 3)
+        n_cols = rng.randint(1, 3)
+        while n_cols > 1 and fld.q ** (p.degree * power * n_cols) > 4096:
+            n_cols -= 1
+        modulus = Poly.one(fld)
+        for _ in range(power):
+            modulus = modulus * p
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            row = []
+            for _ in range(n_cols):
+                e = rand_matrix(rng, fld, 1, 1, max_deg=2).rows[0][0]
+                for _ in range(rng.randint(0, power)):
+                    e = e * p
+                row.append(e)
+            rows.append(row)
+        m = PolyMatrix(fld, rows)
+        t = chain_type(m, p, power)
+        assert row_span_size(m, modulus) == fld.q**t.size_log_q, (fld, p, power, m)
+        if power == 1:
+            assert rank_mod(m, p) == t.type_vector[0]
+        layered += power > 1 and sum(t.type_vector[1:]) > 0
+    assert layered > 10
 
 
 def test_parse_and_str_round_trip():

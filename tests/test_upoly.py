@@ -14,7 +14,6 @@ from mtcodes.upoly import (
     _equal_degree,
     _squarefree_parts,
     is_irreducible,
-    lcm_poly,
     poly_ext_gcd,
     poly_gcd,
 )
@@ -109,14 +108,6 @@ def test_gcd_properties(seed):
     g2, u, v = poly_ext_gcd(a, b)
     assert g2 == g
     assert u * a + v * b == g
-
-
-def test_lcm_times_gcd():
-    a = poly(F3, "1 + x") * poly(F3, "2 + x")
-    b = poly(F3, "1 + x") * poly(F3, "1 + x^2")
-    m = lcm_poly(a, b)
-    assert (m % a).is_zero() and (m % b).is_zero()
-    assert m.degree == 4
 
 
 def test_evaluate_and_derivative():
