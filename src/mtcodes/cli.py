@@ -338,6 +338,31 @@ def _report(payload: dict, args, check=None) -> int:
     return 1 if payload.get("oracle") == "MISMATCH" else 0
 
 
+def _oracle_info(code, entry: dict, budget) -> bool:
+    """q^k words, the reported distance, and for an MT code invariance
+    under its own twisted shift, all by enumeration."""
+    lin = _as_linear(code)
+    words = oracle.enumerate_code(lin, budget)
+    if len(words) != lin.field.q ** entry["dimension"]:
+        return False
+    if _finite(oracle.min_distance_of_words(words)) != entry["distance"]:
+        return False
+    if isinstance(code, MTCode):
+        prof = code.profile
+        return oracle.is_invariant(lin, prof.blocks, prof.shifts, budget)
+    return True
+
+
+def _oracle_advice(code, other, advice, budget) -> bool:
+    """The intersection by set intersection, and every admitted shift
+    vector by closing the intersection's words under its twisted shift."""
+    inter = advice.intersection
+    words = oracle.intersect_codes(_as_linear(code), _as_linear(other), budget)
+    return oracle.same_code(inter, words, budget) and all(
+        oracle.is_invariant(inter, advice.blocks, gamma, budget) for gamma in advice.admitted
+    )
+
+
 def _oracle_intersection(lin1, lin2, result, kappa, budget) -> bool:
     if kappa is None:
         words = oracle.intersect_codes(lin1, lin2, budget)
@@ -357,7 +382,9 @@ def cmd_info(args, budget) -> int:
         doc.get(args.name)
     payload = base_payload("info", doc)
     payload["codes"] = [code_payload(n, doc.codes[n], budget) for n in names]
-    return _report(payload, args)
+    return _report(payload, args, lambda: all(
+        _oracle_info(doc.codes[n], entry, budget) for n, entry in zip(names, payload["codes"])
+    ))
 
 
 def cmd_intersect(args, budget) -> int:
@@ -491,7 +518,7 @@ def cmd_check(args, budget) -> int:
             "distance_second": _finite(advice.d2),
             "notes": list(advice.notes),
         }
-        return _report(payload, args)
+        return _report(payload, args, lambda: _oracle_advice(code, other, advice, budget))
 
     if args.hull is not None:
         return _cmd_check_hull(args, code, payload, budget)

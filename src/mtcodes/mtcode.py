@@ -18,7 +18,9 @@ module works through G and A:
   code of co-index N = lcm(t_i * m_i), t_i the order of lam_i),
 * trivial-intersection and Galois LCD tests via ranks modulo the
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
-  x^N - 1 is not square-free,
+  x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
+  whose modulus p_j divides, so the degree-N auxiliary product is never
+  formed and a factor dividing no block modulus costs no elimination,
 * Galois self-orthogonality, dual-containment, and reversibility as exact
   polynomial congruences modulo x^N - 1.
 
@@ -108,6 +110,25 @@ class MTProfile:
 
     def cofactor_diag(self) -> PolyMatrix:
         return PolyMatrix.diagonal(self.cofactors())
+
+    @cached_property
+    def cofactor_residues(self) -> tuple[tuple[Poly, tuple[tuple[int, Poly], ...]], ...]:
+        """Per factor p_j^f_j of x^N - 1, in `factorization` order: the
+        power p_j^f_j and the pairs (i, cofactor_i mod p_j^f_j) for the
+        blocks whose modulus p_j divides.  Every other cofactor is a multiple
+        of p_j^f_j, since p_j^f_j divides x^N - 1 and is coprime to that
+        block's modulus."""
+        moduli, cofactors = self.moduli(), self.cofactors()
+        out = []
+        for p, f in self.factorization:
+            power = p
+            for _ in range(f - 1):
+                power = power * p
+            active = tuple(
+                (i, c % power) for i, (m, c) in enumerate(zip(moduli, cofactors)) if (m % p).is_zero()
+            )
+            out.append((power, active))
+        return tuple(out)
 
     # -- derived profiles --------------------------------------------------
 
@@ -385,12 +406,14 @@ class MTCode:
         A1^T @ diag((x^N-1)/(x^m_i-lam_i)) @ G2^T has dim(Q) = dim(C2) -
         dim(C1 cap C2); its dimension is read off per irreducible factor
         p_j of x^N - 1 as the chain-ring type over GF(q)[x]/<p_j^f_j> (for
-        f_j = 1, the rank modulo p_j).
+        f_j = 1, the rank modulo p_j).  `_layer_table` takes A1^T and G2^T
+        and builds each factor's matrix modulo p_j^f_j from the blocks
+        whose modulus p_j divides; the others contribute 0 there.
         """
         self._require_same_profile(other)
-        prof = self.profile
-        mat = self.companion.transpose() @ prof.cofactor_diag() @ other.gpm.transpose()
-        return _layer_table(mat, prof, target=other.dim)
+        return _layer_table(
+            self.companion.transpose(), other.gpm.transpose(), self.profile, target=other.dim
+        )
 
     # -- property checks ---------------------------------------------------
 
@@ -445,13 +468,8 @@ class MTCode:
         if note is not None:
             return PropertyCheck("lcd", kappa, None, note, None, None)
         prof = self.profile
-        k = self.field.e - kappa
-        mat = (
-            reciprocal_columns(self.gpm, prof).frobenius(k)
-            @ prof.cofactor_diag()
-            @ self.gpm.transpose()
-        )
-        table = _layer_table(mat, prof, target=self.dim)
+        left = reciprocal_columns(self.gpm, prof).frobenius(self.field.e - kappa)
+        table = _layer_table(left, self.gpm.transpose(), prof, target=self.dim)
         return PropertyCheck("lcd", kappa, table.verdict, None, None, table)
 
     def _check_reversible(self) -> "PropertyCheck":
@@ -532,10 +550,41 @@ class LayerTable:
         return self.total == self.target
 
 
-def _layer_table(mat: PolyMatrix, profile: MTProfile, target: int) -> LayerTable:
+def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target: int) -> LayerTable:
+    """Chain-ring types of left @ cofactor_diag @ right, one per factor
+    p_j^f_j of x^N - 1.
+
+    Modulo p_j^f_j only the blocks whose modulus p_j divides contribute
+    (`MTProfile.cofactor_residues`): a factor dividing no block modulus has
+    type (0, ..., 0) with no elimination, and every other factor's matrix
+    is built from entries reduced modulo p_j^f_j, never from the degree-N
+    product.
+    """
     fac = profile.factorization
-    layers = tuple(FactorLayer(p_j, f_j, _chain_type(mat, p_j, f_j).type_vector) for p_j, f_j in fac)
-    return LayerTable(layers, target, fac.seed)
+    layers = []
+    for (p_j, f_j), (power, active) in zip(fac, profile.cofactor_residues):
+        if active:
+            type_vector = _chain_type(_residue_product(left, right, active, power), p_j, f_j).type_vector
+        else:
+            type_vector = (0,) * f_j
+        layers.append(FactorLayer(p_j, f_j, type_vector))
+    return LayerTable(tuple(layers), target, fac.seed)
+
+
+def _residue_product(left: PolyMatrix, right: PolyMatrix, active, power: Poly) -> PolyMatrix:
+    """Sum over the active (i, c_i) of left[:, i] * c_i * right[i, :],
+    modulo power, from entries reduced modulo power."""
+    zero = Poly.zero(left.field)
+    acc = [[zero] * right.shape[1] for _ in left.rows]
+    for i, c in active:
+        col = [(row[i] % power) * c % power if row[i] else zero for row in left.rows]
+        rrow = [e % power for e in right.rows[i]]
+        for out, u in zip(acc, col):
+            if u:
+                for b, v in enumerate(rrow):
+                    if v:
+                        out[b] = out[b] + u * v
+    return PolyMatrix(left.field, [[e % power for e in row] for row in acc])
 
 
 @dataclass(frozen=True)

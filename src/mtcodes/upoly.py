@@ -13,13 +13,17 @@ Factorization is square-free split, then distinct-degree, then randomized
 equal-degree splitting, except for x^N - 1 (up to a unit): with
 N = N' * p^s it is the product of Phi_d^(p^s) over d | N', each cyclotomic
 polynomial Phi_d is built by exact division of binomials, and all its
-irreducible factors have degree ord_d(q), so equal-degree splitting alone
-finishes it.  The random choices come from a generator seeded per call, so
-identical inputs always factor identically; the seed participates in any
-report that includes a factorization.  Factor lists are sorted, so both
-routes give the same list.  An ``MTProfile`` keeps the factorization of its
-x^N - 1 (``MTProfile.factorization``), so a profile factors once however
-many layer tables read it.
+irreducible factors have degree ord_d(q), so equal-degree splitting
+finishes it.  When r = gcd(d, q - 1) > 1, Phi_d is first cut into
+phi(r) pieces gcd(Phi_d, x^(d/r) - omega^k), one per primitive r-th root
+of unity omega^k of GF(q), with no random choice; a piece of degree
+ord_d(q) is already irreducible.  The random choices come from a
+generator seeded per call, so identical inputs always factor identically;
+the seed participates in any report that includes a factorization.
+Factor lists are sorted, so both routes give the same list.  An
+``MTProfile`` keeps the factorization of its x^N - 1
+(``MTProfile.factorization``), so a profile factors once however many
+layer tables read it.
 """
 
 from __future__ import annotations
@@ -555,7 +559,7 @@ def _cyclotomic(fld: Field, d: int) -> Poly:
 def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly, int]]:
     """Irreducible factors of x^n - 1 with multiplicities, unsorted:
     x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s, and Phi_d
-    splits into irreducibles of degree ord_d(q)."""
+    splits into irreducibles of degree ord_d(q), after `_unity_pieces`."""
     mult = 1
     while n % fld.p == 0:
         n //= fld.p
@@ -563,9 +567,31 @@ def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly
     found = []
     for d in range(1, n + 1):
         if n % d == 0:
-            for irr in _equal_degree(_cyclotomic(fld, d), _mult_order_mod(fld.q, d), rng):
-                found.append((irr, mult))
+            deg = _mult_order_mod(fld.q, d)
+            for piece in _unity_pieces(_cyclotomic(fld, d), d, deg):
+                for irr in _equal_degree(piece, deg, rng):
+                    found.append((irr, mult))
     return found
+
+
+def _unity_pieces(phi: Poly, d: int, deg: int) -> list[Poly]:
+    """Phi_d split by the roots of unity of GF(q): for r = gcd(d, q - 1),
+    x -> x^(d/r) maps the roots of Phi_d onto the primitive r-th roots of
+    unity, which lie in GF(q), so Phi_d is the product over k in (Z/r)^* of
+    gcd(Phi_d, x^(d/r) - omega^k) for an omega of order r.  Phi_d comes
+    back whole when r = 1 or it is irreducible (degree ord_d(q))."""
+    fld = phi.field
+    r = math.gcd(d, fld.q - 1)
+    if r == 1 or phi.degree == deg:
+        return [phi]
+    omega = next(
+        w for w in (fld.pow(a, (fld.q - 1) // r) for a in range(2, fld.q)) if fld.mult_order(w) == r
+    )
+    return [
+        poly_gcd(phi, Poly.binomial(fld, d // r, fld.pow(omega, k)))
+        for k in range(1, r)
+        if math.gcd(k, r) == 1
+    ]
 
 
 def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:

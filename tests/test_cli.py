@@ -276,6 +276,34 @@ def test_check_advisor(capsys):
     assert adv["intersection_dimension"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", F4_DOC),
+    ("info", F3_DOC, "C4"),
+    ("check", F3_DOC, "C3", "--advisor", "C5"),
+    ("check", F3_DOC, "C3", "--advisor", "C4"),
+], ids=["info-f4", "info-f3-C4", "advisor-C3-C5", "advisor-C3-C4"])
+def test_info_and_advisor_oracle(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MTCODES_ENUM_BUDGET", raising=False)
+    code, payload, _ = run_json(capsys, *argv, "--oracle")
+    assert (code, payload["oracle"]) == (0, "confirmed")
+    monkeypatch.setenv("MTCODES_ENUM_BUDGET", "4")
+    code, payload, _ = run_json(capsys, *argv, "--oracle")
+    assert (code, payload["oracle"]) == (0, "skipped (budget exceeded)")
+
+
+def test_info_and_advisor_oracle_report_mismatch(capsys, monkeypatch):
+    from mtcodes import oracle
+
+    monkeypatch.delenv("MTCODES_ENUM_BUDGET", raising=False)
+    monkeypatch.setattr(oracle, "is_invariant", lambda *a, **k: False)
+    for argv in (("info", F4_DOC, "C1"), ("check", F3_DOC, "C3", "--advisor", "C5")):
+        code, payload, _ = run_json(capsys, *argv, "--oracle")
+        assert (code, payload["oracle"]) == (1, "MISMATCH")
+    monkeypatch.setattr(oracle, "min_distance_of_words", lambda words: 1)
+    code, payload, _ = run_json(capsys, "info", F3_DOC, "C3lin", "--oracle")
+    assert (code, payload["oracle"]) == (1, "MISMATCH")
+
+
 def test_check_linear_code_property(capsys):
     code, payload, _ = run_json(capsys, "check", F3_DOC, "C4lin", "--reversible")
     assert code == 0

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, deg_det, field, hnf
+from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, chain_type, deg_det, field, hnf
 from mtcodes.errors import BudgetError, DomainError
-from mtcodes.mtcode import advise_intersection_structure
+from mtcodes.mtcode import advise_intersection_structure, reciprocal_columns
 
 from helpers import f4, f9_mod221, pmat, random_mt_code, sweep_pair, words
 
@@ -464,6 +464,14 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mtcode_mod, "factor", counting)
+    cofactor_calls = []
+    real_cofactors = MTProfile.cofactors
+
+    def counting_cofactors(self):
+        cofactor_calls.append(self)
+        return real_cofactors(self)
+
+    monkeypatch.setattr(MTProfile, "cofactors", counting_cofactors)
     prof = MTProfile(F3, (3, 4), (1, 2))  # N = 24: layers by rank and by chain type
     rng = random.Random(7)
     codes = [random_mt_code(rng, prof) for _ in range(3)]
@@ -472,7 +480,89 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert codes[i].trivial_intersection_evidence(codes[j]).target == codes[j].dim
     assert len(calls) == 1
+    assert len(cofactor_calls) == 1  # the residues are cached with the factorization
     assert prof.factorization.expand() == prof.annihilator()
+    cofactors = real_cofactors(prof)
+    for (p, f), (power, active) in zip(prof.factorization, prof.cofactor_residues):
+        assert power.degree == f * p.degree and (power % p).is_zero()
+        assert [i for i, _ in active] == [i for i, m in enumerate(prof.moduli()) if (m % p).is_zero()]
+        residues = dict(active)
+        for i, c in enumerate(cofactors):
+            assert c % power == residues.get(i, Poly.zero(F3))
+
+
+# -- layer tables against the full auxiliary product ---------------------------
+
+
+def _reference_types(left, right, prof):
+    """chain_type of left @ cofactor_diag @ right, the degree-N product."""
+    full = left @ prof.cofactor_diag() @ right
+    return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
+
+
+def _layer_table_cases():
+    rng = random.Random(29)
+    for idx in range(24):
+        yield sweep_pair(rng, idx)
+    f4_ = f4()
+    w = f4_.parse_element("w")
+    big = field(17, 2)
+    quartic = next(a for a in range(2, big.q) if big.mult_order(a) == 4)
+    profiles = [
+        MTProfile(F3, (3, 2, 6, 1), (1, 2, 1, 2)),  # p | N, ell = 4
+        MTProfile(F3, (3, 3, 2, 2), (2, 1, 1, 2)),
+        MTProfile(f4_, (2, 4, 3, 2), (1, w, f4_.inv(w), 1)),
+        MTProfile(field(2), (4, 6, 2, 3), (1, 1, 1, 1)),
+        MTProfile(field(257), (4, 2, 3), (256, 16, 1)),
+        MTProfile(big, (2, 3), (quartic, big.inv(quartic))),
+    ]
+    for prof in profiles:
+        for _ in range(2):
+            yield random_mt_code(rng, prof), random_mt_code(rng, prof)
+
+
+def test_layer_tables_match_the_full_product():
+    seen_chains = 0
+    for first, second in _layer_table_cases():
+        prof = first.profile
+        seen_chains += not prof.factorization.is_squarefree()
+        for a, b in ((first, second), (second, first)):
+            table = a.trivial_intersection_evidence(b)
+            want = _reference_types(a.companion.transpose(), b.gpm.transpose(), prof)
+            assert [layer.type_vector for layer in table.layers] == want
+        for code in (first, second):
+            for kappa in range(prof.field.e):
+                table = code.property_check("lcd", kappa).table
+                if table is None:
+                    continue
+                left = reciprocal_columns(code.gpm, prof).frobenius(prof.field.e - kappa)
+                want = _reference_types(left, code.gpm.transpose(), prof)
+                assert [layer.type_vector for layer in table.layers] == want
+    assert seen_chains >= 8
+
+
+def test_layer_table_eliminates_once_per_active_factor(monkeypatch):
+    import mtcodes.mtcode as mtcode_mod
+
+    calls = []
+    real = mtcode_mod._chain_type
+
+    def counting(m, p, f):
+        calls.append(p)
+        return real(m, p, f)
+
+    monkeypatch.setattr(mtcode_mod, "_chain_type", counting)
+    # N = 24 over GF(3): x + 1 and x^2 + 1 divide neither x^3 - 1 nor x^4 + 1.
+    prof = MTProfile(F3, (3, 4), (1, 2))
+    active = [p for p, _ in prof.factorization if any((m % p).is_zero() for m in prof.moduli())]
+    assert 0 < len(active) < len(prof.factorization.factors)
+    rng = random.Random(3)
+    first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
+    first.trivial_intersection_evidence(second)
+    assert calls == active
+    calls.clear()
+    first.property_check("lcd", 0)
+    assert calls == active
 
 
 def test_construction_runs_one_elimination(monkeypatch):

@@ -334,8 +334,38 @@ def test_factor_binomial_follows_cyclotomic_cosets(f, ns, monkeypatch):
         assert fac.expand() == target
 
 
-@pytest.mark.parametrize("f", [F3, f4()], ids=lambda f: f"q{f.q}")
-def test_factor_binomial_matches_general_pipeline(f):
-    for n in range(1, 61):
+GENERAL_ROUTE_CASES = [
+    (F3, range(1, 61)),
+    (f4(), range(1, 61)),
+    (field(5), range(1, 41)),
+    (field(7), range(1, 31)),
+    (f9_mod221(), range(1, 31)),
+    (field(2, 4), range(1, 31)),
+    (field(13), range(1, 31)),
+    (field(257), list(range(1, 25)) + [32, 48, 64]),
+]
+
+
+@pytest.mark.parametrize("f, ns", GENERAL_ROUTE_CASES, ids=[f"q{f.q}" for f, _ in GENERAL_ROUTE_CASES])
+def test_factor_binomial_matches_general_pipeline(f, ns):
+    for n in ns:
         target = Poly.binomial(f, n, 1)
         assert factor(target).factors == general_factors(target)
+
+
+def test_factor_binomial_splits_by_roots_of_unity(monkeypatch):
+    """Over GF(257) every d | 64 divides q - 1, so each piece
+    gcd(Phi_d, x^(d/r) - omega^k) is already linear and no random split
+    runs."""
+    import mtcodes.upoly as upoly
+
+    def no_random(*_):
+        raise AssertionError("equal-degree splitting drew a random polynomial")
+
+    monkeypatch.setattr(upoly, "_random_poly", no_random)
+    f = field(257)
+    target = Poly.binomial(f, 64, 1)
+    fac = factor(target)
+    assert len(fac.factors) == 64
+    assert all(g.degree == 1 and m == 1 for g, m in fac)
+    assert fac.expand() == target
