@@ -11,24 +11,25 @@ any order.
 
 Factorization is square-free split, then distinct-degree, then randomized
 equal-degree splitting, except for x^N - 1 (up to a unit): with
-N = N' * p^s it is the product of Phi_d^(p^s) over d | N', each cyclotomic
-polynomial Phi_d is built by exact division of binomials, and all its
-irreducible factors have degree ord_d(q), so equal-degree splitting
-finishes it.  When r = gcd(d, q - 1) > 1, Phi_d is first cut into
-phi(r) pieces gcd(Phi_d, x^(d/r) - omega^k), one per primitive r-th root
-of unity omega^k of GF(q), with no random choice; a piece of degree
-ord_d(q) is already irreducible.  The random choices come from a
-generator seeded per call, so identical inputs always factor identically;
-the seed participates in any report that includes a factorization.
-Factor lists are sorted, so both routes give the same list.  An
-``MTProfile`` keeps the factorization of its x^N - 1
-(``MTProfile.factorization``), so a profile factors once however many
-layer tables read it.
+N = N' * p^s it is the product of Phi_d^(p^s) over d | N', and all the
+irreducible factors of Phi_d have degree ord_d(q).  The Phi_d are taken
+in ascending order of d, each built from Phi_(d/l) for a prime l | d and
+cut by the factors already found for every Phi_(d/l): x -> x^l maps the
+roots of Phi_d onto those of Phi_(d/l), so each factor g of Phi_(d/l)
+gives the piece gcd(Phi_d, g(x^l)).  For d | q - 1 the factors are the
+x - omega^k directly.  Only pieces still above degree ord_d(q) are split
+at random.  Each factor is certified irreducible by its degree: it
+divides Phi_d and has degree ord_d(q), and the degrees must add up to
+phi(d).  The random choices come from a generator seeded per call, so
+identical inputs always factor identically; the seed participates in any
+report that includes a factorization.  Factor lists are sorted, so both
+routes give the same list.  An ``MTProfile`` keeps the factorization of
+its x^N - 1 (``MTProfile.factorization``), so a profile factors once
+however many layer tables read it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -197,6 +198,8 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
+        if len(self.coeffs) < len(other.coeffs):
+            return self
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
@@ -539,59 +542,113 @@ def _mult_order_mod(q: int, d: int) -> int:
     return t
 
 
-def _cyclotomic(fld: Field, d: int) -> Poly:
-    """Phi_d = prod over squarefree e | d of (x^(d/e) - 1)^mu(e), by
-    multiplying the binomials of even mu and dividing by those of odd."""
-    num, den = Poly.one(fld), []
-    primes = _prime_factors(d)
-    for k in range(len(primes) + 1):
-        for sub in itertools.combinations(primes, k):
-            b = Poly.binomial(fld, d // math.prod(sub), 1)
-            if k % 2:
-                den.append(b)
-            else:
-                num = num * b
-    for b in den:
-        num = num.exact_div(b)
-    return num
+def _spread(g: Poly, l: int) -> Poly:
+    """g(x^l)."""
+    out = [0] * (l * (len(g.coeffs) - 1) + 1)
+    out[::l] = g.coeffs
+    return Poly._trusted(g.field, out)
 
 
 def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly, int]]:
     """Irreducible factors of x^n - 1 with multiplicities, unsorted:
-    x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s, and Phi_d
-    splits into irreducibles of degree ord_d(q), after `_unity_pieces`."""
+    x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s.  The Phi_d
+    are built and split in ascending order of d, each from those of its
+    divisors (`_cyclotomic_pieces`); only pieces still above ord_d(q) are
+    split at random.  Every factor of Phi_d must have degree ord_d(q), and
+    their degrees must sum to phi(d): a divisor of Phi_d of that degree is
+    irreducible, so this certifies the list, and AssertionError is raised
+    otherwise."""
     mult = 1
     while n % fld.p == 0:
         n //= fld.p
         mult *= fld.p
+    cyclo: dict[int, Poly] = {}
+    split: dict[int, list[Poly]] = {}
     found = []
     for d in range(1, n + 1):
-        if n % d == 0:
-            deg = _mult_order_mod(fld.q, d)
-            for piece in _unity_pieces(_cyclotomic(fld, d), d, deg):
-                for irr in _equal_degree(piece, deg, rng):
-                    found.append((irr, mult))
+        if n % d:
+            continue
+        deg = _mult_order_mod(fld.q, d)
+        phi = cyclo[d] = _cyclotomic(fld, d, cyclo)
+        irreducibles = split[d] = [
+            irr
+            for piece in _cyclotomic_pieces(phi, d, deg, split)
+            for irr in (_equal_degree(piece, deg, rng) if piece.degree > deg else [piece])
+        ]
+        degrees = [g.degree for g in irreducibles]
+        if any(e != deg for e in degrees) or sum(degrees) != phi.degree:
+            raise AssertionError(
+                f"Phi_{d} over GF({fld.q}) split into degrees {sorted(degrees)}, "
+                f"not {phi.degree // deg} factors of degree ord_{d}(q) = {deg}"
+            )
+        found.extend((g, mult) for g in irreducibles)
     return found
 
 
-def _unity_pieces(phi: Poly, d: int, deg: int) -> list[Poly]:
-    """Phi_d split by the roots of unity of GF(q): for r = gcd(d, q - 1),
-    x -> x^(d/r) maps the roots of Phi_d onto the primitive r-th roots of
-    unity, which lie in GF(q), so Phi_d is the product over k in (Z/r)^* of
-    gcd(Phi_d, x^(d/r) - omega^k) for an omega of order r.  Phi_d comes
-    back whole when r = 1 or it is irreducible (degree ord_d(q))."""
+def _cyclotomic(fld: Field, d: int, cyclo: dict[int, Poly]) -> Poly:
+    """Phi_d from Phi_r, r = d / l for the largest prime l | d, in `cyclo`:
+    Phi_d(x) = Phi_r(x^l) when l | r, else Phi_r(x^l) / Phi_r(x)."""
+    if d == 1:
+        return Poly.binomial(fld, 1, 1)
+    l = _prime_factors(d)[-1]
+    r = d // l
+    lifted = _spread(cyclo[r], l)
+    return lifted if r % l == 0 else lifted.exact_div(cyclo[r])
+
+
+def _cyclotomic_pieces(phi: Poly, d: int, deg: int, split: dict[int, list[Poly]]) -> list[Poly]:
+    """Phi_d cut into coprime monic pieces, each a product of irreducibles
+    of degree deg = ord_d(q), from the factors of Phi_r for r = d / l,
+    l prime, already in `split`.
+
+    When d | q - 1 the primitive d-th roots of unity lie in GF(q), and the
+    pieces are the x - omega^k for an omega of order d, k in (Z/d)^*.
+    Otherwise, for each prime l | d, x -> x^l maps the roots of Phi_d onto
+    those of Phi_r, so the g(x^l), one per factor g of Phi_r, have disjoint
+    root sets and each piece P is refined into its nonconstant
+    gcd(P, g(x^l)); when l | r, Phi_d = Phi_r(x^l) and the pieces are the
+    g(x^l) themselves.  An l with Phi_r irreducible gives nothing and is
+    skipped, and the refinement stops once every piece has degree deg.
+    This is at least as fine as cutting by the roots of unity of GF(q):
+    r0 = gcd(d, q - 1) divides some d / l, and the r0-th roots of unity
+    are fixed by Frobenius."""
     fld = phi.field
-    r = math.gcd(d, fld.q - 1)
-    if r == 1 or phi.degree == deg:
+    if phi.degree == deg:
         return [phi]
-    omega = next(
-        w for w in (fld.pow(a, (fld.q - 1) // r) for a in range(2, fld.q)) if fld.mult_order(w) == r
-    )
-    return [
-        poly_gcd(phi, Poly.binomial(fld, d // r, fld.pow(omega, k)))
-        for k in range(1, r)
-        if math.gcd(k, r) == 1
-    ]
+    if (fld.q - 1) % d == 0:
+        omega = next(
+            w for w in (fld.pow(a, (fld.q - 1) // d) for a in range(2, fld.q)) if fld.mult_order(w) == d
+        )
+        return [
+            Poly._trusted(fld, [fld.neg(fld.pow(omega, k)), 1]) for k in range(1, d) if math.gcd(k, d) == 1
+        ]
+    pieces = [phi]
+    # The l whose Phi_r has the most factors cuts Phi_d finest, so it goes
+    # first; among equals an l | r, which lifts Phi_r with no gcd.
+    for l in sorted(_prime_factors(d), key=lambda l: (-len(split[d // l]), (d // l) % l != 0)):
+        if len(split[d // l]) == 1:
+            continue
+        spread = [_spread(g, l) for g in split[d // l]]
+        if len(pieces) == 1 and (d // l) % l == 0:
+            pieces = spread
+        else:
+            refined = []
+            for piece in pieces:
+                if piece.degree == deg:
+                    refined.append(piece)
+                    continue
+                left = piece.degree
+                for g in spread:
+                    h = poly_gcd(piece, g)
+                    if h.degree > 0:
+                        refined.append(h)
+                        left -= h.degree
+                        if not left:
+                            break
+            pieces = refined
+        if all(piece.degree == deg for piece in pieces):
+            break
+    return pieces
 
 
 def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:

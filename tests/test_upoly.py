@@ -84,6 +84,16 @@ def test_divmod_invariant(seed):
     assert r.degree < b.degree
 
 
+def test_mod_returns_a_shorter_dividend_itself():
+    a = poly(F3, "1 + 2*x")
+    b = poly(F3, "x^2 + 1")
+    assert a % b is a
+    assert Poly.zero(F3) % b == Poly.zero(F3)
+    for dividend in (a, Poly.zero(F3)):
+        with pytest.raises(ZeroDivisionError):
+            dividend % Poly.zero(F3)
+
+
 def test_exact_div_rejects_remainder():
     a = poly(F3, "1 + x^2")
     b = poly(F3, "x")
@@ -301,11 +311,13 @@ def general_factors(p, seed=FACTOR_SEED):
     return tuple(found)
 
 
+# N = 88 and up have two or more distinct primes other than p, so some of
+# their Phi_d are cut by the lifted factors of several Phi_(d/l).
 BINOMIAL_CASES = [
-    (field(2), (21, 24)),
-    (F3, (13, 36)),
-    (f4(), (15, 20)),
-    (f9_mod221(), (20, 15)),
+    (field(2), (21, 24, 105, 165, 195, 231)),
+    (F3, (13, 36, 88, 104, 140)),
+    (f4(), (15, 20, 105, 165, 195, 231)),
+    (f9_mod221(), (20, 15, 88, 104, 140)),
     (field(2, 4), (17, 30)),
     (field(257), (24, 514)),
     (field(17, 2), (24, 51)),
@@ -335,11 +347,12 @@ def test_factor_binomial_follows_cyclotomic_cosets(f, ns, monkeypatch):
 
 
 GENERAL_ROUTE_CASES = [
-    (F3, range(1, 61)),
-    (f4(), range(1, 61)),
+    (field(2), (105, 165, 195, 231)),
+    (F3, [*range(1, 61), 88, 104, 140]),
+    (f4(), [*range(1, 61), 105, 165, 195, 231]),
     (field(5), range(1, 41)),
     (field(7), range(1, 31)),
-    (f9_mod221(), range(1, 31)),
+    (f9_mod221(), [*range(1, 31), 88, 104, 140]),
     (field(2, 4), range(1, 31)),
     (field(13), range(1, 31)),
     (field(257), list(range(1, 25)) + [32, 48, 64]),
@@ -369,3 +382,44 @@ def test_factor_binomial_splits_by_roots_of_unity(monkeypatch):
     assert len(fac.factors) == 64
     assert all(g.degree == 1 and m == 1 for g, m in fac)
     assert fac.expand() == target
+
+
+def test_factor_binomial_splits_at_random_only_what_lifting_leaves(monkeypatch):
+    """Over GF(9), x^140 - 1 (the f9 fixture's period): Phi_4 (4 | q - 1)
+    splits into x - omega^k, and every other composite d is cut into
+    irreducibles by the factors of its Phi_(d/l).  Only Phi_5 (degree 4,
+    factors of degree 2) and Phi_7 (degree 6, factors of degree 3) reach
+    equal-degree splitting above ord_d(q)."""
+    import mtcodes.upoly as upoly
+
+    split, received = upoly._equal_degree, []
+
+    def counted(f, d, rng):
+        if f.degree > d:
+            received.append(f.degree)
+        return split(f, d, rng)
+
+    monkeypatch.setattr(upoly, "_equal_degree", counted)
+    target = Poly.binomial(f9_mod221(), 140, 1)
+    fac = factor(target)
+    assert sum(received) <= 4 + 6
+    assert fac.expand() == target
+
+
+@pytest.mark.parametrize("fault", ["merged", "dropped"])
+def test_factor_binomial_certifies_degrees(fault, monkeypatch):
+    """A factor of Phi_d above ord_d(q), or factors whose degrees fall
+    short of phi(d), fail the degree certificate."""
+    import mtcodes.upoly as upoly
+
+    split = upoly._equal_degree
+
+    def faulty(f, d, rng):
+        out = split(f, d, rng)
+        if len(out) < 2:
+            return out
+        return [out[0] * out[1], *out[2:]] if fault == "merged" else out[1:]
+
+    monkeypatch.setattr(upoly, "_equal_degree", faulty)
+    with pytest.raises(AssertionError, match="Phi_5 over GF"):
+        factor(Poly.binomial(f9_mod221(), 140, 1))
