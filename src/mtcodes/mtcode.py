@@ -21,8 +21,13 @@ module works through G and A:
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
   whose modulus p_j divides, so the degree-N auxiliary product is never
   formed and a factor dividing no block modulus costs no elimination,
-* Galois self-orthogonality, dual-containment, and reversibility as exact
-  polynomial congruences modulo x^N - 1.
+* Galois self-orthogonality, dual-containment, reversibility and subcode
+  tests as exact polynomial congruences modulo x^N - 1.
+
+Those congruences and the intersections' auxiliary stacks are
+L @ diag(c_i) @ R modulo x^N - 1, c_i = (x^N - 1)/(x^m_i - lam_i), and
+`_cofactor_product` builds them block by block from residues modulo
+x^m_i - lam_i, with no degree-N product and no division by x^N - 1.
 
 Binary operations other than the structure advisor require identical
 profiles; unequal shift vectors generically force trivial blocks and can
@@ -72,23 +77,22 @@ class MTProfile:
     def n(self) -> int:
         return sum(self.blocks)
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         """Multiplicative orders t_i of the shift constants."""
         return tuple(self.field.mult_order(s) for s in self.shifts)
 
-    @property
+    @cached_property
     def period(self) -> int:
         """N = lcm(t_i * m_i): the order of the twisted shift map."""
         return reduce(math.lcm, (t * m for t, m in zip(self.orders, self.blocks)))
 
+    @cached_property
     def moduli(self) -> tuple[Poly, ...]:
+        """The block moduli x^m_i - lam_i."""
         return tuple(
             Poly.binomial(self.field, m, s) for m, s in zip(self.blocks, self.shifts)
         )
-
-    def modulus_diag(self) -> PolyMatrix:
-        return PolyMatrix.diagonal(self.moduli())
 
     def annihilator(self) -> Poly:
         """x^N - 1."""
@@ -105,10 +109,7 @@ class MTProfile:
     def cofactors(self) -> tuple[Poly, ...]:
         """(x^N - 1) / (x^m_i - lam_i), one per block."""
         ann = self.annihilator()
-        return tuple(ann.exact_div(m) for m in self.moduli())
-
-    def cofactor_diag(self) -> PolyMatrix:
-        return PolyMatrix.diagonal(self.cofactors())
+        return tuple(ann.exact_div(m) for m in self.moduli)
 
     @cached_property
     def cofactor_residues(self) -> tuple[tuple[Poly, tuple[tuple[int, Poly], ...]], ...]:
@@ -117,7 +118,7 @@ class MTProfile:
         blocks whose modulus p_j divides.  Every other cofactor is a multiple
         of p_j^f_j, since p_j^f_j divides x^N - 1 and is coprime to that
         block's modulus."""
-        moduli, cofactors = self.moduli(), self.cofactors()
+        moduli, cofactors = self.moduli, self.cofactors()
         out = []
         for p, f in self.factorization:
             power = p
@@ -174,7 +175,7 @@ class MTProfile:
 
     def vector_from_polys(self, polys) -> tuple[int, ...]:
         out = []
-        for p, m, modulus in zip(polys, self.blocks, self.moduli()):
+        for p, m, modulus in zip(polys, self.blocks, self.moduli):
             p = p % modulus
             out.extend(p.coeff(i) for i in range(m))
         return tuple(out)
@@ -195,7 +196,7 @@ def reciprocal_columns(mat: PolyMatrix, profile: MTProfile) -> PolyMatrix:
     that multiple is a multiple of x^m_j - lam_j^-1, and every use either
     multiplies by the matching cofactor or stacks the dual moduli).
     """
-    moduli = profile.moduli()
+    moduli = profile.moduli
     rows = []
     for row in mat.rows:
         rows.append(
@@ -204,7 +205,50 @@ def reciprocal_columns(mat: PolyMatrix, profile: MTProfile) -> PolyMatrix:
                 for j, e in enumerate(row)
             ]
         )
-    return PolyMatrix(mat.field, rows)
+    return PolyMatrix._trusted(mat.field, rows)
+
+
+def _cofactor_product(left: PolyMatrix, right: PolyMatrix, profile: MTProfile) -> PolyMatrix:
+    """left @ diag(c_k) @ right modulo x^N - 1, with c_k = (x^N - 1) /
+    (x^m_k - lam_k), block by block and without a degree-N product.
+
+    Since c_k * (x^m_k - lam_k) = x^N - 1, the k-th term of entry (i, j) is
+    c_k * r for r = left[i][k] * right[k][j] mod x^m_k - lam_k, already of
+    degree below N.  With o the order of lam_k,
+    c_k = sum_t lam_k^-(t+1) x^(t*m_k) over 0 <= t < N/m_k, so c_k * r is
+    r * lam_k^-1, ..., r * lam_k^-o in successive windows of m_k: a cycle of
+    o*m_k coefficients that repeats N/(o*m_k) times.
+    """
+    f = profile.field
+    n = profile.period
+    mul, add_scaled = f.mul, f.add_scaled
+    blocks = []
+    for m, lam, o, d in zip(profile.blocks, profile.shifts, profile.orders, profile.moduli):
+        inv = f.inv(lam)
+        scales = [inv]
+        for _ in range(o - 1):
+            scales.append(mul(scales[-1], inv))
+        blocks.append((m, d, scales, n // (o * m)))
+    zero = Poly.zero(f)
+    cols = list(zip(*right.rows))
+    out = []
+    for row in left.rows:
+        orow = []
+        for col in cols:
+            acc = None
+            for a, b, (m, d, scales, reps) in zip(row, col, blocks):
+                if a and b:
+                    r = (a * b) % d
+                    if r:
+                        rc = r.coeffs + (0,) * (m - len(r.coeffs))
+                        term = [mul(s, c) for s in scales for c in rc] * reps
+                        if acc is None:
+                            acc = term
+                        else:
+                            add_scaled(acc, 0, 1, enumerate(term))
+            orow.append(zero if acc is None else Poly._trusted(f, acc))
+        out.append(orow)
+    return PolyMatrix._trusted(f, out)
 
 
 class MTCode:
@@ -221,7 +265,7 @@ class MTCode:
             row_list = [list(r) for r in rows]
         top = PolyMatrix(profile.field, row_list)
         try:
-            self.gpm, self.companion = _gpm_pair(top, profile.moduli())
+            self.gpm, self.companion = _gpm_pair(top, profile.moduli)
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
         self._linear: LinearCode | None = None
@@ -348,19 +392,15 @@ class MTCode:
 
     def is_subcode_of(self, other: "MTCode") -> bool:
         self._require_same_profile(other)
-        prof = self.profile
-        ann = prof.annihilator()
-        prod = self.gpm @ prof.cofactor_diag() @ other.companion
-        return prod.mod_entries(ann).is_zero()
+        return _cofactor_product(self.gpm, other.companion, self.profile).is_zero()
 
     def intersect(self, other: "MTCode") -> "MTCode":
         return self.intersection_details(other).code
 
     def intersection_details(self, other: "MTCode") -> "GpmIntersection":
         self._require_same_profile(other)
-        prof = self.profile
-        top = self.companion.transpose() @ prof.cofactor_diag() @ other.gpm.transpose()
-        return _qc_intersection(top, prof, other)
+        top = _cofactor_product(self.companion.transpose(), other.gpm.transpose(), self.profile)
+        return _qc_intersection(top, self.profile, other)
 
     def galois_intersect(self, other: "MTCode", kappa: int = 0) -> "MTCode":
         return self.galois_intersection_details(other, kappa).code
@@ -385,11 +425,8 @@ class MTCode:
         if self.profile.period != other.profile.period:
             raise AssertionError("profile periods diverged")
         k = f.e - kappa
-        top = (
-            reciprocal_columns(self.gpm, self.profile).frobenius(k)
-            @ other.profile.cofactor_diag()
-            @ other.gpm.transpose()
-        )
+        left = reciprocal_columns(self.gpm, self.profile).frobenius(k)
+        top = _cofactor_product(left, other.gpm.transpose(), other.profile)
         return _qc_intersection(top, other.profile, other)
 
     def galois_hull_details(self, kappa: int = 0) -> "GpmIntersection":
@@ -458,7 +495,7 @@ class MTCode:
         else:
             left = reciprocal_columns(self.gpm, prof).frobenius(k)
             right = self.gpm.transpose()
-        residue = (left @ prof.cofactor_diag() @ right).mod_entries(prof.annihilator())
+        residue = _cofactor_product(left, right, prof)
         return PropertyCheck(prop, kappa, residue.is_zero(), None, residue, None)
 
     def _check_lcd(self, kappa: int) -> "PropertyCheck":
@@ -491,9 +528,7 @@ class MTCode:
                 None,
             )
         j = PolyMatrix.backward_identity(f, ell)
-        residue = (
-            reciprocal_columns(self.gpm, prof) @ j @ prof.cofactor_diag() @ self.companion
-        ).mod_entries(prof.annihilator())
+        residue = _cofactor_product(reciprocal_columns(self.gpm, prof) @ j, self.companion, prof)
         return PropertyCheck("reversible", None, residue.is_zero(), None, residue, None)
 
 
@@ -550,7 +585,7 @@ class LayerTable:
 
 
 def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target: int) -> LayerTable:
-    """Chain-ring types of left @ cofactor_diag @ right, one per factor
+    """Chain-ring types of left @ diag(c_i) @ right, one per factor
     p_j^f_j of x^N - 1.
 
     Modulo p_j^f_j only the blocks whose modulus p_j divides contribute

@@ -54,6 +54,16 @@ class PolyMatrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rs)
 
+    @staticmethod
+    def _trusted(field: Field, rows) -> "PolyMatrix":
+        """Wrap rows of Poly entries over ``field``, all of one width, that
+        the library computed itself; skips the constructor's per-entry
+        checks.  ``rows`` is any iterable of row iterables."""
+        out = object.__new__(PolyMatrix)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "rows", tuple(tuple(row) for row in rows))
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
 
@@ -151,22 +161,21 @@ class PolyMatrix:
                         acc = acc + a * b
                 orow.append(acc)
             out.append(orow)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix._trusted(self.field, out)
 
     def transpose(self) -> "PolyMatrix":
         r, c = self.shape
         if r == 0 or c == 0:
             return PolyMatrix.zeros(self.field, c, r)
-        return PolyMatrix(self.field, list(zip(*self.rows)))
+        return PolyMatrix._trusted(self.field, zip(*self.rows))
 
     def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.field, [[fn(e) for e in row] for row in self.rows])
+        """Apply fn, a map from Poly to Poly over the same field, to every
+        entry."""
+        return PolyMatrix._trusted(self.field, [[fn(e) for e in row] for row in self.rows])
 
     def frobenius(self, k: int) -> "PolyMatrix":
         return self.map_entries(lambda e: e.frobenius(k))
-
-    def mod_entries(self, m: Poly) -> "PolyMatrix":
-        return self.map_entries(lambda e: e % m)
 
     def scale(self, s: Poly) -> "PolyMatrix":
         return self.map_entries(lambda e: e * s)
@@ -250,7 +259,7 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
             settle(row, -1)
 
     def sub_scaled(dst, src, q, c):
-        rows[dst] = [a - q * b if b else a for a, b in zip(rows[dst], rows[src])]
+        rows[dst] = [a._sub_mul(q, b) if b else a for a, b in zip(rows[dst], rows[src])]
         if moduli is not None:
             settle(rows[dst], c)
 
@@ -324,8 +333,8 @@ def hnf(m: PolyMatrix, moduli=None, *, transform: bool = True) -> HnfResult:
         rows = [row + list(e) for row, e in zip(rows, eye)]
     pivots = _echelon(field, rows, n_cols, moduli)
     return HnfResult(
-        PolyMatrix(field, [row[:n_cols] for row in rows]),
-        PolyMatrix(field, [row[n_cols:] for row in rows]) if transform else None,
+        PolyMatrix._trusted(field, [row[:n_cols] for row in rows]),
+        PolyMatrix._trusted(field, [row[n_cols:] for row in rows]) if transform else None,
         tuple(pivots),
     )
 
@@ -382,7 +391,7 @@ def _with_companion(res: HnfResult, diag_polys) -> tuple[PolyMatrix, PolyMatrix]
         raise ValueError(_NOT_DIAGONAL)
     field = res.h.field
     gpm = res.h.rows[:ell]
-    return PolyMatrix(field, gpm), PolyMatrix(field, _back_substitute(field, gpm, diag_polys))
+    return PolyMatrix._trusted(field, gpm), PolyMatrix._trusted(field, _back_substitute(field, gpm, diag_polys))
 
 
 def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:

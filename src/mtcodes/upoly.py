@@ -173,6 +173,23 @@ class Poly:
                 add_scaled(out, i, ai, row)
         return Poly._trusted(f, out)
 
+    def _sub_mul(self, q: "Poly", b: "Poly") -> "Poly":
+        """self - q * b in one coefficient buffer, without forming q * b."""
+        f = self.field
+        qc, bc = q.coeffs, b.coeffs
+        if not qc or not bc:
+            return self
+        if len(qc) > len(bc):
+            qc, bc = bc, qc
+        a = self.coeffs
+        out = list(a) + [0] * (len(qc) + len(bc) - 1 - len(a))
+        row = [(j, bj) for j, bj in enumerate(bc) if bj]
+        add_scaled, neg = f.add_scaled, f.neg
+        for i, qi in enumerate(qc):
+            if qi:
+                add_scaled(out, i, neg(qi), row)
+        return Poly._trusted(f, out)
+
     def scale(self, c: int) -> "Poly":
         f = self.field
         out = [0] * len(self.coeffs)

@@ -68,6 +68,23 @@ def det(m: PolyMatrix) -> Poly:
     return d if sign > 0 else -d
 
 
+def modulus_diag(prof: MTProfile) -> PolyMatrix:
+    """diag(x^m_i - lam_i)."""
+    return PolyMatrix.diagonal(prof.moduli)
+
+
+def cofactor_diag(prof: MTProfile) -> PolyMatrix:
+    """diag((x^N - 1) / (x^m_i - lam_i)), the degree-N cofactors."""
+    return PolyMatrix.diagonal(prof.cofactors())
+
+
+def cofactor_product_reference(left: PolyMatrix, right: PolyMatrix, prof: MTProfile) -> PolyMatrix:
+    """left @ cofactor_diag @ right through degree-N products, each entry
+    then reduced modulo x^N - 1."""
+    ann = prof.annihilator()
+    return (left @ cofactor_diag(prof) @ right).map_entries(lambda e: e % ann)
+
+
 def express_in_row_module(res, vector) -> list[Poly]:
     """Coefficients c over the original rows with c @ origin = vector, for a
     transform-tracking `hnf` result; ValueError outside the row module."""
@@ -183,14 +200,14 @@ def check_equation_identities(code: MTCode) -> None:
     eye = PolyMatrix.identity(prof.field, ell)
     scaled = eye.scale(ann)
     # A @ G = diag(x^m_i - lam_i)
-    assert code.companion @ code.gpm == prof.modulus_diag()
+    assert code.companion @ code.gpm == modulus_diag(prof)
     # A^T @ diag((x^N-1)/(x^m_i - lam_i)) @ G^T = (x^N - 1) I
-    lhs = code.companion.transpose() @ prof.cofactor_diag() @ code.gpm.transpose()
+    lhs = code.companion.transpose() @ cofactor_diag(prof) @ code.gpm.transpose()
     assert lhs == scaled
     dual = code.dual()
     dprof = dual.profile
     # B @ H = diag(x^m_i - lam_i^-1)
-    assert dual.companion @ dual.gpm == dprof.modulus_diag()
+    assert dual.companion @ dual.gpm == modulus_diag(dprof)
     assert dprof.shifts == tuple(prof.field.inv(s) for s in prof.shifts)
 
 

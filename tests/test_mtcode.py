@@ -9,12 +9,24 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, chain_type, deg_det, field, hnf
+from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf
 from mtcodes.errors import BudgetError, DomainError
-from mtcodes.mtcode import advise_intersection_structure, reciprocal_columns
+from mtcodes.mtcode import _cofactor_product, advise_intersection_structure, reciprocal_columns
 
-from helpers import f4, f9_mod221, pmat, random_mt_code, sweep_pair, words
+from helpers import (
+    cofactor_diag,
+    cofactor_product_reference,
+    f4,
+    f9_mod221,
+    modulus_diag,
+    pmat,
+    random_mt_code,
+    sweep_pair,
+    words,
+)
 
 
 F3 = field(3)
@@ -120,7 +132,7 @@ def test_c2_reduced_gpm_and_companion():
 
 def test_identical_equation_holds():
     for code in (c1(), c2(), c3(), c4(), c5(), c6()):
-        assert code.companion @ code.gpm == code.profile.modulus_diag()
+        assert code.companion @ code.gpm == modulus_diag(code.profile)
 
 
 def test_from_linear_rejects_non_invariant_code():
@@ -441,7 +453,7 @@ def test_zero_and_full_codes():
     prof = MTProfile(F3, (3, 3), (1, 2))
     z = MTCode.zero(prof)
     assert z.dim == 0
-    assert z.gpm == prof.modulus_diag()
+    assert z.gpm == modulus_diag(prof)
     assert z.min_distance() == math.inf
     full = MTCode.full(prof)
     assert full.dim == 6
@@ -485,7 +497,7 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
     cofactors = real_cofactors(prof)
     for (p, f), (power, active) in zip(prof.factorization, prof.cofactor_residues):
         assert power.degree == f * p.degree and (power % p).is_zero()
-        assert [i for i, _ in active] == [i for i, m in enumerate(prof.moduli()) if (m % p).is_zero()]
+        assert [i for i, _ in active] == [i for i, m in enumerate(prof.moduli) if (m % p).is_zero()]
         residues = dict(active)
         for i, c in enumerate(cofactors):
             assert c % power == residues.get(i, Poly.zero(F3))
@@ -496,7 +508,7 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
 
 def _reference_types(left, right, prof):
     """chain_type of left @ cofactor_diag @ right, the degree-N product."""
-    full = left @ prof.cofactor_diag() @ right
+    full = left @ cofactor_diag(prof) @ right
     return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
 
 
@@ -554,7 +566,7 @@ def test_layer_table_eliminates_once_per_active_factor(monkeypatch):
     monkeypatch.setattr(mtcode_mod, "_chain_type", counting)
     # N = 24 over GF(3): x + 1 and x^2 + 1 divide neither x^3 - 1 nor x^4 + 1.
     prof = MTProfile(F3, (3, 4), (1, 2))
-    active = [p for p, _ in prof.factorization if any((m % p).is_zero() for m in prof.moduli())]
+    active = [p for p, _ in prof.factorization if any((m % p).is_zero() for m in prof.moduli)]
     assert 0 < len(active) < len(prof.factorization.factors)
     rng = random.Random(3)
     first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
@@ -643,3 +655,90 @@ def test_min_distance_checks_budget_before_expanding(monkeypatch):
     monkeypatch.setattr(MTCode, "to_linear", unexpected)
     with pytest.raises(BudgetError):
         code.min_distance(budget=9**5 - 1)
+
+
+# -- the blockwise cofactor product --------------------------------------------
+
+PRODUCT_FIELDS = (field(2), F3, field(2, 2), field(3, 2), field(17, 2), field(257))
+
+
+def _shifts_by_order(f: Field, max_order: int = 8) -> dict[int, list[int]]:
+    """The nonzero elements of f of order at most max_order, by order."""
+    out: dict[int, list[int]] = {}
+    for a in range(1, f.q):
+        o = f.mult_order(a)
+        if o <= max_order:
+            out.setdefault(o, []).append(a)
+    return out
+
+
+SHIFTS_BY_ORDER = {f.q: _shifts_by_order(f) for f in PRODUCT_FIELDS}
+
+
+@st.composite
+def cofactor_cases(draw):
+    """A profile with small period, and matrices whose left entries reach
+    past the block lengths (unreduced companions)."""
+    f = draw(st.sampled_from(PRODUCT_FIELDS))
+    by_order = SHIFTS_BY_ORDER[f.q]
+    ell = draw(st.integers(1, 3))
+    blocks = tuple(draw(st.integers(1, 5)) for _ in range(ell))
+    shifts = tuple(draw(st.sampled_from(by_order[draw(st.sampled_from(sorted(by_order)))])) for _ in range(ell))
+    prof = MTProfile(f, blocks, shifts)
+    assume(prof.period <= 240)
+
+    def entry(max_deg):
+        return Poly(f, draw(st.lists(st.integers(0, f.q - 1), max_size=max_deg + 1)))
+
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    left = PolyMatrix(f, [[entry(2 * m + 1) for m in blocks] for _ in range(n_rows)])
+    right = PolyMatrix(f, [[entry(m + 2) for _ in range(n_cols)] for m in blocks])
+    return prof, left, right
+
+
+@given(cofactor_cases())
+@settings(max_examples=150, deadline=None)
+def test_cofactor_product_matches_the_degree_n_product(case):
+    prof, left, right = case
+    got = _cofactor_product(left, right, prof)
+    assert got == cofactor_product_reference(left, right, prof)
+    assert all(e.degree < prof.period for row in got.rows for e in row)
+
+
+@pytest.mark.parametrize("f", PRODUCT_FIELDS, ids=lambda f: f"q{f.q}")
+def test_cofactor_product_on_twisted_blocks(f):
+    """A shift of the largest order up to 8 (order > 1 beyond GF(2)) and
+    left entries past the block lengths."""
+    by_order = SHIFTS_BY_ORDER[f.q]
+    lam = by_order[max(by_order)][0]
+    prof = MTProfile(f, (3, 2, 3), (lam, f.inv(lam), lam))
+    rng = random.Random(f.q)
+
+    def entry(deg):
+        return Poly(f, [rng.randrange(f.q) for _ in range(deg + 1)])
+
+    left = PolyMatrix(f, [[entry(2 * m + 1) for m in prof.blocks] for _ in range(2)])
+    right = PolyMatrix(f, [[entry(m) for _ in range(3)] for m in prof.blocks])
+    assert any(e.degree >= m for row in left.rows for e, m in zip(row, prof.blocks))
+    assert _cofactor_product(left, right, prof) == cofactor_product_reference(left, right, prof)
+
+
+def test_congruences_divide_by_no_degree_n_polynomial(monkeypatch):
+    """The subcode and Galois self-orthogonality tests reduce only modulo the
+    block moduli, never modulo x^N - 1."""
+    prof = MTProfile(F3, (12, 25), (2, 2))  # N = lcm(24, 50) = 600
+    assert prof.period >= 300
+    rng = random.Random(11)
+    first, second = random_mt_code(rng, prof, max_rows=3), random_mt_code(rng, prof, max_rows=3)
+    divisors = []
+    real = Poly.__divmod__
+
+    def recording(self, other):
+        divisors.append(other.degree)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", recording)
+    first.is_subcode_of(second)
+    first.property_check("self_orthogonal", 0)
+    assert divisors
+    assert prof.period not in divisors

@@ -341,3 +341,35 @@ def test_parse_and_str_round_trip():
     m = pmat(f, [["w + x", "w"], ["0", "w^2 + x"]])
     again = PolyMatrix.parse(f, str(m))
     assert again == m
+
+
+# -- matrices built by the library skip the constructor's checks ---------------
+
+
+def test_constructor_rejects_ragged_rows_and_foreign_entries():
+    a = poly(F3, "1 + x")
+    with pytest.raises(ValueError, match="ragged"):
+        PolyMatrix(F3, [[a, a], [a]])
+    with pytest.raises(ValueError, match="entries"):
+        PolyMatrix(F3, [[a, Poly.parse(field(5), "x")]])
+    with pytest.raises(ValueError, match="entries"):
+        PolyMatrix(F3, [[a, 1]])
+
+
+def test_trusted_matrices_equal_their_validated_rebuild():
+    rng = random.Random(17)
+    m = rand_matrix(rng, F3, 3, 3)
+    trusted = [
+        PolyMatrix._trusted(F3, m.rows),
+        PolyMatrix._trusted(F3, (iter(row) for row in m.rows)),
+        m @ PolyMatrix.identity(F3, 3),
+        m.transpose(),
+        m.frobenius(0),
+        hnf(m).h,
+        hnf(m).transform,
+    ]
+    for t in trusted:
+        checked = PolyMatrix(F3, t.rows)
+        assert t == checked and hash(t) == hash(checked)
+        assert isinstance(t.rows, tuple) and all(isinstance(row, tuple) for row in t.rows)
+    assert trusted[0] == m and hash(trusted[0]) == hash(m)

@@ -226,6 +226,7 @@ def test_mul_matches_schoolbook(f):
     for _ in range(30):
         a, b = rand_poly(rng, f, 9), rand_poly(rng, f, 6)
         assert a * b == schoolbook_mul(a, b) == b * a
+        assert b._sub_mul(a, b) == b - a * b == b._sub_mul(b, a)
         assert a - b == a + (-b)
         assert (a - b) + b == a
 
