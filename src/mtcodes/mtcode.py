@@ -20,7 +20,9 @@ module works through G and A:
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
   whose modulus p_j divides, so the degree-N auxiliary product is never
-  formed and a factor dividing no block modulus costs no elimination,
+  formed, a factor dividing no block modulus costs no elimination, and a
+  factor with one such block reads its type from three valuations (the
+  matrix is an outer product); only a factor with two or more eliminates,
 * Galois self-orthogonality, dual-containment, reversibility and subcode
   tests as exact polynomial congruences modulo x^N - 1.
 
@@ -112,22 +114,49 @@ class MTProfile:
         return tuple(ann.exact_div(m) for m in self.moduli)
 
     @cached_property
-    def cofactor_residues(self) -> tuple[tuple[Poly, tuple[tuple[int, Poly], ...]], ...]:
+    def factor_valuations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per factor p_j^f_j of x^N - 1, in `factorization` order: the
-        power p_j^f_j and the pairs (i, cofactor_i mod p_j^f_j) for the
-        blocks whose modulus p_j divides.  Every other cofactor is a multiple
-        of p_j^f_j, since p_j^f_j divides x^N - 1 and is coprime to that
-        block's modulus."""
-        moduli, cofactors = self.moduli, self.cofactors()
-        out = []
-        for p, f in self.factorization:
+        pairs (i, v) for the blocks whose modulus p_j divides (the active
+        blocks), v = v_p_j(x^m_i - lam_i) >= 1.
+
+        One remainder per (block, factor) decides activity, and v follows
+        from m_i alone: with c the characteristic and m_i = m' * c^s, c not
+        dividing m', x^m_i - lam_i is the c^s-th power of the square-free
+        x^m' - lam_i^(1/c^s), so v = c^s.  The cofactor c_i = (x^N - 1) /
+        (x^m_i - lam_i) has valuation f_j - v, and the cofactor of every
+        inactive block is a multiple of p_j^f_j, since p_j^f_j divides
+        x^N - 1 and is coprime to that block's modulus."""
+        char = self.field.p
+        mults = []
+        for m in self.blocks:
+            v = 1
+            while m % char == 0:
+                m //= char
+                v *= char
+            mults.append(v)
+        return tuple(
+            tuple((i, v) for i, (d, v) in enumerate(zip(self.moduli, mults)) if (d % p).is_zero())
+            for p, _ in self.factorization
+        )
+
+    @cached_property
+    def cofactor_residues(self) -> tuple[tuple[Poly, tuple[tuple[int, Poly], ...]] | None, ...]:
+        """Per factor p_j^f_j of x^N - 1, in `factorization` order: for a
+        factor with two or more active blocks (`factor_valuations`), the
+        power p_j^f_j and the pairs (i, cofactor_i mod p_j^f_j) over those
+        blocks; None for every other factor.  The degree-N cofactors are
+        formed only if some factor needs them."""
+        out, cofactors = [], None
+        for (p, f), active in zip(self.factorization, self.factor_valuations):
+            if len(active) < 2:
+                out.append(None)
+                continue
+            if cofactors is None:
+                cofactors = self.cofactors()
             power = p
             for _ in range(f - 1):
                 power = power * p
-            active = tuple(
-                (i, c % power) for i, (m, c) in enumerate(zip(moduli, cofactors)) if (m % p).is_zero()
-            )
-            out.append((power, active))
+            out.append((power, tuple((i, cofactors[i] % power) for i, _ in active)))
         return tuple(out)
 
     # -- derived profiles --------------------------------------------------
@@ -443,8 +472,8 @@ class MTCode:
         dim(C1 cap C2); its dimension is read off per irreducible factor
         p_j of x^N - 1 as the chain-ring type over GF(q)[x]/<p_j^f_j> (for
         f_j = 1, the rank modulo p_j).  `_layer_table` takes A1^T and G2^T
-        and builds each factor's matrix modulo p_j^f_j from the blocks
-        whose modulus p_j divides; the others contribute 0 there.
+        and reads each factor's type from the blocks whose modulus p_j
+        divides; the others contribute 0 there.
         """
         self._require_same_profile(other)
         return _layer_table(
@@ -589,20 +618,60 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     p_j^f_j of x^N - 1.
 
     Modulo p_j^f_j only the blocks whose modulus p_j divides contribute
-    (`MTProfile.cofactor_residues`): a factor dividing no block modulus has
-    type (0, ..., 0) with no elimination, and every other factor's matrix
-    is built from entries reduced modulo p_j^f_j, never from the degree-N
-    product.
+    (`MTProfile.factor_valuations`):
+
+    * a factor dividing no block modulus has type (0, ..., 0);
+    * with one active block i the matrix is the outer product
+      left[:, i] * c_i * right[i, :], whose type `_outer_product_type`
+      reads from valuations, with no residue and no elimination;
+    * with two or more, the matrix is built from entries reduced modulo
+      p_j^f_j (`MTProfile.cofactor_residues`), never from the degree-N
+      product, and eliminated by `_chain_type`.
     """
     fac = profile.factorization
     layers = []
-    for (p_j, f_j), (power, active) in zip(fac, profile.cofactor_residues):
-        if active:
-            type_vector = _chain_type(_residue_product(left, right, active, power), p_j, f_j).type_vector
+    for (p_j, f_j), active, residues in zip(fac, profile.factor_valuations, profile.cofactor_residues):
+        if residues is not None:
+            power, cofactors = residues
+            type_vector = _chain_type(_residue_product(left, right, cofactors, power), p_j, f_j).type_vector
+        elif active:
+            ((i, v),) = active
+            column = [row[i] for row in left.rows]
+            type_vector = _outer_product_type(column, right.rows[i], f_j - v, p_j, f_j)
         else:
             type_vector = (0,) * f_j
         layers.append(FactorLayer(p_j, f_j, type_vector))
     return LayerTable(tuple(layers), target, fac.seed)
+
+
+def _outer_product_type(u, v, h: int, p: Poly, f: int) -> tuple[int, ...]:
+    """Type over GF(q)[x]/<p^f> of the row span of c * u v^T, for
+    v_p(c) = h <= f.
+
+    The rows c * u_a * v span p^(h + a) * v, a = min_a v_p(u_a), and
+    v = p^b * v' with b = min_b v_p(v_b) and v' holding a unit, so the span
+    is p^(h + a + b) times a free module of rank one: type e_(h + a + b)
+    when that is below f, and (0, ..., 0) otherwise.
+    """
+    h += _min_valuation(u, p, f - h)
+    h += _min_valuation(v, p, f - h)
+    return tuple(int(k == h) for k in range(f))
+
+
+def _min_valuation(entries, p: Poly, cap: int) -> int:
+    """min(cap, v_p(e) over the entries), by repeated division by p: one
+    remainder per entry when cap is 1, and none once the minimum is 0."""
+    for e in entries:
+        if not cap:
+            break
+        v = 0
+        while v < cap:
+            e, r = divmod(e, p)
+            if r:
+                break
+            v += 1
+        cap = v
+    return cap
 
 
 def _residue_product(left: PolyMatrix, right: PolyMatrix, active, power: Poly) -> PolyMatrix:

@@ -175,6 +175,10 @@ class PolyMatrix:
         return PolyMatrix._trusted(self.field, [[fn(e) for e in row] for row in self.rows])
 
     def frobenius(self, k: int) -> "PolyMatrix":
+        """Apply sigma^k to every coefficient of every entry; self when k
+        is a multiple of e."""
+        if k % self.field.e == 0:
+            return self
         return self.map_entries(lambda e: e.frobenius(k))
 
     def scale(self, s: Poly) -> "PolyMatrix":

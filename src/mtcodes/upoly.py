@@ -267,13 +267,13 @@ class Poly:
             out.append(f.mul(i % f.p, self.coeffs[i]))
         return Poly._trusted(f, out)
 
-    def map_coeffs(self, fn) -> "Poly":
-        return Poly(self.field, (fn(c) for c in self.coeffs))
-
     def frobenius(self, k: int) -> "Poly":
-        """Apply sigma^k to every coefficient."""
+        """Apply sigma^k to every coefficient; sigma^e is the identity, so
+        for k a multiple of e this is self."""
         f = self.field
-        return self.map_coeffs(lambda c: f.frobenius(c, k))
+        if k % f.e == 0:
+            return self
+        return Poly._trusted(f, [f.frobenius(c, k) for c in self.coeffs])
 
     def pth_root(self) -> "Poly":
         """Inverse of g -> g^p; valid when the derivative vanishes."""

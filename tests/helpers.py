@@ -6,9 +6,10 @@ and gets the same codes back, so failures reproduce exactly.
 
 import random
 
-from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, field
+from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field
 from mtcodes import oracle
 from mtcodes.errors import DomainError
+from mtcodes.mtcode import reciprocal_columns
 
 
 SMALL_FIELDS = ((2, 1), (3, 1), (4, 2), (5, 1), (9, 2))
@@ -83,6 +84,17 @@ def cofactor_product_reference(left: PolyMatrix, right: PolyMatrix, prof: MTProf
     then reduced modulo x^N - 1."""
     ann = prof.annihilator()
     return (left @ cofactor_diag(prof) @ right).map_entries(lambda e: e % ann)
+
+
+def reference_layer_types(left: PolyMatrix, right: PolyMatrix, prof: MTProfile) -> list[tuple[int, ...]]:
+    """chain_type of left @ cofactor_diag @ right, the degree-N product,
+    for every factor of x^N - 1: what `_layer_table` must report."""
+    full = left @ cofactor_diag(prof) @ right
+    return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
+
+
+def layer_types(table) -> list[tuple[int, ...]]:
+    return [layer.type_vector for layer in table.layers]
 
 
 def express_in_row_module(res, vector) -> list[Poly]:
@@ -266,12 +278,18 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     chk = code1.property_check("lcd", kappa)
     if chk.holds is not None:
         assert chk.holds == (w1 & dual_set == {(0,) * code1.n})
+        left = reciprocal_columns(code1.gpm, prof).frobenius(f.e - kappa)
+        assert layer_types(chk.table) == reference_layer_types(left, code1.gpm.transpose(), prof)
     chk = code1.property_check("reversible")
     if chk.holds is not None:
         assert chk.holds == (oracle.reverse_words(w1) == w1)
 
-    # layer-table triviality test agrees with the set computation
-    assert code1.trivially_intersects(code2) == (both == {(0,) * code1.n})
+    # layer-table triviality test agrees with the set computation, and each
+    # factor's type with the degree-N product
+    table = code1.trivial_intersection_evidence(code2)
+    assert table.verdict == (both == {(0,) * code1.n})
+    want = reference_layer_types(code1.companion.transpose(), code2.gpm.transpose(), prof)
+    assert layer_types(table) == want
 
     # subcode relation
     assert code1.is_subcode_of(code2) == (w1 <= w2)

@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf
 from mtcodes.errors import BudgetError, DomainError
-from mtcodes.mtcode import _cofactor_product, advise_intersection_structure, reciprocal_columns
+from mtcodes.mtcode import _cofactor_product, _outer_product_type, advise_intersection_structure, reciprocal_columns
+from mtcodes.upoly import is_irreducible
 
 from helpers import (
-    cofactor_diag,
     cofactor_product_reference,
     f4,
     f9_mod221,
+    layer_types,
     modulus_diag,
     pmat,
+    poly,
     random_mt_code,
+    reference_layer_types,
     sweep_pair,
     words,
 )
@@ -465,51 +468,81 @@ def test_zero_and_full_codes():
 # -- work done once ----------------------------------------------------------
 
 
-def test_profile_factors_x_n_minus_1_once(monkeypatch):
-    import mtcodes.mtcode as mtcode_mod
+def _multiplicity(a: Poly, p: Poly) -> int:
+    """v_p(a) for a nonzero a, by repeated exact division."""
+    v = 0
+    while (a % p).is_zero():
+        a = a.exact_div(p)
+        v += 1
+    return v
 
+
+def _power(p: Poly, k: int) -> Poly:
+    out = Poly.one(p.field)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call to owner.name."""
     calls = []
-    real = mtcode_mod.factor
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mtcode_mod, "factor", counting)
-    cofactor_calls = []
-    real_cofactors = MTProfile.cofactors
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
-    def counting_cofactors(self):
-        cofactor_calls.append(self)
-        return real_cofactors(self)
 
-    monkeypatch.setattr(MTProfile, "cofactors", counting_cofactors)
-    prof = MTProfile(F3, (3, 4), (1, 2))  # N = 24: layers by rank and by chain type
-    rng = random.Random(7)
+# N = 24 over GF(3), x^24 - 1 = (x^8 - 1)^3.  x - 1 divides x^3 - 1 and
+# x^6 - 1 (two active blocks), x + 1 only x^6 - 1, x^2 + x + 2 and
+# x^2 + 2x + 2 only x^4 + 1, and x^2 + 1 no block modulus.
+MIXED_F3 = MTProfile(F3, (3, 4, 6), (1, 2, 1))
+# N = 24 over GF(3) again, but no factor divides both x^3 - 1 and x^4 + 1.
+SINGLE_F3 = MTProfile(F3, (3, 4), (1, 2))
+
+
+def _layer_table_workout(prof: MTProfile, seed: int) -> None:
+    """LCD tables of three codes and the trivial-intersection tables of
+    their pairs."""
+    rng = random.Random(seed)
     codes = [random_mt_code(rng, prof) for _ in range(3)]
     for code in codes:
         assert code.property_check("lcd", 0).table is not None
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert codes[i].trivial_intersection_evidence(codes[j]).target == codes[j].dim
+
+
+def test_profile_factors_x_n_minus_1_once(monkeypatch):
+    import mtcodes.mtcode as mtcode_mod
+
+    calls = _count_calls(monkeypatch, mtcode_mod, "factor")
+    real_cofactors = MTProfile.cofactors
+    cofactor_calls = _count_calls(monkeypatch, MTProfile, "cofactors")
+    prof = MTProfile(F3, MIXED_F3.blocks, MIXED_F3.shifts)  # fresh caches
+    _layer_table_workout(prof, 7)
     assert len(calls) == 1
     assert len(cofactor_calls) == 1  # the residues are cached with the factorization
     assert prof.factorization.expand() == prof.annihilator()
     cofactors = real_cofactors(prof)
-    for (p, f), (power, active) in zip(prof.factorization, prof.cofactor_residues):
-        assert power.degree == f * p.degree and (power % p).is_zero()
+    multi = 0
+    for (p, f), active, residues in zip(prof.factorization, prof.factor_valuations, prof.cofactor_residues):
         assert [i for i, _ in active] == [i for i, m in enumerate(prof.moduli) if (m % p).is_zero()]
-        residues = dict(active)
-        for i, c in enumerate(cofactors):
-            assert c % power == residues.get(i, Poly.zero(F3))
+        assert all(v == _multiplicity(prof.moduli[i], p) for i, v in active)
+        if len(active) < 2:
+            assert residues is None
+            continue
+        multi += 1
+        power, pairs = residues
+        assert power == _power(p, f)
+        assert pairs == tuple((i, cofactors[i] % power) for i, _ in active)
+    assert multi == 1
 
 
 # -- layer tables against the full auxiliary product ---------------------------
-
-
-def _reference_types(left, right, prof):
-    """chain_type of left @ cofactor_diag @ right, the degree-N product."""
-    full = left @ cofactor_diag(prof) @ right
-    return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
 
 
 def _layer_table_cases():
@@ -520,6 +553,9 @@ def _layer_table_cases():
     w = f4_.parse_element("w")
     big = field(17, 2)
     quartic = next(a for a in range(2, big.q) if big.mult_order(a) == 4)
+    f9_, f16 = field(3, 2), field(2, 4)
+    f9_quartic = next(a for a in range(2, f9_.q) if f9_.mult_order(a) == 4)
+    f16_cubic = next(a for a in range(2, f16.q) if f16.mult_order(a) == 3)
     profiles = [
         MTProfile(F3, (3, 2, 6, 1), (1, 2, 1, 2)),  # p | N, ell = 4
         MTProfile(F3, (3, 3, 2, 2), (2, 1, 1, 2)),
@@ -527,6 +563,9 @@ def _layer_table_cases():
         MTProfile(field(2), (4, 6, 2, 3), (1, 1, 1, 1)),
         MTProfile(field(257), (4, 2, 3), (256, 16, 1)),
         MTProfile(big, (2, 3), (quartic, big.inv(quartic))),
+        MTProfile(field(5), (5, 2, 10), (1, 4, 1)),  # N = 20, f = 5
+        MTProfile(f9_, (3, 6, 2), (1, f9_quartic, 2)),  # N = 24, f = 3
+        MTProfile(f16, (2, 4, 3), (1, f16_cubic, 1)),  # N = 12, f = 4
     ]
     for prof in profiles:
         for _ in range(2):
@@ -540,41 +579,93 @@ def test_layer_tables_match_the_full_product():
         seen_chains += not prof.factorization.is_squarefree()
         for a, b in ((first, second), (second, first)):
             table = a.trivial_intersection_evidence(b)
-            want = _reference_types(a.companion.transpose(), b.gpm.transpose(), prof)
-            assert [layer.type_vector for layer in table.layers] == want
+            want = reference_layer_types(a.companion.transpose(), b.gpm.transpose(), prof)
+            assert layer_types(table) == want
         for code in (first, second):
             for kappa in range(prof.field.e):
                 table = code.property_check("lcd", kappa).table
                 if table is None:
                     continue
                 left = reciprocal_columns(code.gpm, prof).frobenius(prof.field.e - kappa)
-                want = _reference_types(left, code.gpm.transpose(), prof)
-                assert [layer.type_vector for layer in table.layers] == want
-    assert seen_chains >= 8
+                want = reference_layer_types(left, code.gpm.transpose(), prof)
+                assert layer_types(table) == want
+    assert seen_chains >= 20
 
 
 def test_layer_table_eliminates_once_per_active_factor(monkeypatch):
     import mtcodes.mtcode as mtcode_mod
 
-    calls = []
-    real = mtcode_mod._chain_type
-
-    def counting(m, p, f):
-        calls.append(p)
-        return real(m, p, f)
-
-    monkeypatch.setattr(mtcode_mod, "_chain_type", counting)
-    # N = 24 over GF(3): x + 1 and x^2 + 1 divide neither x^3 - 1 nor x^4 + 1.
-    prof = MTProfile(F3, (3, 4), (1, 2))
-    active = [p for p, _ in prof.factorization if any((m % p).is_zero() for m in prof.moduli)]
-    assert 0 < len(active) < len(prof.factorization.factors)
+    calls = _count_calls(monkeypatch, mtcode_mod, "_chain_type")
+    prof = MIXED_F3
+    fac = prof.factorization
+    active = [sum((m % p).is_zero() for m in prof.moduli) for p, _ in fac]
+    multi = [p for (p, _), n in zip(fac, active) if n >= 2]
+    assert 0 < len(multi) < sum(n > 0 for n in active)
     rng = random.Random(3)
     first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
     first.trivial_intersection_evidence(second)
-    assert calls == active
+    assert [p for _, p, _ in calls] == multi
     calls.clear()
     first.property_check("lcd", 0)
-    assert calls == active
+    assert [p for _, p, _ in calls] == multi
+
+
+def test_single_block_factors_need_no_cofactor_or_elimination(monkeypatch):
+    import mtcodes.mtcode as mtcode_mod
+
+    fac = SINGLE_F3.factorization
+    active = [sum((m % p).is_zero() for m in SINGLE_F3.moduli) for p, _ in fac]
+    assert max(active) == 1 and sum(active) >= 3
+    eliminations = _count_calls(monkeypatch, mtcode_mod, "_chain_type")
+    cofactor_calls = _count_calls(monkeypatch, MTProfile, "cofactors")
+    _layer_table_workout(MTProfile(F3, SINGLE_F3.blocks, SINGLE_F3.shifts), 7)
+    assert eliminations == [] and cofactor_calls == []
+
+
+def _check_outer_product(f: Field, p: Poly, mult: int, u, v, c: Poly) -> None:
+    """`_outer_product_type` against chain_type of the explicit product
+    u_a * c * v_b modulo p^mult."""
+    power = _power(p, mult)
+    full = PolyMatrix(f, [[(a * c * b) % power for b in v] for a in u])
+    h = min(_multiplicity(c, p), mult) if c else mult
+    assert _outer_product_type(u, v, h, p, mult) == chain_type(full, p, mult).type_vector
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_block_type_is_the_outer_product_type(data):
+    f = data.draw(st.sampled_from([field(2), F3, f4(), field(5)]), label="field")
+    coeff = st.integers(0, f.q - 1)
+    p = Poly(f, data.draw(st.lists(coeff, min_size=1, max_size=3), label="p") + [1])
+    assume(is_irreducible(p))
+    mult = data.draw(st.integers(1, 4), label="f")
+
+    def entry(label):
+        base = Poly(f, data.draw(st.lists(coeff, max_size=4), label=label))
+        return base * _power(p, data.draw(st.integers(0, mult + 1), label=f"{label} p-power"))
+
+    u = [entry("u") for _ in range(data.draw(st.integers(1, 3)))]
+    v = [entry("v") for _ in range(data.draw(st.integers(1, 3)))]
+    unit = Poly(f, data.draw(st.lists(coeff, max_size=3), label="c") + [data.draw(st.integers(1, f.q - 1))])
+    c = unit * _power(p, data.draw(st.integers(0, mult), label="c p-power"))
+    _check_outer_product(f, p, mult, u, v, c)
+
+
+def test_outer_product_type_edge_cases():
+    p = poly(F3, "1 + x^2")  # irreducible over GF(3)
+    zero, one = Poly.zero(F3), Poly.one(F3)
+    p2 = p * p
+    cases = [
+        ([zero, zero], [one, poly(F3, "x")], one),  # u = 0
+        ([one], [zero, zero, zero], one),  # v = 0
+        ([p, p2], [poly(F3, "x"), p], one),  # u divisible by p: type e_1
+        ([one], [p2, p * poly(F3, "2 + x")], p),  # c and v divisible by p
+        ([p], [p], p),  # p^3 with f = 3: zero
+        ([one, p], [one], p2 * p),  # c = p^f: zero
+    ]
+    for u, v, c in cases:
+        for mult in (1, 2, 3, 4):
+            _check_outer_product(F3, p, mult, u, v, c)
 
 
 def test_construction_runs_one_elimination(monkeypatch):

@@ -364,7 +364,7 @@ def test_trusted_matrices_equal_their_validated_rebuild():
         PolyMatrix._trusted(F3, (iter(row) for row in m.rows)),
         m @ PolyMatrix.identity(F3, 3),
         m.transpose(),
-        m.frobenius(0),
+        m.scale(Poly.one(F3)),
         hnf(m).h,
         hnf(m).transform,
     ]

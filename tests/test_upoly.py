@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcodes import Poly, factor, field, reciprocal_poly
+from mtcodes import Poly, PolyMatrix, factor, field, reciprocal_poly
 from mtcodes.upoly import (
     FACTOR_SEED,
     NEG_INF,
@@ -136,6 +136,21 @@ def test_frobenius_and_pth_root():
     assert p.frobenius(2) == p  # sigma^e is the identity on coefficients
     cubed = p * p * p
     assert cubed.pth_root() == p  # pth_root inverts f -> f^p exactly
+
+
+@pytest.mark.parametrize("f", [field(3, 2), field(2, 4), field(17, 2)], ids=lambda f: f"q{f.q}")
+def test_frobenius_maps_each_coefficient(f):
+    rng = random.Random(f.q)
+    for _ in range(10):
+        p = rand_poly(rng, f, 6)
+        m = PolyMatrix(f, [[p, rand_poly(rng, f, 4)], [Poly.zero(f), rand_poly(rng, f, 3)]])
+        for k in range(-f.e, 2 * f.e + 1):
+            if k % f.e == 0:
+                assert p.frobenius(k) is p and m.frobenius(k) is m  # sigma^e is the identity
+                continue
+            assert p.frobenius(k) == Poly(f, [f.frobenius(c, k) for c in p.coeffs])
+            want = [[Poly(f, [f.frobenius(c, k) for c in e.coeffs]) for e in row] for row in m.rows]
+            assert m.frobenius(k) == PolyMatrix(f, want)
 
 
 def test_reciprocal_poly():
