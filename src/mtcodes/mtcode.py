@@ -403,8 +403,12 @@ class MTCode:
         return self._dual
 
     def galois_dual(self, kappa: int = 0) -> "MTCode":
+        """The kappa-Galois dual: sigma^(e - kappa) of the Euclidean dual's
+        GPM, which for kappa = 0 is that dual itself."""
         check_kappa(self.field, kappa)
         base = self.dual()
+        if kappa == 0:
+            return base
         k = self.field.e - kappa
         return MTCode(self.profile.galois_dual_profile(kappa), base.gpm.frobenius(k))
 
@@ -676,7 +680,8 @@ def _min_valuation(entries, p: Poly, cap: int) -> int:
 
 def _residue_product(left: PolyMatrix, right: PolyMatrix, active, power: Poly) -> PolyMatrix:
     """Sum over the active (i, c_i) of left[:, i] * c_i * right[i, :],
-    modulo power, from entries reduced modulo power."""
+    from entries reduced modulo power; the sums themselves are left for
+    `_chain_type` to reduce."""
     zero = Poly.zero(left.field)
     acc = [[zero] * right.shape[1] for _ in left.rows]
     for i, c in active:
@@ -687,7 +692,7 @@ def _residue_product(left: PolyMatrix, right: PolyMatrix, active, power: Poly) -
                 for b, v in enumerate(rrow):
                     if v:
                         out[b] = out[b] + u * v
-    return PolyMatrix(left.field, [[e % power for e in row] for row in acc])
+    return PolyMatrix._trusted(left.field, acc)
 
 
 @dataclass(frozen=True)

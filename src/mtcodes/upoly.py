@@ -9,22 +9,25 @@ unit coefficients contracted (``w + x``, ``x^6 + 1``).  The parser accepts
 the same grammar plus binary/unary minus, arbitrary whitespace, and terms in
 any order.
 
-Factorization is square-free split, then distinct-degree, then randomized
-equal-degree splitting, except for x^N - 1 (up to a unit): with
-N = N' * p^s it is the product of Phi_d^(p^s) over d | N', and all the
-irreducible factors of Phi_d have degree ord_d(q).  The Phi_d are taken
-in ascending order of d, each built from Phi_(d/l) for a prime l | d and
-cut by the factors already found for every Phi_(d/l): x -> x^l maps the
-roots of Phi_d onto those of Phi_(d/l), so each factor g of Phi_(d/l)
-gives the piece gcd(Phi_d, g(x^l)).  For d | q - 1 the factors are the
-x - omega^k directly.  Only pieces still above degree ord_d(q) are split
-at random.  Each factor is certified irreducible by its degree: it
-divides Phi_d and has degree ord_d(q), and the degrees must add up to
-phi(d).  The random choices come from a generator seeded per call, so
-identical inputs always factor identically; the seed participates in any
-report that includes a factorization.  Factor lists are sorted, so both
-routes give the same list.  An ``MTProfile`` keeps the factorization of
-its x^N - 1 (``MTProfile.factorization``), so a profile factors once
+Factorization covers exactly c * (x^N - 1), the only polynomials the
+codes factor.  With N = N' * p^s, x^N - 1 is the product of Phi_d^(p^s)
+over d | N', and every irreducible factor of Phi_d has degree ord_d(q).
+The Phi_d are taken in ascending order of d, each built from
+Phi_(d/l) for a prime l | d.  For d | q - 1 the factors are the
+x - omega^k directly.  Otherwise Phi_d is cut by the factors already
+found for every Phi_(d/l): x -> x^l maps the roots of Phi_d onto those
+of Phi_(d/l), so each factor g of Phi_(d/l) gives the piece
+gcd(Phi_d, g(x^l)).  Pieces still above degree ord_d(q) are split by
+sums over the q-cyclotomic cosets of Z/d, which Frobenius fixes modulo
+x^d - 1: each such sum is an element of GF(q) in every irreducible
+component, so one power below q (or a trace to GF(2)) splits it.  Each
+factor is certified irreducible by its degree: it divides Phi_d and has
+degree ord_d(q), and the degrees must add up to phi(d).  The random
+coset coefficients come from a generator seeded per call; the factor
+list is sorted, and a monic irreducible factorization is unique, so the
+list does not depend on the seed, which any report that includes a
+factorization still records.  An ``MTProfile`` keeps the factorization
+of its x^N - 1 (``MTProfile.factorization``), so a profile factors once
 however many layer tables read it.
 """
 
@@ -39,7 +42,7 @@ from .gf import Field, _prime_factors, _split_sum
 
 NEG_INF = float("-inf")
 
-# Seed for the equal-degree splitting RNG; recorded in CLI reports.
+# Seed for the coset-splitting RNG; recorded in CLI reports.
 FACTOR_SEED = 2024
 
 
@@ -259,14 +262,6 @@ class Poly:
             acc = f.add(f.mul(acc, a), c)
         return acc
 
-    def derivative(self) -> "Poly":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            # i * c means c added to itself i times: (i mod p) scalar
-            out.append(f.mul(i % f.p, self.coeffs[i]))
-        return Poly._trusted(f, out)
-
     def frobenius(self, k: int) -> "Poly":
         """Apply sigma^k to every coefficient; sigma^e is the identity, so
         for k a multiple of e this is self."""
@@ -274,15 +269,6 @@ class Poly:
         if k % f.e == 0:
             return self
         return Poly._trusted(f, [f.frobenius(c, k) for c in self.coeffs])
-
-    def pth_root(self) -> "Poly":
-        """Inverse of g -> g^p; valid when the derivative vanishes."""
-        f = self.field
-        p = f.p
-        out = []
-        for i in range(0, len(self.coeffs), p):
-            out.append(f.frobenius(self.coeffs[i], f.e - 1))
-        return Poly._trusted(f, out)
 
     # -- text form --------------------------------------------------------
 
@@ -460,88 +446,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
-    """Classical char-p square-free decomposition of a monic f."""
-    fld = f.field
-    out: list[tuple[Poly, int]] = []
-    df = f.derivative()
-    if df.is_zero():
-        for g, m in _squarefree_parts(f.pth_root()):
-            out.append((g, m * fld.p))
-        return out
-    c = poly_gcd(f, df)
-    w = f.exact_div(c)
-    i = 1
-    while not w.is_one():
-        y = poly_gcd(w, c)
-        z = w.exact_div(y)
-        if not z.is_one():
-            out.append((z, i))
-        w = y
-        c = c.exact_div(y)
-        i += 1
-    if not c.is_one():
-        for g, m in _squarefree_parts(c.pth_root()):
-            out.append((g, m * fld.p))
-    return out
-
-
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Split a monic square-free f into (product of degree-d irreducibles, d)."""
-    fld = f.field
-    q = fld.q
-    out = []
-    x = Poly.x(fld)
-    h = x % f
-    d = 0
-    rest = f
-    while rest.degree >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(q, rest)
-        g = poly_gcd(h - x, rest)
-        if not g.is_one():
-            out.append((g, d))
-            rest = rest.exact_div(g)
-            h = h % rest
-    if rest.degree is not NEG_INF and rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
-
-
-def _random_poly(fld: Field, max_deg: int, rng: random.Random) -> Poly:
-    return Poly._trusted(fld, [rng.randrange(fld.q) for _ in range(max_deg + 1)])
-
-
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus split of a monic square-free product of degree-d
-    irreducibles."""
-    if f.degree == d:
-        return [f]
-    fld = f.field
-    q = fld.q
-    while True:
-        a = _random_poly(fld, f.degree - 1, rng)
-        if a.degree is NEG_INF or a.degree < 1:
-            continue
-        g = poly_gcd(a, f)
-        if not g.is_one():
-            break
-        if fld.p == 2:
-            # Trace map to GF(2) splits with probability about 1/2.
-            t = Poly.zero(fld)
-            b = a % f
-            for _ in range(fld.e * d):
-                t = t + b
-                b = (b * b) % f
-            g = poly_gcd(t, f)
-        else:
-            b = a.pow_mod((q**d - 1) // 2, f)
-            g = poly_gcd(b - Poly.one(fld), f)
-        if g.degree is not NEG_INF and 0 < g.degree < f.degree:
-            break
-    return _equal_degree(g, d, rng) + _equal_degree(f.exact_div(g), d, rng)
-
-
 def _binomial_degree(f: Poly) -> int | None:
     """N when the monic f is x^N - 1, else None."""
     cs = f.coeffs
@@ -569,9 +473,9 @@ def _spread(g: Poly, l: int) -> Poly:
 def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly, int]]:
     """Irreducible factors of x^n - 1 with multiplicities, unsorted:
     x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s.  The Phi_d
-    are built and split in ascending order of d, each from those of its
-    divisors (`_cyclotomic_pieces`); only pieces still above ord_d(q) are
-    split at random.  Every factor of Phi_d must have degree ord_d(q), and
+    are built and cut in ascending order of d, each from those of its
+    divisors (`_cyclotomic_pieces`); pieces still above ord_d(q) go to
+    `_coset_split`.  Every factor of Phi_d must have degree ord_d(q), and
     their degrees must sum to phi(d): a divisor of Phi_d of that degree is
     irreducible, so this certifies the list, and AssertionError is raised
     otherwise."""
@@ -589,8 +493,8 @@ def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly
         phi = cyclo[d] = _cyclotomic(fld, d, cyclo)
         irreducibles = split[d] = [
             irr
-            for piece in _cyclotomic_pieces(phi, d, deg, split)
-            for irr in (_equal_degree(piece, deg, rng) if piece.degree > deg else [piece])
+            for piece in _cyclotomic_pieces(phi, d, split)
+            for irr in (_coset_split(piece, d, deg, rng) if piece.degree > deg else [piece])
         ]
         degrees = [g.degree for g in irreducibles]
         if any(e != deg for e in degrees) or sum(degrees) != phi.degree:
@@ -613,85 +517,91 @@ def _cyclotomic(fld: Field, d: int, cyclo: dict[int, Poly]) -> Poly:
     return lifted if r % l == 0 else lifted.exact_div(cyclo[r])
 
 
-def _cyclotomic_pieces(phi: Poly, d: int, deg: int, split: dict[int, list[Poly]]) -> list[Poly]:
+def _cyclotomic_pieces(phi: Poly, d: int, split: dict[int, list[Poly]]) -> list[Poly]:
     """Phi_d cut into coprime monic pieces, each a product of irreducibles
-    of degree deg = ord_d(q), from the factors of Phi_r for r = d / l,
-    l prime, already in `split`.
+    of degree ord_d(q), from the factors of Phi_(d/l), l prime, already in
+    `split`.
 
     When d | q - 1 the primitive d-th roots of unity lie in GF(q), and the
     pieces are the x - omega^k for an omega of order d, k in (Z/d)^*.
     Otherwise, for each prime l | d, x -> x^l maps the roots of Phi_d onto
-    those of Phi_r, so the g(x^l), one per factor g of Phi_r, have disjoint
-    root sets and each piece P is refined into its nonconstant
-    gcd(P, g(x^l)); when l | r, Phi_d = Phi_r(x^l) and the pieces are the
-    g(x^l) themselves.  An l with Phi_r irreducible gives nothing and is
-    skipped, and the refinement stops once every piece has degree deg.
-    This is at least as fine as cutting by the roots of unity of GF(q):
-    r0 = gcd(d, q - 1) divides some d / l, and the r0-th roots of unity
-    are fixed by Frobenius."""
+    those of Phi_(d/l), so the g(x^l), one per factor g of Phi_(d/l), have
+    disjoint root sets and each piece P is refined into its nonconstant
+    gcd(P, g(x^l))."""
     fld = phi.field
-    if phi.degree == deg:
-        return [phi]
     if (fld.q - 1) % d == 0:
         omega = next(
-            w for w in (fld.pow(a, (fld.q - 1) // d) for a in range(2, fld.q)) if fld.mult_order(w) == d
+            w for w in (fld.pow(a, (fld.q - 1) // d) for a in range(1, fld.q)) if fld.mult_order(w) == d
         )
         return [
-            Poly._trusted(fld, [fld.neg(fld.pow(omega, k)), 1]) for k in range(1, d) if math.gcd(k, d) == 1
+            Poly._trusted(fld, [fld.neg(fld.pow(omega, k)), 1]) for k in range(1, d + 1) if math.gcd(k, d) == 1
         ]
     pieces = [phi]
-    # The l whose Phi_r has the most factors cuts Phi_d finest, so it goes
-    # first; among equals an l | r, which lifts Phi_r with no gcd.
-    for l in sorted(_prime_factors(d), key=lambda l: (-len(split[d // l]), (d // l) % l != 0)):
-        if len(split[d // l]) == 1:
-            continue
+    for l in _prime_factors(d):
         spread = [_spread(g, l) for g in split[d // l]]
-        if len(pieces) == 1 and (d // l) % l == 0:
-            pieces = spread
-        else:
-            refined = []
-            for piece in pieces:
-                if piece.degree == deg:
-                    refined.append(piece)
-                    continue
-                left = piece.degree
-                for g in spread:
-                    h = poly_gcd(piece, g)
-                    if h.degree > 0:
-                        refined.append(h)
-                        left -= h.degree
-                        if not left:
-                            break
-            pieces = refined
-        if all(piece.degree == deg for piece in pieces):
-            break
+        pieces = [h for piece in pieces for h in (poly_gcd(piece, g) for g in spread) if h.degree > 0]
     return pieces
 
 
-def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:
-    """Full factorization into monic irreducibles.
+def _coset_split(piece: Poly, d: int, deg: int, rng: random.Random) -> list[Poly]:
+    """The irreducible factors, all of degree deg = ord_d(q), of a monic
+    piece of Phi_d.
 
-    The equal-degree stage is randomized; `seed` fixes its choices so equal
-    inputs give byte-equal factor lists.  Factors are sorted by degree, then
-    by coefficient tuple.  x^N - 1 takes the cyclotomic route of
-    `_binomial_factors`; every other input goes square-free, then
-    distinct-degree, then equal-degree.
+    For each q-cyclotomic coset C of Z/d, eta_C = sum over c in C of x^c
+    has eta_C(x)^q = eta_C(x^q) = eta_C modulo x^d - 1, so any
+    b = sum of c_C * eta_C lies in GF(q) in every irreducible component of
+    a piece P, and uniformly so for random c_C.  Then gcd(P, b^((q-1)/2) - 1),
+    or for even q the gcd with the trace of b to GF(2), splits P with
+    probability about 1/2; the parts are split again until each has
+    degree deg."""
+    fld = piece.field
+    q = fld.q
+    cosets, seen = [], set()
+    for a in range(d):
+        if a not in seen:
+            coset = [a]
+            b = a * q % d
+            while b != a:
+                coset.append(b)
+                b = b * q % d
+            seen.update(coset)
+            cosets.append(coset)
+    out, todo = [], [piece]
+    while todo:
+        p = todo.pop()
+        if p.degree == deg:
+            out.append(p)
+            continue
+        coeffs = [0] * d
+        for coset in cosets:
+            c = rng.randrange(q)
+            for a in coset:
+                coeffs[a] = c
+        b = Poly._trusted(fld, coeffs) % p
+        if fld.p == 2:
+            t = b
+            for _ in range(fld.e - 1):
+                b = b * b % p
+                t = t + b
+            g = poly_gcd(p, t)
+        else:
+            g = poly_gcd(p, b.pow_mod((q - 1) // 2, p) - Poly.one(fld))
+        todo += [g, p.exact_div(g)] if 0 < g.degree < p.degree else [p]
+    return out
+
+
+def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:
+    """Factorization of f = c * (x^N - 1), N >= 1, into monic irreducibles
+    by the cyclotomic route of `_binomial_factors`; any other f, zero
+    included, raises ValueError.
+
+    `seed` fixes the random coset sums, and is recorded in the result.
+    Factors are sorted by degree, then by coefficient tuple, and the
+    factorization is unique, so equal inputs give equal factor lists.
     """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f.lead
-    rng = random.Random(seed)
-    work = f.monic()
-    found: list[tuple[Poly, int]] = []
-    if work.degree == 0:
-        return Factorization(f.field, unit, (), seed)
-    n = _binomial_degree(work)
-    if n is not None:
-        found = _binomial_factors(f.field, n, rng)
-    else:
-        for part, mult in _squarefree_parts(work):
-            for prod, d in _distinct_degree(part):
-                for irr in _equal_degree(prod, d, rng):
-                    found.append((irr, mult))
+    n = _binomial_degree(f.monic())
+    if n is None:
+        raise ValueError("factor takes only c * (x^N - 1) with N >= 1")
+    found = _binomial_factors(f.field, n, random.Random(seed))
     found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return Factorization(f.field, unit, tuple(found), seed)
+    return Factorization(f.field, f.lead, tuple(found), seed)

@@ -250,6 +250,18 @@ def test_check_lcd_layers(capsys):
     ]
 
 
+def test_check_lcd_prime_period(tmp_path, capsys):
+    # x^229 - 1 over GF(5) is (x - 1) times two factors of degree
+    # ord_229(5) = 114, with no lifting to cut Phi_229
+    doc = tmp_path / "prime.txt"
+    doc.write_text("GF(5)\ncode A\nmt 1\nblocks 229\nshifts 1\ngpm\n1 + x\n")
+    code, payload, _ = run_json(capsys, "check", str(doc), "A", "--lcd", "0")
+    assert code == 0
+    layers = payload["result"]["layers"]
+    assert len(layers) == 3
+    assert layers[0]["factor"] == "4 + x"
+
+
 def test_check_hull_gpm_route(capsys):
     code, payload, _ = run_json(capsys, "check", F4_DOC, "C1", "--hull", "1", "--oracle")
     assert code == 0

@@ -200,6 +200,16 @@ def test_dual_of_dual():
             assert back == code
 
 
+def test_galois_dual_zero_is_the_dual():
+    for code in (c1(), c2(), c4()):
+        dual = code.dual()
+        assert code.galois_dual(0) == dual
+        # the same code a fresh elimination of sigma^e(dual GPM) gives
+        e = code.field.e
+        assert MTCode(code.profile.galois_dual_profile(0), dual.gpm.frobenius(e)) == dual
+        assert dual.to_linear() == code.to_linear().galois_dual(0)
+
+
 # -- reversal ----------------------------------------------------------------
 
 def test_c1_reversed_gpm():

@@ -10,9 +10,7 @@ from mtcodes import Poly, PolyMatrix, factor, field, reciprocal_poly
 from mtcodes.upoly import (
     FACTOR_SEED,
     NEG_INF,
-    _distinct_degree,
-    _equal_degree,
-    _squarefree_parts,
+    _spread,
     is_irreducible,
     poly_ext_gcd,
     poly_gcd,
@@ -120,22 +118,19 @@ def test_gcd_properties(seed):
     assert u * a + v * b == g
 
 
-def test_evaluate_and_derivative():
+def test_evaluate():
     f = f4()
     p = poly(f, "1 + w*x + x^2")
     assert p.evaluate(0) == 1
     assert p.evaluate(1) == f.add(f.add(1, 2), 1)
-    # characteristic 2: (x^2)' = 0
-    assert p.derivative() == Poly.constant(f, 2)
-    assert Poly.constant(F3, 2).derivative().is_zero()
 
 
-def test_frobenius_and_pth_root():
+def test_frobenius_and_pth_power():
     f = f9_mod221()
     p = poly(f, "w + w^3*x + x^2")
     assert p.frobenius(2) == p  # sigma^e is the identity on coefficients
-    cubed = p * p * p
-    assert cubed.pth_root() == p  # pth_root inverts f -> f^p exactly
+    # in characteristic 3, p(x)^3 is sigma(p) evaluated at x^3
+    assert p * p * p == _spread(p.frobenius(1), 3)
 
 
 @pytest.mark.parametrize("f", [field(3, 2), field(2, 4), field(17, 2)], ids=lambda f: f"q{f.q}")
@@ -193,9 +188,11 @@ def test_factor_known_products():
 
 def test_factor_deterministic_and_sorted():
     f = f9_mod221()
-    target = Poly.binomial(f, 20, 1) * Poly.binomial(f, 7, f.parse_element("w^2"))
+    target = Poly.binomial(f, 60, 1).scale(f.parse_element("w^2"))
     fac1 = factor(target)
-    fac2 = factor(target, seed=FACTOR_SEED)
+    fac2 = factor(target, seed=FACTOR_SEED + 1)
+    assert (fac1.seed, fac2.seed) == (FACTOR_SEED, FACTOR_SEED + 1)
+    # other coset sums, the same unique factorization
     assert [(p.coeffs, m) for p, m in fac1] == [(p.coeffs, m) for p, m in fac2]
     keys = [(p.degree, p.coeffs) for p, _ in fac1]
     assert keys == sorted(keys)
@@ -209,10 +206,9 @@ def test_factor_deterministic_and_sorted():
 def test_factor_random_round_trip(seed):
     rng = random.Random(seed)
     f = [F3, f4()][seed % 2]
-    p = rand_poly(rng, f, 7)
-    if p.is_zero():
-        return
+    p = Poly.binomial(f, rng.randint(1, 60), 1).scale(rng.randrange(1, f.q))
     fac = factor(p)
+    assert fac.unit == p.lead
     assert fac.expand() == p
     for q, m in fac:
         assert m >= 1
@@ -269,9 +265,7 @@ def test_divmod_invariant_large(f):
 def test_factor_round_trip_large(f):
     rng = random.Random(f.q + 5)
     for _ in range(4):
-        p = rand_poly(rng, f, 6)
-        if p.is_zero():
-            continue
+        p = Poly.binomial(f, rng.randint(1, 30), 1).scale(rng.randrange(1, f.q))
         fac = factor(p)
         assert fac.expand() == p
         for g, m in fac:
@@ -287,14 +281,28 @@ def test_factor_known_products_large(f):
     assert [(g.degree, m) for g, m in fac] == [(1, 1)] * n
     roots = {f.neg(g.coeffs[0]) for g, _ in fac}
     assert all(f.pow(r, n) == 1 for r in roots) and len(roots) == n
-    # an explicit product of irreducibles, one of them squared
-    quad = next(g for g in (Poly(f, [c, 0, 1]) for c in range(1, f.q)) if is_irreducible(g))
-    lin = Poly(f, [3, 1])
-    target = quad * lin * lin * Poly.constant(f, 5)
+    # 5 * (x^(2p) - 1) = 5 * (x + 1)^p * (x - 1)^p
+    target = Poly.binomial(f, 2 * f.p, 1).scale(5)
     fac = factor(target)
     assert fac.unit == 5
-    assert sorted((g.coeffs, m) for g, m in fac) == sorted([(quad.coeffs, 1), (lin.coeffs, 2)])
+    assert [(g.coeffs, m) for g, m in fac] == [((1, 1), f.p), ((f.neg(1), 1), f.p)]
     assert fac.expand() == target
+
+
+def test_factor_takes_only_binomials():
+    for f in (F3, f4(), *LARGE):
+        quad = next(g for g in (Poly(f, [c, 1, 1]) for c in range(1, f.q)) if is_irreducible(g))
+        lin = Poly(f, [1, 1])
+        rejected = [
+            Poly.zero(f),
+            Poly.constant(f, 2),
+            Poly.binomial(f, 3, 2),  # x^3 - 2
+            Poly.monomial(f, 4),
+            quad * lin * lin * Poly.constant(f, 2),
+        ]
+        for p in rejected:
+            with pytest.raises(ValueError, match=r"x\^N - 1"):
+                factor(p)
 
 
 # -- x^N - 1 by its cyclotomic structure -------------------------------------
@@ -315,16 +323,22 @@ def coset_sizes(q, n):
     return sorted(sizes)
 
 
-def general_factors(p, seed=FACTOR_SEED):
-    """The square-free, distinct-degree, equal-degree pipeline on a monic p."""
-    rng = random.Random(seed)
-    found = []
-    for part, mult in _squarefree_parts(p):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                found.append((irr, mult))
-    found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return tuple(found)
+def certify_binomial(f, n, fac, rabin=True):
+    """fac is the factorization of x^n - 1 into distinct monic factors,
+    sorted, each of multiplicity p^s and together of the q-cyclotomic coset
+    sizes mod n' as degrees; with `rabin`, each also passes Rabin's test.
+    A monic irreducible factorization is unique, so this pins the list."""
+    n_prime, mult = n, 1
+    while n_prime % f.p == 0:
+        n_prime //= f.p
+        mult *= f.p
+    keys = [(g.degree, g.coeffs) for g, _ in fac]
+    assert keys == sorted(set(keys))
+    assert sorted(g.degree for g, _ in fac) == coset_sizes(f.q, n_prime)
+    assert all(g.lead == 1 and m == mult for g, m in fac)
+    if rabin:
+        assert all(is_irreducible(g) for g, _ in fac)
+    assert fac.unit == 1 and fac.expand() == Poly.binomial(f, n, 1)
 
 
 # N = 88 and up have two or more distinct primes other than p, so some of
@@ -342,24 +356,9 @@ BINOMIAL_CASES = [
 
 
 @pytest.mark.parametrize("f, ns", BINOMIAL_CASES, ids=[f"q{f.q}" for f, _ in BINOMIAL_CASES])
-def test_factor_binomial_follows_cyclotomic_cosets(f, ns, monkeypatch):
-    import mtcodes.upoly as upoly
-
-    def general_route(*_):
-        raise AssertionError("x^N - 1 took the general route")
-
-    monkeypatch.setattr(upoly, "_squarefree_parts", general_route)
+def test_factor_binomial_follows_cyclotomic_cosets(f, ns):
     for n in ns:
-        n_prime, mult = n, 1
-        while n_prime % f.p == 0:
-            n_prime //= f.p
-            mult *= f.p
-        target = Poly.binomial(f, n, 1)
-        fac = factor(target)
-        assert sorted(g.degree for g, _ in fac) == coset_sizes(f.q, n_prime)
-        assert all(m == mult for _, m in fac)
-        assert all(is_irreducible(g) for g, _ in fac)
-        assert fac.expand() == target
+        certify_binomial(f, n, factor(Poly.binomial(f, n, 1)))
 
 
 GENERAL_ROUTE_CASES = [
@@ -377,21 +376,22 @@ GENERAL_ROUTE_CASES = [
 
 @pytest.mark.parametrize("f, ns", GENERAL_ROUTE_CASES, ids=[f"q{f.q}" for f, _ in GENERAL_ROUTE_CASES])
 def test_factor_binomial_matches_general_pipeline(f, ns):
+    """Every N in a range: the certificate pins the unique monic
+    irreducible factorization, the list any correct general factoring
+    method returns."""
     for n in ns:
-        target = Poly.binomial(f, n, 1)
-        assert factor(target).factors == general_factors(target)
+        certify_binomial(f, n, factor(Poly.binomial(f, n, 1)))
 
 
 def test_factor_binomial_splits_by_roots_of_unity(monkeypatch):
-    """Over GF(257) every d | 64 divides q - 1, so each piece
-    gcd(Phi_d, x^(d/r) - omega^k) is already linear and no random split
-    runs."""
+    """Over GF(257) every d | 64 divides q - 1, so Phi_d is cut straight
+    into the linear x - omega^k and no coset split runs."""
     import mtcodes.upoly as upoly
 
     def no_random(*_):
-        raise AssertionError("equal-degree splitting drew a random polynomial")
+        raise AssertionError("a piece of x^64 - 1 reached the coset split")
 
-    monkeypatch.setattr(upoly, "_random_poly", no_random)
+    monkeypatch.setattr(upoly, "_coset_split", no_random)
     f = field(257)
     target = Poly.binomial(f, 64, 1)
     fac = factor(target)
@@ -405,17 +405,17 @@ def test_factor_binomial_splits_at_random_only_what_lifting_leaves(monkeypatch):
     splits into x - omega^k, and every other composite d is cut into
     irreducibles by the factors of its Phi_(d/l).  Only Phi_5 (degree 4,
     factors of degree 2) and Phi_7 (degree 6, factors of degree 3) reach
-    equal-degree splitting above ord_d(q)."""
+    the coset split above ord_d(q)."""
     import mtcodes.upoly as upoly
 
-    split, received = upoly._equal_degree, []
+    split, received = upoly._coset_split, []
 
-    def counted(f, d, rng):
-        if f.degree > d:
-            received.append(f.degree)
-        return split(f, d, rng)
+    def counted(piece, d, deg, rng):
+        if piece.degree > deg:
+            received.append(piece.degree)
+        return split(piece, d, deg, rng)
 
-    monkeypatch.setattr(upoly, "_equal_degree", counted)
+    monkeypatch.setattr(upoly, "_coset_split", counted)
     target = Poly.binomial(f9_mod221(), 140, 1)
     fac = factor(target)
     assert sum(received) <= 4 + 6
@@ -428,14 +428,36 @@ def test_factor_binomial_certifies_degrees(fault, monkeypatch):
     short of phi(d), fail the degree certificate."""
     import mtcodes.upoly as upoly
 
-    split = upoly._equal_degree
+    split = upoly._coset_split
 
-    def faulty(f, d, rng):
-        out = split(f, d, rng)
+    def faulty(piece, d, deg, rng):
+        out = split(piece, d, deg, rng)
         if len(out) < 2:
             return out
         return [out[0] * out[1], *out[2:]] if fault == "merged" else out[1:]
 
-    monkeypatch.setattr(upoly, "_equal_degree", faulty)
+    monkeypatch.setattr(upoly, "_coset_split", faulty)
     with pytest.raises(AssertionError, match="Phi_5 over GF"):
         factor(Poly.binomial(f9_mod221(), 140, 1))
+
+
+PRIME_PERIODS = [(field(257), 211), (field(2, 4), 227), (field(5), 229), (field(17, 2), 103)]
+
+
+@pytest.mark.parametrize("f, n", PRIME_PERIODS, ids=[f"q{f.q}-N{n}" for f, n in PRIME_PERIODS])
+def test_factor_prime_period_powers_stay_below_q(f, n, monkeypatch):
+    """For a prime N no lifting cuts Phi_N, so the coset split takes all of
+    it; every power it raises to stays below q, where a random
+    equal-degree split raises to (q^k - 1)/2 with k = ord_N(q) >= 51.
+    Certified by product and degrees: Rabin's test alone takes seconds on
+    these degrees."""
+    exponents, pow_mod = [], Poly.pow_mod
+
+    def spy(self, e, mod):
+        exponents.append(e)
+        return pow_mod(self, e, mod)
+
+    monkeypatch.setattr(Poly, "pow_mod", spy)
+    fac = factor(Poly.binomial(f, n, 1))
+    assert all(e < f.q for e in exponents)
+    certify_binomial(f, n, fac, rabin=False)
