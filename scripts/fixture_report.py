@@ -14,7 +14,7 @@ document it also reports every pairwise intersection.
 import argparse
 import pathlib
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -40,7 +40,6 @@ class ReportConfig:
     kappa: int = 0
     distance_budget: int = ENUM_BUDGET
     pairwise: bool = True
-    extra: dict = dc_field(default_factory=dict)
 
 
 def _distance_text(code, budget: int) -> str:

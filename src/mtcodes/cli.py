@@ -18,9 +18,10 @@ text or JSON form.  A document is a plain-text file:
 
 '#' starts a comment; blank lines are ignored.  Exit status is 0 on
 success, 1 on domain errors (incompatible inputs, unmet preconditions,
-oracle mismatch), 2 on parse or usage errors.  Reports are deterministic:
-identical inputs give byte-identical output, and every JSON report records
-the polynomial factorization seed.  The environment variable
+oracle mismatch) or when the reader closes stdout early, 2 on parse or
+usage errors.  Reports are deterministic: identical inputs give
+byte-identical output, and every JSON report records the polynomial
+factorization seed.  The environment variable
 MTCODES_ENUM_BUDGET overrides the enumeration budget (default 2^20 words)
 used for minimum distances and --oracle cross-checks.
 """
@@ -478,15 +479,13 @@ def _oracle_property(code, prop: str, kappa: int, verdict: bool, budget) -> bool
     return ((words & dual) == {(0,) * lin.n}) == verdict
 
 
-def _linear_property(lin: LinearCode, prop: str, kappa: int):
+def _linear_property(lin: LinearCode, prop: str, kappa: int) -> bool:
+    """Reversibility from C cap rev C; the rest from the dimension of the
+    kappa-hull: k when self-orthogonal, n - k when dual-containing, 0 when LCD."""
     if prop == "reversible":
         return lin.is_reversible()
-    dual = lin.galois_dual(kappa)
-    if prop == "self_orthogonal":
-        return dual.contains_code(lin)
-    if prop == "dual_containing":
-        return lin.contains_code(dual)
-    return lin.galois_intersect(lin, kappa).k == 0
+    want = {"self_orthogonal": lin.k, "dual_containing": lin.n - lin.k, "lcd": 0}[prop]
+    return lin.hull(kappa).k == want
 
 
 def cmd_check(args, budget) -> int:
@@ -699,6 +698,11 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early; send the rest, and the flush at
+        # exit, to devnull so that no second error is raised.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -3,8 +3,9 @@
 A code is stored as its reduced row echelon generator, which makes equality
 a tuple comparison and membership a short reduction.  The parity check
 matrix comes from the pivot/free column split of the RREF.  Intersections,
-Galois duals and hulls, reversals, and the reversible-subcode extraction
-all follow the parity-check recipes; none of them enumerates codewords.
+Galois intersections and hulls, and the largest reversible subcode
+C cap rev C are all one meet: the words of a generator that a set of check
+rows annihilates.  None of them enumerates codewords.
 
 Scalar matrices are plain tuples of tuples of field ints.  The handful of
 matrix helpers here (rref, mat_mul, ...) are shared with the twisted-code
@@ -91,6 +92,9 @@ def mat_rank(field: Field, rows) -> int:
 
 
 def frobenius_rows(field: Field, rows, k: int) -> Matrix:
+    """sigma^k applied entrywise; the rows themselves when k = 0 mod e."""
+    if k % field.e == 0:
+        return rows
     return tuple(tuple(field.frobenius(e, k) for e in row) for row in rows)
 
 
@@ -204,10 +208,6 @@ class LinearCode:
                 v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, self.gen[i])]
         return not any(v)
 
-    def contains_code(self, other: "LinearCode") -> bool:
-        self._check_compatible(other)
-        return all(self.contains_word(row) for row in other.gen)
-
     def _check_compatible(self, other: "LinearCode"):
         if self.field != other.field or self.n != other.n:
             raise DomainError("codes live in different spaces")
@@ -230,15 +230,10 @@ class LinearCode:
     # -- intersections ---------------------------------------------------
 
     def intersect(self, other: "LinearCode") -> "LinearCode":
-        """Parity-check route: rows of P @ G2 where P checks the code
-        spanned by H1 @ G2^T."""
+        """self intersected with other: the words of other that the parity
+        check of self annihilates."""
         self._check_compatible(other)
-        field = self.field
-        if other.k == 0:
-            return other
-        q_rows, _ = rref(field, mat_mul(field, self.parity, _transpose(other.gen)))
-        p = _parity_for(field, q_rows, other.k)
-        return LinearCode(field, self.n, mat_mul(field, p, other.gen))
+        return _meet(self.field, self.n, self.parity, other.gen)
 
     def trivially_intersects(self, other: "LinearCode") -> bool:
         """True when the intersection is {0}: rank(H1 @ G2^T) = k2."""
@@ -252,12 +247,8 @@ class LinearCode:
         self._check_compatible(other)
         check_kappa(self.field, kappa)
         field = self.field
-        if other.k == 0:
-            return other
-        lifted = frobenius_rows(field, self.gen, field.e - kappa)
-        q_rows, _ = rref(field, mat_mul(field, lifted, _transpose(other.gen)))
-        p = _parity_for(field, q_rows, other.k)
-        return LinearCode(field, self.n, mat_mul(field, p, other.gen))
+        checks = frobenius_rows(field, self.gen, field.e - kappa)
+        return _meet(field, self.n, checks, other.gen)
 
     def hull(self, kappa: int = 0) -> "LinearCode":
         """self intersect self^(perp kappa)."""
@@ -274,21 +265,12 @@ class LinearCode:
     def reversibility(self) -> tuple[bool, "LinearCode"]:
         """(is reversible, largest reversible subcode).
 
-        The subcode generator is P @ G where P checks the span of
-        H @ J_n @ G^T; when that span already has full rank k the subcode is
-        the zero code, and when it is zero the code itself is reversible.
+        The largest reversible subcode is self intersected with its reversal,
+        the words of G @ J_n that H annihilates; the code is reversible
+        exactly when that subcode keeps dimension k.
         """
-        field = self.field
-        if self.k == 0:
-            return True, self
-        flipped = reverse_columns(self.gen)  # rows of G @ J_n
-        prod = mat_mul(field, self.parity, _transpose(flipped))
-        q_rows, _ = rref(field, prod)
-        if not q_rows:
-            return True, self
-        p = _parity_for(field, q_rows, self.k)
-        sub = LinearCode(field, self.n, mat_mul(field, p, self.gen))
-        return False, sub
+        sub = _meet(self.field, self.n, self.parity, reverse_columns(self.gen))
+        return sub.k == self.k, sub
 
     # -- metrics -----------------------------------------------------------
 
@@ -334,11 +316,10 @@ def _transpose(rows) -> Matrix:
     return tuple(zip(*rows)) if rows else ()
 
 
-def _parity_for(field: Field, rref_rows: Matrix, length: int) -> Matrix:
-    """Check matrix for the span of rref_rows inside GF(q)^length."""
-    if not rref_rows:
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(length)) for i in range(length)
-        )
-    code = LinearCode(field, length, rref_rows)
-    return code.parity
+def _meet(field: Field, length: int, checks, gen) -> LinearCode:
+    """The words x @ gen that every row of checks is orthogonal to, with x
+    running over the parity check of the span of checks @ gen^T."""
+    if not gen:
+        return LinearCode.zero(field, length)
+    x = LinearCode(field, len(gen), mat_mul(field, checks, _transpose(gen))).parity
+    return LinearCode(field, length, mat_mul(field, x, gen))

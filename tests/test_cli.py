@@ -1,6 +1,7 @@
 """CLI behavior: document parsing, exit codes, payload shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -317,9 +318,36 @@ def test_info_and_advisor_oracle_report_mismatch(capsys, monkeypatch):
 
 
 def test_check_linear_code_property(capsys):
-    code, payload, _ = run_json(capsys, "check", F3_DOC, "C4lin", "--reversible")
-    assert code == 0
-    assert payload["result"]["holds"] is True
+    # every property of every *lin twin: the linear route reads it off one
+    # meet, the oracle confirms it, and where the GPM precondition holds the
+    # MT twin agrees (kappa = 1 exists only over GF(4))
+    for doc, names, kappas in ((F4_DOC, ("C1", "C2"), (0, 1)), (F3_DOC, ("C3", "C4", "C5"), (0,))):
+        cases = [["--reversible"]] + [[flag, str(k)] for flag in ("--so", "--dc", "--lcd") for k in kappas]
+        for name in names:
+            for argv in cases:
+                code, payload, _ = run_json(capsys, "check", doc, f"{name}lin", *argv, "--oracle")
+                assert (code, payload["oracle"]) == (0, "confirmed"), (name, argv)
+                holds = payload["result"]["holds"]
+                assert isinstance(holds, bool)
+                _, twin, _ = run_json(capsys, "check", doc, name, *argv)
+                assert twin["result"]["holds"] in (None, holds), (name, argv)
+
+
+@pytest.mark.parametrize("blocks", [64, 211])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, blocks):
+    # reports of 9 and 90 KB over GF(257); the reader is gone before the
+    # first write, so every write to stdout fails with EPIPE
+    doc = tmp_path / "doc.txt"
+    doc.write_text(f"GF(257)\ncode A\nmt 1\nblocks {blocks}\nshifts 1\ngpm\n1 + x\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mtcodes", "info", str(doc)], stdout=write_end, stderr=subprocess.PIPE
+    )
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 # -- dual and reverse ----------------------------------------------------

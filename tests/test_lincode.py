@@ -17,6 +17,7 @@ from helpers import f4, random_linear_code, words
 
 F2 = field(2)
 F3 = field(3)
+FIELDS = (F2, F3, f4(), field(3, 2))
 
 
 def all_words(code):
@@ -110,8 +111,8 @@ def test_galois_dual_f4_by_scan():
 
 def test_intersect_matches_setwise():
     rng = random.Random(21)
-    for _ in range(25):
-        f = [F2, F3][rng.randrange(2)]
+    for _ in range(40):
+        f = rng.choice(FIELDS)
         a = random_linear_code(rng, f, 5, max_k=3)
         b = random_linear_code(rng, f, 5, max_k=3)
         inter = a.intersect(b)
@@ -121,21 +122,20 @@ def test_intersect_matches_setwise():
 
 def test_galois_intersect_is_dual_cap():
     rng = random.Random(23)
-    f = f4()
-    for _ in range(15):
+    for _ in range(30):
+        f = rng.choice(FIELDS)
         a = random_linear_code(rng, f, 4, max_k=3)
         b = random_linear_code(rng, f, 4, max_k=3)
-        for kappa in (0, 1):
-            got = a.galois_intersect(b, kappa)
-            ref = a.galois_dual(kappa).intersect(b)
-            assert got == ref
-        assert a.hull(1) == a.galois_dual(1).intersect(a)
+        for kappa in range(f.e):
+            dual = oracle.galois_dual_set(a, kappa)
+            assert all_words(a.galois_intersect(b, kappa)) == dual & oracle.enumerate_code(b)
+            assert all_words(a.hull(kappa)) == dual & oracle.enumerate_code(a)
 
 
 def test_reversibility_against_brute_force():
     rng = random.Random(31)
-    for _ in range(25):
-        f = [F2, F3][rng.randrange(2)]
+    for _ in range(40):
+        f = rng.choice(FIELDS)
         code = random_linear_code(rng, f, 5, max_k=3)
         rev, sub = code.is_reversible(), code.reversibility()[1]
         ws = all_words(code)
