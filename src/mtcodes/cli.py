@@ -480,10 +480,8 @@ def _oracle_property(code, prop: str, kappa: int, verdict: bool, budget) -> bool
 
 
 def _linear_property(lin: LinearCode, prop: str, kappa: int) -> bool:
-    """Reversibility from C cap rev C; the rest from the dimension of the
+    """Self-orthogonality, dual-containment or LCD from the dimension of the
     kappa-hull: k when self-orthogonal, n - k when dual-containing, 0 when LCD."""
-    if prop == "reversible":
-        return lin.is_reversible()
     want = {"self_orthogonal": lin.k, "dual_containing": lin.n - lin.k, "lcd": 0}[prop]
     return lin.hull(kappa).k == want
 
@@ -526,10 +524,15 @@ def cmd_check(args, budget) -> int:
 
     prop, kappa = _selected_property(args)
     payload["check"] = prop
+    subcode = None
     if isinstance(code, MTCode):
         check = code.property_check(prop, kappa) if kappa is not None else code.property_check(prop)
         payload["result"] = _property_payload(check)
         verdict = check.holds
+    elif prop == "reversible":
+        # C cap rev C gives both the verdict and the largest reversible subcode.
+        verdict, subcode = code.reversibility()
+        payload["result"] = {"holds": verdict}
     else:
         verdict = _linear_property(code, prop, kappa or 0)
         payload["result"] = {"holds": verdict}
@@ -537,8 +540,8 @@ def cmd_check(args, budget) -> int:
             payload["result"]["kappa"] = kappa
 
     if prop == "reversible" and verdict is False:
-        lin = _as_linear(code)
-        _, subcode = lin.reversibility()
+        if subcode is None:
+            _, subcode = code.to_linear().reversibility()
         payload["largest_reversible_subcode"] = {
             "dimension": subcode.k,
             "generator": scalar_rows(doc.field, subcode.gen),

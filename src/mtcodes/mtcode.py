@@ -48,7 +48,7 @@ from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair
-from .upoly import FACTOR_SEED, Factorization, Poly, factor, reciprocal_poly
+from .upoly import FACTOR_SEED, Factorization, Poly, _divisor_row, _long_divide, factor, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
 
@@ -102,11 +102,20 @@ class MTProfile:
 
     @cached_property
     def factorization(self) -> Factorization:
-        """x^N - 1 factored once per profile; layer tables read it.  The
+        """x^N - 1 factored; layer tables read it.  `factor` keeps one
+        factor list per (field, N), so profiles of equal period (this one's
+        dual, Galois duals and reversal among them) share it.  The
         cyclotomic route of `factor` certifies each factor irreducible by
         its degree (a divisor of Phi_d of degree ord_d(q)), so no factor is
         re-tested here."""
         return factor(self.annihilator(), seed=FACTOR_SEED)
+
+    @cached_property
+    def factor_divisors(self) -> tuple:
+        """A `_divisor_row` per factor of x^N - 1, in `factorization`
+        order: the division data every remainder by that factor reuses
+        (`factor_valuations`, `_layer_table`)."""
+        return tuple(_divisor_row(p) for p, _ in self.factorization)
 
     def cofactors(self) -> tuple[Poly, ...]:
         """(x^N - 1) / (x^m_i - lam_i), one per block."""
@@ -119,13 +128,14 @@ class MTProfile:
         pairs (i, v) for the blocks whose modulus p_j divides (the active
         blocks), v = v_p_j(x^m_i - lam_i) >= 1.
 
-        One remainder per (block, factor) decides activity, and v follows
-        from m_i alone: with c the characteristic and m_i = m' * c^s, c not
-        dividing m', x^m_i - lam_i is the c^s-th power of the square-free
-        x^m' - lam_i^(1/c^s), so v = c^s.  The cofactor c_i = (x^N - 1) /
-        (x^m_i - lam_i) has valuation f_j - v, and the cofactor of every
-        inactive block is a multiple of p_j^f_j, since p_j^f_j divides
-        x^N - 1 and is coprime to that block's modulus."""
+        One remainder per (block, factor) decides activity (`_min_valuation`
+        with cap 1), and v follows from m_i alone: with c the characteristic
+        and m_i = m' * c^s, c not dividing m', x^m_i - lam_i is the c^s-th
+        power of the square-free x^m' - lam_i^(1/c^s), so v = c^s.  The
+        cofactor c_i = (x^N - 1) / (x^m_i - lam_i) has valuation f_j - v,
+        and the cofactor of every inactive block is a multiple of p_j^f_j,
+        since p_j^f_j divides x^N - 1 and is coprime to that block's
+        modulus."""
         char = self.field.p
         mults = []
         for m in self.blocks:
@@ -135,8 +145,8 @@ class MTProfile:
                 v *= char
             mults.append(v)
         return tuple(
-            tuple((i, v) for i, (d, v) in enumerate(zip(self.moduli, mults)) if (d % p).is_zero())
-            for p, _ in self.factorization
+            tuple((i, v) for i, (d, v) in enumerate(zip(self.moduli, mults)) if _min_valuation((d,), div, 1))
+            for div in self.factor_divisors
         )
 
     @cached_property
@@ -634,46 +644,53 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     """
     fac = profile.factorization
     layers = []
-    for (p_j, f_j), active, residues in zip(fac, profile.factor_valuations, profile.cofactor_residues):
+    for (p_j, f_j), div, active, residues in zip(
+        fac, profile.factor_divisors, profile.factor_valuations, profile.cofactor_residues
+    ):
         if residues is not None:
             power, cofactors = residues
             type_vector = _chain_type(_residue_product(left, right, cofactors, power), p_j, f_j).type_vector
         elif active:
             ((i, v),) = active
             column = [row[i] for row in left.rows]
-            type_vector = _outer_product_type(column, right.rows[i], f_j - v, p_j, f_j)
+            type_vector = _outer_product_type(column, right.rows[i], f_j - v, div, f_j)
         else:
             type_vector = (0,) * f_j
         layers.append(FactorLayer(p_j, f_j, type_vector))
     return LayerTable(tuple(layers), target, fac.seed)
 
 
-def _outer_product_type(u, v, h: int, p: Poly, f: int) -> tuple[int, ...]:
+def _outer_product_type(u, v, h: int, div, f: int) -> tuple[int, ...]:
     """Type over GF(q)[x]/<p^f> of the row span of c * u v^T, for
-    v_p(c) = h <= f.
+    v_p(c) = h <= f, p given by its `_divisor_row` div.
 
     The rows c * u_a * v span p^(h + a) * v, a = min_a v_p(u_a), and
     v = p^b * v' with b = min_b v_p(v_b) and v' holding a unit, so the span
     is p^(h + a + b) times a free module of rank one: type e_(h + a + b)
     when that is below f, and (0, ..., 0) otherwise.
     """
-    h += _min_valuation(u, p, f - h)
-    h += _min_valuation(v, p, f - h)
+    h += _min_valuation(u, div, f - h)
+    h += _min_valuation(v, div, f - h)
     return tuple(int(k == h) for k in range(f))
 
 
-def _min_valuation(entries, p: Poly, cap: int) -> int:
-    """min(cap, v_p(e) over the entries), by repeated division by p: one
-    remainder per entry when cap is 1, and none once the minimum is 0."""
+def _min_valuation(entries, div, cap: int) -> int:
+    """min(cap, v_p(e) over the entries), p given by its `_divisor_row`.
+    An entry's coefficients are reduced by `_long_divide`, and the quotient
+    is divided next only when the remainder is zero: one remainder per
+    entry when cap is 1, and none once the minimum is 0."""
     for e in entries:
         if not cap:
             break
-        v = 0
-        while v < cap:
-            e, r = divmod(e, p)
-            if r:
+        cs, v = e.coeffs, 0
+        if not cs:
+            continue
+        while v < cap and len(cs) > div[0]:
+            rem = list(cs)
+            quot = _long_divide(e.field, rem, div)
+            if any(rem):
                 break
-            v += 1
+            cs, v = quot, v + 1
         cap = v
     return cap
 

@@ -26,9 +26,10 @@ degree ord_d(q), and the degrees must add up to phi(d).  The random
 coset coefficients come from a generator seeded per call; the factor
 list is sorted, and a monic irreducible factorization is unique, so the
 list does not depend on the seed, which any report that includes a
-factorization still records.  An ``MTProfile`` keeps the factorization
-of its x^N - 1 (``MTProfile.factorization``), so a profile factors once
-however many layer tables read it.
+factorization still records.  ``factor`` keeps the monic factor list of
+each x^N - 1 per (field, N, seed), for at most ``_FACTOR_MEMO_SIZE`` of
+them, so a process factors each period once: a profile, its dual, Galois
+dual and reversal all share N, and so do the codes of one document.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParseError
 from .gf import Field, _prime_factors, _split_sum
@@ -44,6 +46,10 @@ NEG_INF = float("-inf")
 
 # Seed for the coset-splitting RNG; recorded in CLI reports.
 FACTOR_SEED = 2024
+
+# Most factorizations of x^N - 1 that `factor` keeps, least recently used
+# dropped first.
+_FACTOR_MEMO_SIZE = 64
 
 
 class Poly:
@@ -447,9 +453,9 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def _binomial_degree(f: Poly) -> int | None:
-    """N when the monic f is x^N - 1, else None."""
+    """N when f is c * (x^N - 1), else None."""
     cs = f.coeffs
-    if len(cs) < 2 or cs[0] != f.field.neg(1) or any(cs[1:-1]):
+    if len(cs) < 2 or cs[0] != f.field.neg(cs[-1]) or any(cs[1:-1]):
         return None
     return len(cs) - 1
 
@@ -598,10 +604,18 @@ def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:
     `seed` fixes the random coset sums, and is recorded in the result.
     Factors are sorted by degree, then by coefficient tuple, and the
     factorization is unique, so equal inputs give equal factor lists.
+    The list is computed once per (field, N, seed) and shared; only the
+    unit c is taken from f on each call.
     """
-    n = _binomial_degree(f.monic())
+    n = _binomial_degree(f)
     if n is None:
         raise ValueError("factor takes only c * (x^N - 1) with N >= 1")
-    found = _binomial_factors(f.field, n, random.Random(seed))
+    return Factorization(f.field, f.lead, _monic_factors(f.field, n, seed), seed)
+
+
+@lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def _monic_factors(fld: Field, n: int, seed: int) -> tuple[tuple[Poly, int], ...]:
+    """The sorted factors of x^n - 1 with multiplicities, memoized."""
+    found = _binomial_factors(fld, n, random.Random(seed))
     found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return Factorization(f.field, f.lead, tuple(found), seed)
+    return tuple(found)

@@ -93,6 +93,23 @@ def reference_layer_types(left: PolyMatrix, right: PolyMatrix, prof: MTProfile) 
     return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
 
 
+def reference_factor_valuations(prof: MTProfile) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """`MTProfile.factor_valuations` by divmod: per factor p of x^N - 1,
+    (i, v_p(x^m_i - lam_i)) for each block modulus that p divides."""
+    out = []
+    for p, _ in prof.factorization:
+        active = []
+        for i, d in enumerate(prof.moduli):
+            v = 0
+            while (d % p).is_zero():
+                d = d.exact_div(p)
+                v += 1
+            if v:
+                active.append((i, v))
+        out.append(tuple(active))
+    return tuple(out)
+
+
 def layer_types(table) -> list[tuple[int, ...]]:
     return [layer.type_vector for layer in table.layers]
 
@@ -231,6 +248,7 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
 
     check_equation_identities(code1)
     check_equation_identities(code2)
+    assert prof.factor_valuations == reference_factor_valuations(prof)
 
     lin1, lin2 = code1.to_linear(), code2.to_linear()
     w1 = oracle.enumerate_code(lin1)
@@ -334,6 +352,7 @@ def check_small_dim_pair(rng: random.Random, f: Field) -> None:
     prof = code1.profile
     check_equation_identities(code1)
     check_equation_identities(code2)
+    assert prof.factor_valuations == reference_factor_valuations(prof)
 
     lin1, lin2 = code1.to_linear(), code2.to_linear()
     w1, w2 = oracle.enumerate_code(lin1), oracle.enumerate_code(lin2)

@@ -230,6 +230,24 @@ def test_check_reversible_false_reports_subcode(capsys):
     ]
 
 
+def test_check_reversible_linear_meets_once(capsys, monkeypatch):
+    # C cap rev C gives both the verdict and the largest reversible subcode
+    import mtcodes.lincode as lincode
+
+    calls, meet = [], lincode._meet
+
+    def counted(*args):
+        calls.append(args)
+        return meet(*args)
+
+    monkeypatch.setattr(lincode, "_meet", counted)
+    code, payload, _ = run_json(capsys, "check", F3_DOC, "C5lin", "--reversible")
+    assert code == 0 and len(calls) == 1
+    assert payload["result"] == {"holds": False}
+    _, twin, _ = run_json(capsys, "check", F3_DOC, "C5", "--reversible")
+    assert payload["largest_reversible_subcode"] == twin["largest_reversible_subcode"]
+
+
 def test_check_reversible_nonpalindromic_residue(capsys):
     code, payload, _ = run_json(capsys, "check", F3_DOC, "C3", "--reversible")
     assert code == 0

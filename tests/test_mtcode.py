@@ -14,8 +14,14 @@ from hypothesis import strategies as st
 
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf
 from mtcodes.errors import BudgetError, DomainError
-from mtcodes.mtcode import _cofactor_product, _outer_product_type, advise_intersection_structure, reciprocal_columns
-from mtcodes.upoly import is_irreducible
+from mtcodes.mtcode import (
+    _cofactor_product,
+    _min_valuation,
+    _outer_product_type,
+    advise_intersection_structure,
+    reciprocal_columns,
+)
+from mtcodes.upoly import _divisor_row, is_irreducible
 
 from helpers import (
     cofactor_product_reference,
@@ -26,6 +32,7 @@ from helpers import (
     pmat,
     poly,
     random_mt_code,
+    reference_factor_valuations,
     reference_layer_types,
     sweep_pair,
     words,
@@ -552,6 +559,57 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
     assert multi == 1
 
 
+def test_derived_profiles_share_one_factoring(monkeypatch, cold_factor_memo):
+    """A profile, its dual, Galois dual and reversal have one period N, and
+    x^N - 1 is factored once for all of them."""
+    import mtcodes.upoly as upoly
+
+    runs = _count_calls(monkeypatch, upoly, "_binomial_factors")
+    f4_ = f4()
+    prof = MTProfile(f4_, (3, 6, 2), (1, f4_.parse_element("w"), 1))
+    derived = [prof.dual_profile(), prof.galois_dual_profile(1), prof.reversed_profile()]
+    assert {p.period for p in derived} == {prof.period}
+    for other in derived:
+        assert other.factorization.factors is prof.factorization.factors
+    assert len(runs) == 1
+
+
+def test_factor_valuations_match_divmod():
+    for first, _ in _layer_table_cases():
+        prof = first.profile
+        assert prof.factor_valuations == reference_factor_valuations(prof)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_min_valuation_matches_repeated_divmod(data):
+    """`_min_valuation` (prepared remainders) against min(cap, v_p(e)) by
+    repeated divmod, for any divisor p of degree 1-3: zero entries,
+    multiples of p^k up to past the cap, and every cap from 0 to 4."""
+    f = data.draw(st.sampled_from([field(2), F3, f4(), field(3, 2), field(257), field(17, 2)]), label="field")
+    coeff = st.integers(0, f.q - 1)
+    lead = st.integers(1, f.q - 1)
+    p = Poly(f, data.draw(st.lists(coeff, min_size=1, max_size=3), label="p") + [data.draw(lead)])
+    cap = data.draw(st.integers(0, 4), label="cap")
+
+    def entry(label):
+        base = Poly(f, data.draw(st.lists(coeff, max_size=4), label=label))
+        return base * _power(p, data.draw(st.integers(0, cap + 1), label=f"{label} p-power"))
+
+    entries = [entry(f"e{i}") for i in range(data.draw(st.integers(1, 3)))]
+
+    def reference(e):
+        v = 0
+        while v < cap:
+            e, r = divmod(e, p)
+            if r:
+                break
+            v += 1
+        return v
+
+    assert _min_valuation(entries, _divisor_row(p), cap) == min([cap] + [reference(e) for e in entries])
+
+
 # -- layer tables against the full auxiliary product ---------------------------
 
 
@@ -638,7 +696,7 @@ def _check_outer_product(f: Field, p: Poly, mult: int, u, v, c: Poly) -> None:
     power = _power(p, mult)
     full = PolyMatrix(f, [[(a * c * b) % power for b in v] for a in u])
     h = min(_multiplicity(c, p), mult) if c else mult
-    assert _outer_product_type(u, v, h, p, mult) == chain_type(full, p, mult).type_vector
+    assert _outer_product_type(u, v, h, _divisor_row(p), mult) == chain_type(full, p, mult).type_vector
 
 
 @settings(max_examples=200, deadline=None)

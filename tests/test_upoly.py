@@ -305,6 +305,39 @@ def test_factor_takes_only_binomials():
                 factor(p)
 
 
+@pytest.mark.parametrize("f", [F3, f4(), f9_mod221(), field(257)], ids=lambda f: f"q{f.q}")
+def test_factor_once_per_period_with_each_unit(f, monkeypatch, cold_factor_memo):
+    """x^N - 1 is factored once per (field, N, seed): every c * (x^N - 1)
+    shares that factor list and keeps its own unit c."""
+    import mtcodes.upoly as upoly
+
+    runs, real = [], upoly._binomial_factors
+
+    def counted(fld, n, rng):
+        runs.append(n)
+        return real(fld, n, rng)
+
+    monkeypatch.setattr(upoly, "_binomial_factors", counted)
+    base = factor(Poly.binomial(f, 24, 1))
+    assert base.unit == 1
+    for c in range(2, min(f.q, 6)):
+        target = Poly.binomial(f, 24, 1).scale(c)
+        fac = factor(target)
+        assert fac.unit == c and fac.factors is base.factors
+        assert fac.expand() == target
+    assert runs == [24]
+    reseeded = factor(Poly.binomial(f, 24, 1), seed=FACTOR_SEED + 1)
+    assert runs == [24, 24] and reseeded.factors == base.factors
+
+
+def test_factor_memo_is_bounded(cold_factor_memo):
+    import mtcodes.upoly as upoly
+
+    for n in range(1, upoly._FACTOR_MEMO_SIZE + 9):
+        factor(Poly.binomial(F3, n, 1))
+    assert upoly._monic_factors.cache_info().currsize == upoly._FACTOR_MEMO_SIZE
+
+
 # -- x^N - 1 by its cyclotomic structure -------------------------------------
 
 
@@ -383,7 +416,7 @@ def test_factor_binomial_matches_general_pipeline(f, ns):
         certify_binomial(f, n, factor(Poly.binomial(f, n, 1)))
 
 
-def test_factor_binomial_splits_by_roots_of_unity(monkeypatch):
+def test_factor_binomial_splits_by_roots_of_unity(monkeypatch, cold_factor_memo):
     """Over GF(257) every d | 64 divides q - 1, so Phi_d is cut straight
     into the linear x - omega^k and no coset split runs."""
     import mtcodes.upoly as upoly
@@ -400,7 +433,7 @@ def test_factor_binomial_splits_by_roots_of_unity(monkeypatch):
     assert fac.expand() == target
 
 
-def test_factor_binomial_splits_at_random_only_what_lifting_leaves(monkeypatch):
+def test_factor_binomial_splits_at_random_only_what_lifting_leaves(monkeypatch, cold_factor_memo):
     """Over GF(9), x^140 - 1 (the f9 fixture's period): Phi_4 (4 | q - 1)
     splits into x - omega^k, and every other composite d is cut into
     irreducibles by the factors of its Phi_(d/l).  Only Phi_5 (degree 4,
@@ -418,12 +451,12 @@ def test_factor_binomial_splits_at_random_only_what_lifting_leaves(monkeypatch):
     monkeypatch.setattr(upoly, "_coset_split", counted)
     target = Poly.binomial(f9_mod221(), 140, 1)
     fac = factor(target)
-    assert sum(received) <= 4 + 6
+    assert 0 < sum(received) <= 4 + 6
     assert fac.expand() == target
 
 
 @pytest.mark.parametrize("fault", ["merged", "dropped"])
-def test_factor_binomial_certifies_degrees(fault, monkeypatch):
+def test_factor_binomial_certifies_degrees(fault, monkeypatch, cold_factor_memo):
     """A factor of Phi_d above ord_d(q), or factors whose degrees fall
     short of phi(d), fail the degree certificate."""
     import mtcodes.upoly as upoly
@@ -445,7 +478,7 @@ PRIME_PERIODS = [(field(257), 211), (field(2, 4), 227), (field(5), 229), (field(
 
 
 @pytest.mark.parametrize("f, n", PRIME_PERIODS, ids=[f"q{f.q}-N{n}" for f, n in PRIME_PERIODS])
-def test_factor_prime_period_powers_stay_below_q(f, n, monkeypatch):
+def test_factor_prime_period_powers_stay_below_q(f, n, monkeypatch, cold_factor_memo):
     """For a prime N no lifting cuts Phi_N, so the coset split takes all of
     it; every power it raises to stays below q, where a random
     equal-degree split raises to (q^k - 1)/2 with k = ord_N(q) >= 51.
@@ -459,5 +492,8 @@ def test_factor_prime_period_powers_stay_below_q(f, n, monkeypatch):
 
     monkeypatch.setattr(Poly, "pow_mod", spy)
     fac = factor(Poly.binomial(f, n, 1))
+    # Odd q raises a coset sum to (q - 1)/2 with pow_mod; even q takes its
+    # trace to GF(2) by squarings and calls pow_mod not at all.
+    assert bool(exponents) == (f.p != 2)
     assert all(e < f.q for e in exponents)
     certify_binomial(f, n, fac, rabin=False)
