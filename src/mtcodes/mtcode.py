@@ -48,7 +48,7 @@ from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair
-from .upoly import FACTOR_SEED, Factorization, Poly, _divisor_row, _long_divide, factor, reciprocal_poly
+from .upoly import Factorization, Poly, _divisor_row, _long_divide, factor, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
 
@@ -108,7 +108,7 @@ class MTProfile:
         cyclotomic route of `factor` certifies each factor irreducible by
         its degree (a divisor of Phi_d of degree ord_d(q)), so no factor is
         re-tested here."""
-        return factor(self.annihilator(), seed=FACTOR_SEED)
+        return factor(self.annihilator())
 
     @cached_property
     def factor_divisors(self) -> tuple:
@@ -616,7 +616,6 @@ class LayerTable:
 
     layers: tuple[FactorLayer, ...]
     target: int
-    factor_seed: int
 
     @property
     def total(self) -> int:
@@ -657,7 +656,7 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
         else:
             type_vector = (0,) * f_j
         layers.append(FactorLayer(p_j, f_j, type_vector))
-    return LayerTable(tuple(layers), target, fac.seed)
+    return LayerTable(tuple(layers), target)
 
 
 def _outer_product_type(u, v, h: int, div, f: int) -> tuple[int, ...]:
@@ -754,7 +753,6 @@ class StructureAdvice:
 def advise_intersection_structure(
     code1: MTCode,
     code2: MTCode,
-    budget: int = ADVISOR_BUDGET,
     distance_budget: int | None = None,
 ) -> StructureAdvice:
     """Compute C1 cap C2 linearly and search for shift vectors under which
@@ -762,7 +760,7 @@ def advise_intersection_structure(
 
     The two codes may carry different shift constants but must share block
     lengths.  Candidates always include both codes' shifts; when (q-1)^ell
-    fits the budget every nonzero shift vector is tried, otherwise the
+    fits ADVISOR_BUDGET every nonzero shift vector is tried, otherwise the
     report flags itself as inconclusive beyond the tested set.
     """
     f = code1.field
@@ -777,7 +775,7 @@ def advise_intersection_structure(
     differing = sum(1 for a, b in zip(shifts1, shifts2) if a != b)
 
     nonzero = range(1, f.q)
-    exhaustive = (f.q - 1) ** ell <= budget
+    exhaustive = (f.q - 1) ** ell <= ADVISOR_BUDGET
     candidates: list[tuple[int, ...]] = []
     if exhaustive:
         candidates.extend(itertools.product(nonzero, repeat=ell))

@@ -23,13 +23,14 @@ x^d - 1: each such sum is an element of GF(q) in every irreducible
 component, so one power below q (or a trace to GF(2)) splits it.  Each
 factor is certified irreducible by its degree: it divides Phi_d and has
 degree ord_d(q), and the degrees must add up to phi(d).  The random
-coset coefficients come from a generator seeded per call; the factor
-list is sorted, and a monic irreducible factorization is unique, so the
-list does not depend on the seed, which any report that includes a
-factorization still records.  ``factor`` keeps the monic factor list of
-each x^N - 1 per (field, N, seed), for at most ``_FACTOR_MEMO_SIZE`` of
-them, so a process factors each period once: a profile, its dual, Galois
-dual and reversal all share N, and so do the codes of one document.
+coset coefficients come from a generator seeded with ``FACTOR_SEED``
+for each x^N - 1; the factor list is sorted, and a monic irreducible
+factorization is unique, so the list does not depend on the seed, which
+any report that includes a factorization still records.  ``factor`` keeps
+the monic factor list of each x^N - 1 per (field, N), for at most
+``_FACTOR_MEMO_SIZE`` of them, so a process factors each period once: a
+profile, its dual, Galois dual and reversal all share N, and so do the
+codes of one document.
 """
 
 from __future__ import annotations
@@ -417,7 +418,6 @@ class Factorization:
     field: Field
     unit: int
     factors: tuple[tuple[Poly, int], ...]
-    seed: int
 
     def expand(self) -> Poly:
         acc = Poly.constant(self.field, self.unit)
@@ -476,15 +476,16 @@ def _spread(g: Poly, l: int) -> Poly:
     return Poly._trusted(g.field, out)
 
 
-def _binomial_factors(fld: Field, n: int, rng: random.Random) -> list[tuple[Poly, int]]:
+def _binomial_factors(fld: Field, n: int) -> list[tuple[Poly, int]]:
     """Irreducible factors of x^n - 1 with multiplicities, unsorted:
     x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s.  The Phi_d
     are built and cut in ascending order of d, each from those of its
     divisors (`_cyclotomic_pieces`); pieces still above ord_d(q) go to
-    `_coset_split`.  Every factor of Phi_d must have degree ord_d(q), and
-    their degrees must sum to phi(d): a divisor of Phi_d of that degree is
-    irreducible, so this certifies the list, and AssertionError is raised
-    otherwise."""
+    `_coset_split`, whose random coset sums are seeded by FACTOR_SEED.
+    Every factor of Phi_d must have degree ord_d(q), and their degrees
+    must sum to phi(d): a divisor of Phi_d of that degree is irreducible,
+    so this certifies the list, and AssertionError is raised otherwise."""
+    rng = random.Random(FACTOR_SEED)
     mult = 1
     while n % fld.p == 0:
         n //= fld.p
@@ -596,26 +597,25 @@ def _coset_split(piece: Poly, d: int, deg: int, rng: random.Random) -> list[Poly
     return out
 
 
-def factor(f: Poly, seed: int = FACTOR_SEED) -> Factorization:
+def factor(f: Poly) -> Factorization:
     """Factorization of f = c * (x^N - 1), N >= 1, into monic irreducibles
     by the cyclotomic route of `_binomial_factors`; any other f, zero
     included, raises ValueError.
 
-    `seed` fixes the random coset sums, and is recorded in the result.
     Factors are sorted by degree, then by coefficient tuple, and the
     factorization is unique, so equal inputs give equal factor lists.
-    The list is computed once per (field, N, seed) and shared; only the
-    unit c is taken from f on each call.
+    The list is computed once per (field, N) and shared; only the unit c
+    is taken from f on each call.
     """
     n = _binomial_degree(f)
     if n is None:
         raise ValueError("factor takes only c * (x^N - 1) with N >= 1")
-    return Factorization(f.field, f.lead, _monic_factors(f.field, n, seed), seed)
+    return Factorization(f.field, f.lead, _monic_factors(f.field, n))
 
 
 @lru_cache(maxsize=_FACTOR_MEMO_SIZE)
-def _monic_factors(fld: Field, n: int, seed: int) -> tuple[tuple[Poly, int], ...]:
+def _monic_factors(fld: Field, n: int) -> tuple[tuple[Poly, int], ...]:
     """The sorted factors of x^n - 1 with multiplicities, memoized."""
-    found = _binomial_factors(fld, n, random.Random(seed))
+    found = _binomial_factors(fld, n)
     found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return tuple(found)

@@ -1,12 +1,13 @@
 """Field arithmetic: axioms on every small field, plus pinned table facts."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcodes import field
+from mtcodes import Poly, field
 from mtcodes.errors import ParseError
 from mtcodes.gf import Field, default_modulus
 
@@ -114,6 +115,16 @@ def test_field_constructor_validation():
         Field.of_order(12)
 
 
+def test_of_order_takes_p_from_the_prime_factors():
+    # GF(10000019) is found without testing every p <= q for primality
+    f = Field.of_order(10000019)
+    assert (f.p, f.e, f.modulus) == (10000019, 1, (0, 1))
+    assert (Field.of_order(3**7).p, Field.of_order(3**7).e) == (3, 7)
+    for q in (0, 1, 12, 3 * 2**20):
+        with pytest.raises(ValueError, match="not a prime power"):
+            Field.of_order(q)
+
+
 def test_field_identity_cache():
     assert field(2, 2) is field(2, 2)
     assert field(3, 2, modulus=(2, 2, 1)) is field(3, 2, modulus=(2, 2, 1))
@@ -148,7 +159,8 @@ def test_mult_order_divides_group_order():
 #
 # q <= 256 uses dense tables, prime q > 256 integer arithmetic, extension
 # fields up to 2^16 log/antilog tables, larger ones base-p digit loops.
-# Each is checked against the digit-level definitions _raw_add/_raw_mul.
+# Each is checked against the digit-level definitions _raw_add/_raw_mul, and
+# the products also against polynomials over GF(p) reduced by the modulus.
 
 TINY_FIELDS = [field(p) for p in (2, 3, 5, 7, 11, 13)] + [
     field(2, 2), field(2, 3), field(2, 4), field(3, 2),
@@ -188,6 +200,58 @@ def test_ops_match_raw_definitions_sampled(f):
         assert f.sub(a, b) == f._raw_add(a, raw_neg(f, b))
         if a:
             assert f._raw_mul(a, f.inv(a)) == 1
+
+
+# x^8 + x^4 + x^3 + x^2 + 1, a modulus of GF(2^8) other than the default.
+F256_MODULUS = (1, 0, 1, 1, 1, 0, 0, 0, 1)
+
+
+def poly_product(f, a, b):
+    """a * b as the product of polynomials over GF(p) reduced by the
+    modulus: a reference that does not use Field._raw_mul."""
+    base = field(f.p)
+    prod = Poly(base, f.coeffs(a)) * Poly(base, f.coeffs(b))
+    return f.from_coeffs((prod % Poly(base, f.modulus)).coeffs)
+
+
+@pytest.mark.parametrize(
+    "f", [field(2, 2), field(3, 2), field(2, 4), field(2, 8, F256_MODULUS)], ids=lambda f: f"q{f.q}-{f.modulus}"
+)
+def test_products_match_polynomial_reference_exhaustive(f):
+    # the reference is commutative, so each unordered pair is checked both ways
+    for a in range(f.q):
+        for b in range(a, f.q):
+            want = poly_product(f, a, b)
+            assert f._raw_mul(a, b) == f._raw_mul(b, a) == want
+            assert f.mul(a, b) == f.mul(b, a) == want
+
+
+@pytest.mark.parametrize(
+    "f", [field(2, 8), field(3, 5), field(17, 2), field(2, 20), field(3, 11)], ids=lambda f: f"q{f.q}"
+)
+def test_products_match_polynomial_reference_sampled(f):
+    rng = random.Random(3 * f.q)
+    samples = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(200)]
+    for a, b in zip(samples, reversed(samples)):
+        want = poly_product(f, a, b)
+        assert f._raw_mul(a, b) == want
+        assert f.mul(a, b) == want
+
+
+@pytest.mark.parametrize(
+    "f", [field(2, 2), field(3, 2), field(2, 4), field(2, 8), field(3, 5), field(2, 8, F256_MODULUS)],
+    ids=lambda f: f"q{f.q}-{f.modulus}",
+)
+def test_dense_mul_table_is_read_from_log_tables(f):
+    """The log tables a q <= 256 extension field fills its dense tables
+    from are dropped afterwards; built again on a copy, they give every
+    product as exp[log a + log b]."""
+    assert f._log is f._exp is f._zech is None
+    logs = copy.copy(f)
+    logs._build_log_tables()
+    exp, log = logs._exp, logs._log
+    for a in range(1, f.q):
+        assert f._mul_table[a] == [0] + [exp[log[a] + log[b]] for b in range(1, f.q)]
 
 
 @pytest.mark.parametrize("f", TINY_FIELDS[-2:] + LARGE_FIELDS, ids=lambda f: f"q{f.q}")

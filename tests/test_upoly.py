@@ -186,13 +186,17 @@ def test_factor_known_products():
     assert fac3.expand() == Poly.binomial(F3, 9, 1) * Poly.constant(F3, 2)
 
 
-def test_factor_deterministic_and_sorted():
+def test_factor_deterministic_and_sorted(monkeypatch, cold_factor_memo):
+    import mtcodes.upoly as upoly
+
     f = f9_mod221()
     target = Poly.binomial(f, 60, 1).scale(f.parse_element("w^2"))
     fac1 = factor(target)
-    fac2 = factor(target, seed=FACTOR_SEED + 1)
-    assert (fac1.seed, fac2.seed) == (FACTOR_SEED, FACTOR_SEED + 1)
+    upoly._monic_factors.cache_clear()
+    monkeypatch.setattr(upoly, "FACTOR_SEED", FACTOR_SEED + 1)
+    fac2 = factor(target)
     # other coset sums, the same unique factorization
+    assert fac2.factors is not fac1.factors
     assert [(p.coeffs, m) for p, m in fac1] == [(p.coeffs, m) for p, m in fac2]
     keys = [(p.degree, p.coeffs) for p, _ in fac1]
     assert keys == sorted(keys)
@@ -307,15 +311,15 @@ def test_factor_takes_only_binomials():
 
 @pytest.mark.parametrize("f", [F3, f4(), f9_mod221(), field(257)], ids=lambda f: f"q{f.q}")
 def test_factor_once_per_period_with_each_unit(f, monkeypatch, cold_factor_memo):
-    """x^N - 1 is factored once per (field, N, seed): every c * (x^N - 1)
+    """x^N - 1 is factored once per (field, N): every c * (x^N - 1)
     shares that factor list and keeps its own unit c."""
     import mtcodes.upoly as upoly
 
     runs, real = [], upoly._binomial_factors
 
-    def counted(fld, n, rng):
+    def counted(fld, n):
         runs.append(n)
-        return real(fld, n, rng)
+        return real(fld, n)
 
     monkeypatch.setattr(upoly, "_binomial_factors", counted)
     base = factor(Poly.binomial(f, 24, 1))
@@ -326,7 +330,10 @@ def test_factor_once_per_period_with_each_unit(f, monkeypatch, cold_factor_memo)
         assert fac.unit == c and fac.factors is base.factors
         assert fac.expand() == target
     assert runs == [24]
-    reseeded = factor(Poly.binomial(f, 24, 1), seed=FACTOR_SEED + 1)
+    # other coset sums, factored afresh, give the same list
+    upoly._monic_factors.cache_clear()
+    monkeypatch.setattr(upoly, "FACTOR_SEED", FACTOR_SEED + 1)
+    reseeded = factor(Poly.binomial(f, 24, 1))
     assert runs == [24, 24] and reseeded.factors == base.factors
 
 
