@@ -58,26 +58,18 @@ def parse_field_header(text: str, lineno: int) -> Field:
     if not m:
         raise ParseError("expected field header 'GF(q)' or 'GF(p^e) mod ...'", lineno)
     base, exp = int(m.group(1)), m.group(2)
-    if len(parts) == 1:
+    coeffs = None
+    if len(parts) > 1:
+        if parts[1] != "mod":
+            raise ParseError("expected 'mod' before modulus coefficients", lineno)
         try:
-            if exp is None:
-                return Field.of_order(base)
-            return field(base, int(exp))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    if parts[1] != "mod":
-        raise ParseError("expected 'mod' before modulus coefficients", lineno)
-    try:
-        coeffs = tuple(int(c) for c in parts[2:])
-    except ValueError:
-        raise ParseError("modulus coefficients must be integers", lineno) from None
+            coeffs = tuple(int(c) for c in parts[2:])
+        except ValueError:
+            raise ParseError("modulus coefficients must be integers", lineno) from None
     try:
         if exp is None:
-            f = Field.of_order(base)
-            p, e = f.p, f.e
-        else:
-            p, e = base, int(exp)
-        return field(p, e, coeffs)
+            return Field.of_order(base, coeffs)
+        return field(base, int(exp), coeffs)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 

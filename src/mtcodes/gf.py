@@ -26,9 +26,9 @@ prime fields the encoding is just the usual residue.
 Keeping elements as bare ints (rather than wrapper objects) makes vectors and
 polynomial coefficient lists cheap and hashable; the cost is that every
 operation needs the field in hand, which in practice every caller already
-has.  Polynomial arithmetic calls the fused row primitive
-:meth:`Field.add_scaled` once per row rather than ``add``/``mul`` once per
-coefficient.
+has.  Polynomial arithmetic, and the scalar matrices of ``lincode``, call
+the fused row primitive :meth:`Field.add_scaled` once per row rather than
+``add``/``mul`` once per coefficient.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class Field:
 
     @staticmethod
     def of_order(q: int, modulus=None) -> "Field":
-        """Build GF(q) from the prime power q."""
+        """GF(q) for the prime power q, through the ``field`` memo."""
         ps = _prime_factors(q)
         if len(ps) != 1:
             raise ValueError(f"{q} is not a prime power")
@@ -149,7 +149,7 @@ class Field:
         while q > 1:
             q //= p
             e += 1
-        return Field(p, e, modulus)
+        return field(p, e, modulus)
 
     # -- encoding ------------------------------------------------------------
 

@@ -7,9 +7,9 @@ Galois intersections and hulls, and the largest reversible subcode
 C cap rev C are all one meet: the words of a generator that a set of check
 rows annihilates.  None of them enumerates codewords.
 
-Scalar matrices are plain tuples of tuples of field ints.  The handful of
-matrix helpers here (rref, mat_mul, ...) are shared with the twisted-code
-layer and the enumeration oracle.
+Scalar matrices are plain tuples of tuples of field ints.  rref, mat_mul
+and membership update whole rows with the row primitive
+Field.add_scaled, as polynomial arithmetic does.
 """
 
 from __future__ import annotations
@@ -56,13 +56,14 @@ def rref(field: Field, rows) -> tuple[Matrix, tuple[int, ...]]:
         pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, e) for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+        row = [0] * n_cols
+        field.add_scaled(row, 0, field.inv(work[pivot][c]), enumerate(work[pivot]))
+        work[pivot] = work[r]
+        work[r] = row
+        terms = [(j, e) for j, e in enumerate(row) if e]
+        for i, other in enumerate(work):
+            if i != r and other[c]:
+                field.add_scaled(other, 0, field.neg(other[c]), terms)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -71,23 +72,19 @@ def rref(field: Field, rows) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def mat_mul(field: Field, a, b) -> Matrix:
-    bt = list(zip(*b)) if b else []
+    """a @ b: one add_scaled of a row of b per nonzero entry of a row of a."""
+    width = len(b[0]) if b else 0
+    terms = [[(j, e) for j, e in enumerate(row) if e] for row in b]
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = field.add(acc, field.mul(x, y))
-            orow.append(acc)
-        out.append(tuple(orow))
+        acc = [0] * width
+        for x, t in zip(row, terms):
+            field.add_scaled(acc, 0, x, t)
+        out.append(tuple(acc))
     return tuple(out)
 
 
 def mat_rank(field: Field, rows) -> int:
-    if not rows:
-        return 0
     return len(rref(field, rows)[0])
 
 
@@ -195,6 +192,11 @@ class LinearCode:
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def _terms(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (column, entry) pairs of each generator row."""
+        return [[(j, e) for j, e in enumerate(row) if e] for row in self.gen]
+
     # -- membership --------------------------------------------------------
 
     def contains_word(self, vec) -> bool:
@@ -202,10 +204,8 @@ class LinearCode:
         v = [int(e) for e in vec]
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        for i, pc in enumerate(self._pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, self.gen[i])]
+        for pc, terms in zip(self._pivots, self._terms):
+            field.add_scaled(v, 0, field.neg(v[pc]), terms)
         return not any(v)
 
     def _check_compatible(self, other: "LinearCode"):
@@ -287,7 +287,7 @@ class LinearCode:
             return math.inf
         check_enum_budget(self.field.q, self.k, budget)
         field, q, n = self.field, self.field.q, self.n
-        terms = [[(j, e) for j, e in enumerate(row) if e] for row in self.gen]
+        terms = self._terms
         best = n
         for i, row in enumerate(self.gen):
             word, below = list(row), terms[i + 1 :]

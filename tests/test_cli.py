@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mtcodes.cli import main, parse_document
+from mtcodes import Field
+from mtcodes.cli import main, parse_document, parse_field_header
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 F4_DOC = str(FIXTURES / "f4_codes.txt")
@@ -44,6 +45,30 @@ def test_parse_errors():
     bad_shift = "GF(3)\ncode X\nmt 1\nblocks 3\nshifts 0\ngpm\n1\n"
     with pytest.raises(Exception, match="nonzero"):
         parse_document(bad_shift)
+
+
+def test_field_headers_go_through_the_field_memo(monkeypatch):
+    # two parses of a header give one object, and a GF(q) mod ... header
+    # builds the one field it names, not a default-modulus GF(q) beside it
+    assert parse_field_header("GF(65536)", 1) is parse_field_header("GF(65536)", 1)
+    assert parse_field_header("GF(65536)", 1) is parse_field_header("GF(2^16)", 1)
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, p, e=1, modulus=None):
+        built.append((p, e, modulus))
+        init(self, p, e, modulus)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    mod = (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1)  # x^16 + x^12 + x^3 + x + 1
+    header = "GF(65536) mod " + " ".join(map(str, mod))
+    f = parse_field_header(header, 1)
+    assert parse_field_header(header, 1) is f
+    assert (f.p, f.e, f.modulus) == (2, 16, mod)
+    # the field() memo is process-wide, so an earlier test may have built
+    # this field already; what must never happen is a default-modulus build
+    assert (2, 16, None) not in built
+    assert len(built) <= 1
 
 
 def test_gpm_block_in_document():

@@ -232,3 +232,114 @@ def test_dimension_formula_property(seed):
     # dim(A) + dim(B) = dim(A+B) + dim(A cap B)
     joined = LinearCode(f, 6, list(a.gen) + list(b.gen))
     assert a.k + b.k == joined.k + inter.k
+
+
+# -- rref, mat_mul and membership on every arithmetic route -----------------
+
+def reference_rref(f, rows):
+    """Element-by-element Gauss-Jordan over the field's own sub and mul."""
+    work = [list(r) for r in rows]
+    n_cols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = f.inv(work[r][c])
+        work[r] = [f.mul(inv, e) for e in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                g = work[i][c]
+                work[i] = [f.sub(a, f.mul(g, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def reference_mat_mul(f, a, b):
+    """Entry by entry: the field's add and mul along a row and a column."""
+    out = []
+    for row in a:
+        orow = []
+        for col in zip(*b):
+            acc = 0
+            for x, y in zip(row, col):
+                acc = f.add(acc, f.mul(x, y))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def reference_contains(f, rows, vec):
+    """Reduce vec by each row of the RREF (rows) at that row's pivot."""
+    gen, pivots = reference_rref(f, rows)
+    v = list(vec)
+    for row, pc in zip(gen, pivots):
+        if v[pc] != 0:
+            g = v[pc]
+            v = [f.sub(a, f.mul(g, b)) for a, b in zip(v, row)]
+    return not any(v)
+
+
+# One field per arithmetic route of Field: dense tables (GF(2), GF(9)),
+# integers mod p (GF(257)), log tables (GF(17^2), GF(2^9)) and digit loops
+# (GF(2^17)).
+ROUTE_FIELDS = (F2, field(3, 2), field(257), field(17, 2), field(2, 9), field(2, 17))
+
+
+@st.composite
+def scalar_rows(draw, f, n_rows, n_cols):
+    """Rows that are random, zero, or combinations of the rows before them,
+    with a drawn set of columns zero in every row."""
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1)))
+    entry = st.integers(0, f.q - 1)
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        row = [0] * n_cols
+        if kind == "random":
+            row = [0 if j in zero_cols else draw(entry) for j in range(n_cols)]
+        elif kind == "combination":
+            for r in rows:
+                c = draw(entry)
+                row = [f.add(a, f.mul(c, b)) for a, b in zip(row, r)]
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("f", ROUTE_FIELDS, ids=lambda f: f"q{f.q}")
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rref_matches_reference(f, data):
+    n_rows, n_cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 8))
+    rows = data.draw(scalar_rows(f, n_rows, n_cols))
+    assert rref(f, rows) == reference_rref(f, rows)
+
+
+@pytest.mark.parametrize("f", ROUTE_FIELDS, ids=lambda f: f"q{f.q}")
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mat_mul_matches_reference(f, data):
+    n_rows, inner, n_cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(scalar_rows(f, n_rows, inner))
+    b = data.draw(scalar_rows(f, inner, n_cols))
+    assert mat_mul(f, a, b) == reference_mat_mul(f, a, b)
+
+
+@pytest.mark.parametrize("f", ROUTE_FIELDS, ids=lambda f: f"q{f.q}")
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_contains_word_matches_reference(f, data):
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(scalar_rows(f, data.draw(st.integers(0, 5)), n))
+    code = LinearCode(f, n, rows)
+    coeffs = [data.draw(st.integers(0, f.q - 1)) for _ in rows]
+    word = reference_mat_mul(f, [coeffs], rows)[0] if rows else (0,) * n
+    other = data.draw(scalar_rows(f, 1, n))[0]
+    assert code.contains_word(word)
+    for vec in (word, other):
+        assert code.contains_word(vec) == reference_contains(f, rows, vec)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf
+from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf, oracle
 from mtcodes.errors import BudgetError, DomainError
 from mtcodes.mtcode import (
     _cofactor_product,
@@ -24,6 +24,7 @@ from mtcodes.mtcode import (
 from mtcodes.upoly import _divisor_row, is_irreducible
 
 from helpers import (
+    SWEEP_FIELDS,
     cofactor_product_reference,
     f4,
     f9_mod221,
@@ -31,7 +32,9 @@ from helpers import (
     modulus_diag,
     pmat,
     poly,
+    random_linear_code,
     random_mt_code,
+    random_profile,
     reference_factor_valuations,
     reference_layer_types,
     sweep_pair,
@@ -154,11 +157,69 @@ def test_from_linear_rejects_non_invariant_code():
 
 
 def test_round_trip_through_linear():
-    for code in (c1(), c2(), c3(), c4(), c5()):
-        lin = code.to_linear()
+    # c1()..c6() adopt the paper's generator as their scalar form, so expand
+    # the GPM afresh: the expansion must be the paper's code, and adopting
+    # the expansion must give the GPM back
+    for code in (c1(), c2(), c3(), c4(), c5(), c6()):
+        lin = MTCode(code.profile, code.gpm).to_linear()
+        assert lin is not code.to_linear()
+        assert lin == code.to_linear()
         assert lin.k == code.dim
         again = MTCode.from_linear(code.profile, lin)
         assert again == code
+
+
+def test_from_linear_adopts_the_code_without_solving(monkeypatch):
+    # the dimension of the MT closure decides: no membership solve and no
+    # second RREF, and the given code becomes the scalar form
+    import mtcodes.lincode as lincode
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lincode, "rref", counted("rref", lincode.rref))
+    monkeypatch.setattr(LinearCode, "contains_word", counted("contains_word", LinearCode.contains_word))
+    for code in (c1(), c2(), c3(), c4(), c5(), c6()):
+        source = MTCode(code.profile, code.gpm)
+        lin = source.to_linear()
+        assert "rref" in calls  # the counter sees the rref inside LinearCode
+        del calls[:]
+        adopted = MTCode.from_linear(code.profile, lin)
+        assert calls == []
+        assert adopted.to_linear() is lin
+        assert adopted == source
+        assert MTCode(code.profile, adopted.gpm).to_linear() == lin
+
+
+def test_from_linear_accepts_exactly_the_invariant_codes():
+    rng = random.Random(1601)
+    for idx in range(90):
+        f, max_n = SWEEP_FIELDS[idx % len(SWEEP_FIELDS)]
+        prof = random_profile(rng, f)
+        while prof.n > max_n:
+            prof = random_profile(rng, f)
+        source = None
+        if idx % 2:
+            lin = random_linear_code(rng, f, prof.n, max_k=3)
+        else:
+            source = random_mt_code(rng, prof)
+            lin = source.to_linear()
+        invariant = oracle.is_invariant(lin, prof.blocks, prof.shifts)
+        try:
+            mt = MTCode.from_linear(prof, lin)
+        except DomainError:
+            assert not invariant
+        else:
+            assert invariant
+            assert mt.dim == lin.k
+            assert source is None or mt == source
+            # expand the adopted GPM afresh: it must generate the given code
+            assert MTCode(prof, mt.gpm).to_linear() == lin
 
 
 # -- duals -------------------------------------------------------------------
