@@ -173,7 +173,7 @@ def _parse_mt_block(fld: Field, lines, start: int) -> tuple[MTCode, int]:
             if len(cells) != ell:
                 raise ParseError(f"expected {ell} polynomials, found {len(cells)}", rline)
             try:
-                rows.append([Poly.parse(fld, c) for c in cells])
+                rows.append([Poly.parse(fld, c, (m, s)) for c, m, s in zip(cells, blocks, shifts)])
             except ParseError as exc:
                 raise ParseError(str(exc), rline) from None
         return MTCode(profile, rows), start + 4 + ell
@@ -200,7 +200,9 @@ def load_document(path: str) -> CodeDocument:
 # ---------------------------------------------------------------------------
 
 def scalar_rows(fld: Field, rows) -> list[str]:
-    return [" ".join(fld.format_element(e) for e in row) for row in rows]
+    """Rows of field elements as text, each distinct element formatted once."""
+    lits = {e: fld.format_element(e) for e in set().union(*rows)}
+    return [" ".join(map(lits.__getitem__, row)) for row in rows]
 
 
 def poly_rows(mat: PolyMatrix) -> list[str]:
@@ -218,34 +220,30 @@ def _finite(d) -> int | None:
     return None if d is None or d == float("inf") else int(d)
 
 
-def code_payload(name, code, budget, with_distance: bool = True) -> dict:
+def code_payload(name, code, budget) -> dict:
     if isinstance(code, MTCode):
         prof = code.profile
-        out = {
+        return {
             "name": name,
             "kind": "mt",
             "length": prof.n,
             "dimension": code.dim,
+            "distance": _distance(code, budget),
+            "blocks": list(prof.blocks),
+            "shifts": [prof.field.format_element(s) for s in prof.shifts],
+            "period": prof.period,
+            "gpm": poly_rows(code.gpm),
+            "companion": poly_rows(code.companion),
+            "generator": scalar_rows(code.field, code.to_linear().gen),
         }
-        if with_distance:
-            out["distance"] = _distance(code, budget)
-        out["blocks"] = list(prof.blocks)
-        out["shifts"] = [prof.field.format_element(s) for s in prof.shifts]
-        out["period"] = prof.period
-        out["gpm"] = poly_rows(code.gpm)
-        out["companion"] = poly_rows(code.companion)
-        out["generator"] = scalar_rows(code.field, code.to_linear().gen)
-        return out
-    out = {
+    return {
         "name": name,
         "kind": "linear",
         "length": code.n,
         "dimension": code.k,
+        "distance": _distance(code, budget),
+        "generator": scalar_rows(code.field, code.gen),
     }
-    if with_distance:
-        out["distance"] = _distance(code, budget)
-    out["generator"] = scalar_rows(code.field, code.gen)
-    return out
 
 
 def render_lines(obj, indent: int = 0) -> list[str]:

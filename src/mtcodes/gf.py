@@ -339,9 +339,6 @@ class Field:
                 j += off
                 out[j] = raw_add(out[j], raw_mul(c, b))
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n

@@ -19,15 +19,16 @@ module works through G and A:
 * trivial-intersection and Galois LCD tests via ranks modulo the
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
-  whose modulus p_j divides, so the degree-N auxiliary product is never
-  formed, a factor dividing no block modulus costs no elimination, and a
-  factor with one such block reads its type from three valuations (the
-  matrix is an outer product); only a factor with two or more eliminates,
+  whose modulus p_j divides, so a factor dividing no block modulus costs
+  no elimination, and a factor with one such block reads its type from
+  three valuations (the matrix is an outer product); only a factor with
+  two or more eliminates, on the one auxiliary product below,
 * Galois self-orthogonality, dual-containment, reversibility and subcode
   tests as exact polynomial congruences modulo x^N - 1.
 
-Those congruences and the intersections' auxiliary stacks are
-L @ diag(c_i) @ R modulo x^N - 1, c_i = (x^N - 1)/(x^m_i - lam_i), and
+Those congruences, the intersections' auxiliary stacks and the layer
+tables' eliminations all read L @ diag(c_i) @ R modulo x^N - 1,
+c_i = (x^N - 1)/(x^m_i - lam_i), and
 `_cofactor_product` builds them block by block from residues modulo
 x^m_i - lam_i, with no degree-N product and no division by x^N - 1.
 
@@ -117,11 +118,6 @@ class MTProfile:
         (`factor_valuations`, `_layer_table`)."""
         return tuple(_divisor_row(p) for p, _ in self.factorization)
 
-    def cofactors(self) -> tuple[Poly, ...]:
-        """(x^N - 1) / (x^m_i - lam_i), one per block."""
-        ann = self.annihilator()
-        return tuple(ann.exact_div(m) for m in self.moduli)
-
     @cached_property
     def factor_valuations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per factor p_j^f_j of x^N - 1, in `factorization` order: the
@@ -148,26 +144,6 @@ class MTProfile:
             tuple((i, v) for i, (d, v) in enumerate(zip(self.moduli, mults)) if _min_valuation((d,), div, 1))
             for div in self.factor_divisors
         )
-
-    @cached_property
-    def cofactor_residues(self) -> tuple[tuple[Poly, tuple[tuple[int, Poly], ...]] | None, ...]:
-        """Per factor p_j^f_j of x^N - 1, in `factorization` order: for a
-        factor with two or more active blocks (`factor_valuations`), the
-        power p_j^f_j and the pairs (i, cofactor_i mod p_j^f_j) over those
-        blocks; None for every other factor.  The degree-N cofactors are
-        formed only if some factor needs them."""
-        out, cofactors = [], None
-        for (p, f), active in zip(self.factorization, self.factor_valuations):
-            if len(active) < 2:
-                out.append(None)
-                continue
-            if cofactors is None:
-                cofactors = self.cofactors()
-            power = p
-            for _ in range(f - 1):
-                power = power * p
-            out.append((power, tuple((i, cofactors[i] % power) for i, _ in active)))
-        return tuple(out)
 
     # -- derived profiles --------------------------------------------------
 
@@ -378,12 +354,7 @@ class MTCode:
                 for _ in range(prof.blocks[i] - prow[i].degree):
                     rows.append(vec)
                     vec = prof.apply_shift(vec)
-            code = LinearCode(self.field, prof.n, rows)
-            if code.k != self.dim:
-                raise AssertionError(
-                    "scalar expansion rank disagrees with the GPM's dimension"
-                )
-            self._linear = code
+            self._linear = LinearCode(self.field, prof.n, rows)
         return self._linear
 
     def min_distance(self, budget: int | None = None) -> float:
@@ -634,19 +605,17 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     * a factor dividing no block modulus has type (0, ..., 0);
     * with one active block i the matrix is the outer product
       left[:, i] * c_i * right[i, :], whose type `_outer_product_type`
-      reads from valuations, with no residue and no elimination;
-    * with two or more, the matrix is built from entries reduced modulo
-      p_j^f_j (`MTProfile.cofactor_residues`), never from the degree-N
-      product, and eliminated by `_chain_type`.
+      reads from valuations, with no product and no elimination;
+    * with two or more, `_chain_type` eliminates `_cofactor_product`,
+      formed once per table and only for such a factor; it reduces the
+      entries modulo p_j^f_j, where the inactive blocks' c_i vanish.
     """
-    fac = profile.factorization
-    layers = []
-    for (p_j, f_j), div, active, residues in zip(
-        fac, profile.factor_divisors, profile.factor_valuations, profile.cofactor_residues
-    ):
-        if residues is not None:
-            power, cofactors = residues
-            type_vector = _chain_type(_residue_product(left, right, cofactors, power), p_j, f_j).type_vector
+    layers, product = [], None
+    for (p_j, f_j), div, active in zip(profile.factorization, profile.factor_divisors, profile.factor_valuations):
+        if len(active) > 1:
+            if product is None:
+                product = _cofactor_product(left, right, profile)
+            type_vector = _chain_type(product, p_j, f_j).type_vector
         elif active:
             ((i, v),) = active
             column = [row[i] for row in left.rows]
@@ -690,23 +659,6 @@ def _min_valuation(entries, div, cap: int) -> int:
             cs, v = quot, v + 1
         cap = v
     return cap
-
-
-def _residue_product(left: PolyMatrix, right: PolyMatrix, active, power: Poly) -> PolyMatrix:
-    """Sum over the active (i, c_i) of left[:, i] * c_i * right[i, :],
-    from entries reduced modulo power; the sums themselves are left for
-    `_chain_type` to reduce."""
-    zero = Poly.zero(left.field)
-    acc = [[zero] * right.shape[1] for _ in left.rows]
-    for i, c in active:
-        col = [(row[i] % power) * c % power if row[i] else zero for row in left.rows]
-        rrow = [e % power for e in right.rows[i]]
-        for out, u in zip(acc, col):
-            if u:
-                for b, v in enumerate(rrow):
-                    if v:
-                        out[b] = out[b] + u * v
-    return PolyMatrix._trusted(left.field, acc)
 
 
 @dataclass(frozen=True)

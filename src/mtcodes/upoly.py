@@ -299,12 +299,18 @@ class Poly:
         return f"Poly({self})"
 
     @staticmethod
-    def parse(field: Field, text: str) -> "Poly":
+    def parse(field: Field, text: str, block: tuple[int, int] | None = None) -> "Poly":
+        """The polynomial written in text; with block = (m, lam), its residue
+        modulo x^m - lam, each term folded as it is read by
+        x^d = lam^(d // m) * x^(d mod m), so no list outgrows m."""
         coeffs: list[int] = []
         for sign, term in _split_sum(text):
             c, d = _parse_poly_term(field, term)
             if sign < 0:
                 c = field.neg(c)
+            if block is not None:
+                wraps, d = divmod(d, block[0])
+                c = field.mul(c, field.pow(block[1], wraps))
             while len(coeffs) <= d:
                 coeffs.append(0)
             coeffs[d] = field.add(coeffs[d], c)

@@ -76,7 +76,8 @@ def modulus_diag(prof: MTProfile) -> PolyMatrix:
 
 def cofactor_diag(prof: MTProfile) -> PolyMatrix:
     """diag((x^N - 1) / (x^m_i - lam_i)), the degree-N cofactors."""
-    return PolyMatrix.diagonal(prof.cofactors())
+    ann = prof.annihilator()
+    return PolyMatrix.diagonal([ann.exact_div(m) for m in prof.moduli])
 
 
 def cofactor_product_reference(left: PolyMatrix, right: PolyMatrix, prof: MTProfile) -> PolyMatrix:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from mtcodes import Field
-from mtcodes.cli import main, parse_document, parse_field_header
+from mtcodes.cli import main, parse_document, parse_field_header, scalar_rows
+from mtcodes.upoly import Poly
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 F4_DOC = str(FIXTURES / "f4_codes.txt")
@@ -75,6 +76,34 @@ def test_gpm_block_in_document():
     doc = parse_document(Path(F4_DOC).read_text())
     z = doc.codes["Z"]
     assert z.dim == 0
+
+
+def test_gpm_cells_fold_huge_exponents_as_they_are_read():
+    # modulo x^3 - 2, x^(10^12 + 1) = 2^333333333333 * x^2 = 2 * x^2, and
+    # modulo x^4 - 1 it is x: each cell is reduced by its column's block
+    # modulus term by term, so no coefficient list outgrows the block
+    f3 = parse_field_header("GF(3)", 1)
+    assert Poly.parse(f3, "x^1000000000001", (3, 2)) == Poly(f3, (0, 0, 2))
+    head = "GF(3)\ncode A\nmt 2\nblocks 3 4\nshifts 2 1\ngpm\n"
+    huge = parse_document(head + "1 + x^1000000000001 | 0\n0 | 1 + x^1000000000001\n")
+    folded = parse_document(head + "1 + 2*x^2 | 0\n0 | 1 + x\n")
+    assert huge.codes["A"].gpm == folded.codes["A"].gpm
+
+
+def test_scalar_rows_format_each_distinct_element_once(monkeypatch):
+    doc = parse_document(Path(F9_DOC).read_text())
+    rows = [row for code in doc.codes.values() for row in code.to_linear().gen]
+    real = Field.format_element
+    want = [" ".join(real(doc.field, e) for e in row) for row in rows]
+    calls = []
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(Field, "format_element", counting)
+    assert scalar_rows(doc.field, rows) == want
+    assert sorted(calls) == sorted({e for row in rows for e in row})
 
 
 # -- exit codes ----------------------------------------------------------

@@ -209,6 +209,7 @@ def test_from_linear_accepts_exactly_the_invariant_codes():
         else:
             source = random_mt_code(rng, prof)
             lin = source.to_linear()
+            assert lin.k == source.dim  # the expansion rows are independent
         invariant = oracle.is_invariant(lin, prof.blocks, prof.shifts)
         try:
             mt = MTCode.from_linear(prof, lin)
@@ -598,26 +599,33 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
     import mtcodes.mtcode as mtcode_mod
 
     calls = _count_calls(monkeypatch, mtcode_mod, "factor")
-    real_cofactors = MTProfile.cofactors
-    cofactor_calls = _count_calls(monkeypatch, MTProfile, "cofactors")
     prof = MTProfile(F3, MIXED_F3.blocks, MIXED_F3.shifts)  # fresh caches
     _layer_table_workout(prof, 7)
     assert len(calls) == 1
-    assert len(cofactor_calls) == 1  # the residues are cached with the factorization
     assert prof.factorization.expand() == prof.annihilator()
-    cofactors = real_cofactors(prof)
-    multi = 0
-    for (p, f), active, residues in zip(prof.factorization, prof.factor_valuations, prof.cofactor_residues):
+    for (p, _), active in zip(prof.factorization, prof.factor_valuations):
         assert [i for i, _ in active] == [i for i, m in enumerate(prof.moduli) if (m % p).is_zero()]
         assert all(v == _multiplicity(prof.moduli[i], p) for i, v in active)
-        if len(active) < 2:
-            assert residues is None
-            continue
-        multi += 1
-        power, pairs = residues
-        assert power == _power(p, f)
-        assert pairs == tuple((i, cofactors[i] % power) for i, _ in active)
-    assert multi == 1
+
+
+@pytest.mark.parametrize(
+    "prof, multi", [(MIXED_F3, 1), (MTProfile(F3, (4, 8), (1, 1)), 3)], ids=["mixed", "nested"]
+)
+def test_layer_tables_form_the_cofactor_product_once(monkeypatch, prof, multi):
+    """A table builds the auxiliary product once, however many factors
+    have two or more active blocks: MIXED_F3 has one (besides factors
+    with zero and one), blocks 4 8 have three."""
+    import mtcodes.mtcode as mtcode_mod
+
+    assert sum(len(active) > 1 for active in prof.factor_valuations) == multi
+    products = _count_calls(monkeypatch, mtcode_mod, "_cofactor_product")
+    rng = random.Random(11)
+    first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
+    first.trivial_intersection_evidence(second)
+    assert len(products) == 1
+    products.clear()
+    first.property_check("lcd", 0)
+    assert len(products) == 1
 
 
 def test_derived_profiles_share_one_factoring(monkeypatch, cold_factor_memo):
@@ -746,9 +754,9 @@ def test_single_block_factors_need_no_cofactor_or_elimination(monkeypatch):
     active = [sum((m % p).is_zero() for m in SINGLE_F3.moduli) for p, _ in fac]
     assert max(active) == 1 and sum(active) >= 3
     eliminations = _count_calls(monkeypatch, mtcode_mod, "_chain_type")
-    cofactor_calls = _count_calls(monkeypatch, MTProfile, "cofactors")
+    products = _count_calls(monkeypatch, mtcode_mod, "_cofactor_product")
     _layer_table_workout(MTProfile(F3, SINGLE_F3.blocks, SINGLE_F3.shifts), 7)
-    assert eliminations == [] and cofactor_calls == []
+    assert eliminations == [] and products == []
 
 
 def _check_outer_product(f: Field, p: Poly, mult: int, u, v, c: Poly) -> None:
