@@ -22,15 +22,16 @@ module works through G and A:
   whose modulus p_j divides, so a factor dividing no block modulus costs
   no elimination, and a factor with one such block reads its type from
   three valuations (the matrix is an outer product); only a factor with
-  two or more eliminates, on the one auxiliary product below,
+  two or more eliminates, on residues modulo x^m_i - lam_i weighted by
+  the cofactors c_i = (x^N - 1)/(x^m_i - lam_i) taken modulo p_j^f_j in
+  closed form (`MTProfile.factor_weights`), so no entry reaches degree N,
 * Galois self-orthogonality, dual-containment, reversibility and subcode
   tests as exact polynomial congruences modulo x^N - 1.
 
-Those congruences, the intersections' auxiliary stacks and the layer
-tables' eliminations all read L @ diag(c_i) @ R modulo x^N - 1,
-c_i = (x^N - 1)/(x^m_i - lam_i), and
-`_cofactor_product` builds them block by block from residues modulo
-x^m_i - lam_i, with no degree-N product and no division by x^N - 1.
+Those congruences and the intersections' auxiliary stacks read
+L @ diag(c_i) @ R modulo x^N - 1, and `_cofactor_product` builds it block
+by block from residues modulo x^m_i - lam_i, with no degree-N product and
+no division by x^N - 1.
 
 Binary operations other than the structure advisor require identical
 profiles; unequal shift vectors generically force trivial blocks and can
@@ -48,8 +49,8 @@ from functools import cached_property, reduce
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
-from .pmat import ChainType, PolyMatrix, _chain_type, _gpm_pair
-from .upoly import Factorization, Poly, _divisor_row, _long_divide, factor, reciprocal_poly
+from .pmat import PolyMatrix, _chain_type, _gpm_pair, _size_log_q
+from .upoly import Factorization, Poly, _divisor_row, _long_divide, _power, _remainder, factor, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
 
@@ -144,6 +145,49 @@ class MTProfile:
             tuple((i, v) for i, (d, v) in enumerate(zip(self.moduli, mults)) if _min_valuation((d,), div, 1))
             for div in self.factor_divisors
         )
+
+    @cached_property
+    def factor_weights(self) -> tuple:
+        """Per factor p^f of x^N - 1 with two or more active blocks, in
+        `factorization` order: `_divisor_row(p^f)` and the pairs (i, w_i)
+        over its active blocks, w_i = c_i mod p^f as the (index, coefficient)
+        pairs of its nonzero terms; None for every other factor.
+
+        With c the characteristic, N = N' * f and x^N - 1 = (x^N' - 1)^f,
+        and m_i = m'_i * v for v = v_p(x^m_i - lam_i) (`factor_valuations`),
+        x^m_i - lam_i = E^v for E = x^m'_i - mu, mu^v = lam_i.  E divides
+        x^N' - 1, square-free as c does not divide N'; let e = (x^N' - 1)/E.
+        Differentiating e * E = x^N' - 1 modulo p, where E vanishes, gives
+        e * m'_i * x^(m'_i - 1) = N' * x^(N' - 1), so e = (N'/m'_i) * mu^-1
+        modulo p, as x^N' = 1 and x^m'_i = mu there.  Raising to the power
+        v, a power of c, gives e^v = kappa_i modulo p^v, with
+        kappa_i = (N'/m'_i) * lam_i^-1 in GF(c).  Then
+        c_i = e^f * E^(f - v) = e^v * (x^N' - 1)^(f - v), and p^(f - v)
+        divides the second factor, so modulo p^f
+        c_i = kappa_i * (x^(N'v) - 1)^(f/v - 1)
+            = kappa_i * sum_(t < f/v) x^(t N' v),
+        since (y - 1)^(f/v) = y^(f/v) - 1 for y = x^(N'v).  For v = f this is
+        the constant kappa_i, and for c not dividing N it is (N/m_i) * lam_i^-1.
+        """
+        fld = self.field
+        out = []
+        for (p, f), active in zip(self.factorization, self.factor_valuations):
+            if len(active) < 2:
+                out.append(None)
+                continue
+            div = _divisor_row(_power(p, f))
+            n_red = self.period // f
+            weights = []
+            for i, v in active:
+                kappa = fld.mul(n_red // (self.blocks[i] // v) % fld.p, fld.inv(self.shifts[i]))
+                step = n_red * v
+                cs = [0] * ((f // v - 1) * step + 1)
+                cs[::step] = [kappa] * (f // v)
+                if len(cs) > div[0]:
+                    _long_divide(fld, cs, div)
+                weights.append((i, [(j, w) for j, w in enumerate(cs) if w]))
+            out.append((div, tuple(weights)))
+        return tuple(out)
 
     # -- derived profiles --------------------------------------------------
 
@@ -576,7 +620,7 @@ class FactorLayer:
     @property
     def weighted(self) -> int:
         """log_q of the layer's size, as `ChainType.size_log_q`."""
-        return ChainType(self.factor, self.power, self.type_vector).size_log_q
+        return _size_log_q(self.factor.degree, self.type_vector)
 
 
 @dataclass(frozen=True)
@@ -606,16 +650,25 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     * with one active block i the matrix is the outer product
       left[:, i] * c_i * right[i, :], whose type `_outer_product_type`
       reads from valuations, with no product and no elimination;
-    * with two or more, `_chain_type` eliminates `_cofactor_product`,
-      formed once per table and only for such a factor; it reduces the
-      entries modulo p_j^f_j, where the inactive blocks' c_i vanish.
+    * with two or more, `_chain_type` eliminates the matrix of
+      sum_i w_i * r_i modulo p_j^f_j (`_weighted_residues`), where
+      w_i = c_i mod p_j^f_j (`MTProfile.factor_weights`) and
+      r_i = left[a][i] * right[i][b] mod x^m_i - lam_i, formed once per
+      table for each block active in such a factor.  c_i * r_i differs from
+      c_i * left[a][i] * right[i][b] by a multiple of x^N - 1, so no entry
+      of degree N is formed or reduced.
     """
-    layers, product = [], None
-    for (p_j, f_j), div, active in zip(profile.factorization, profile.factor_divisors, profile.factor_valuations):
+    layers, residues, sums = [], {}, {}
+    for (p_j, f_j), div, active, weights in zip(
+        profile.factorization, profile.factor_divisors, profile.factor_valuations, profile.factor_weights
+    ):
         if len(active) > 1:
-            if product is None:
-                product = _cofactor_product(left, right, profile)
-            type_vector = _chain_type(product, p_j, f_j).type_vector
+            for i, _ in active:
+                if i not in residues:
+                    d = _divisor_row(profile.moduli[i])
+                    residues[i] = [[_remainder(a * b, d).coeffs for b in right.rows[i]] for a in (row[i] for row in left.rows)]
+            matrix = _weighted_residues(residues, sums, weights, profile.field)
+            type_vector = _chain_type(matrix, p_j, f_j).type_vector
         elif active:
             ((i, v),) = active
             column = [row[i] for row in left.rows]
@@ -624,6 +677,53 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
             type_vector = (0,) * f_j
         layers.append(FactorLayer(p_j, f_j, type_vector))
     return LayerTable(tuple(layers), target)
+
+
+def _weighted_residues(residues, sums, weights, fld: Field) -> PolyMatrix:
+    """The matrix of sum_i w_i * r_i modulo P = p^f, for the residue
+    matrices r_i (coefficient tuples) and one factor's entry of
+    `MTProfile.factor_weights`: P's `_divisor_row` and the w_i.  A constant
+    weight, the one term (0, kappa_i), depends on the block but not on the
+    factor, so the terms with one are summed as they are, once per table
+    for each set of them (``sums``); a term with any other weight adds r_i,
+    reduced modulo P first, times w_i.  Each entry is reduced modulo P
+    once."""
+    div, pairs = weights
+    add_scaled, db = fld.add_scaled, div[0]
+    scaled = tuple((i, w[0][1]) for i, w in pairs if not w[-1][0])
+    if scaled not in sums:
+        sums[scaled] = _scaled_sum(residues, scaled, fld)
+    spread = [(i, w) for i, w in pairs if w[-1][0]]
+    width = max([db + w[-1][0] for _, w in spread], default=0)
+    out = []
+    for a, base_row in enumerate(sums[scaled]):
+        row = []
+        for b, base in enumerate(base_row):
+            acc = base + [0] * (width - len(base))
+            for i, w in spread:
+                r = residues[i][a][b]
+                if len(r) > db:
+                    r = list(r)
+                    _long_divide(fld, r, div)
+                for j, c in w:
+                    add_scaled(acc, j, c, enumerate(r))
+            if len(acc) > db:
+                _long_divide(fld, acc, div)
+            row.append(Poly._trusted(fld, acc))
+        out.append(row)
+    return PolyMatrix._trusted(fld, out)
+
+
+def _scaled_sum(residues, scaled, fld: Field) -> list:
+    """sum_i kappa_i * r_i entry by entry, for the (i, kappa_i) pairs in
+    ``scaled``, as coefficient lists."""
+    out = [[[] for _ in row] for row in next(iter(residues.values()))]
+    for i, kappa in scaled:
+        for acc_row, r_row in zip(out, residues[i]):
+            for acc, r in zip(acc_row, r_row):
+                acc.extend([0] * (len(r) - len(acc)))
+                fld.add_scaled(acc, 0, kappa, enumerate(r))
+    return out
 
 
 def _outer_product_type(u, v, h: int, div, f: int) -> tuple[int, ...]:

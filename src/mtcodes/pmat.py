@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .gf import Field
-from .upoly import NEG_INF, Poly, is_irreducible, poly_ext_gcd
+from .upoly import NEG_INF, Poly, _divisor_row, _long_divide, _power, _remainder, is_irreducible
 
 
 class PolyMatrix:
@@ -450,15 +450,6 @@ def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
 # Arithmetic in GF(q)[x]/<p> and GF(q)[x]/<p^f>
 # ---------------------------------------------------------------------------
 
-def _inv_mod(a: Poly, m: Poly) -> Poly:
-    """Inverse of a modulo m, for a coprime to m (ext gcd is monic, so the
-    degree-0 gcd is exactly 1)."""
-    g, s, _ = poly_ext_gcd(a, m)
-    if g.degree != 0:
-        raise ZeroDivisionError(f"{a} is not invertible modulo {m}")
-    return s % m
-
-
 def rank_mod(m: PolyMatrix, p: Poly) -> int:
     """Rank of m over the field GF(q)[x]/<p>, p irreducible: the chain-ring
     type for exponent 1."""
@@ -478,8 +469,15 @@ class ChainType:
     @property
     def size_log_q(self) -> int:
         """log_q of the number of elements in the row span."""
-        d = self.modulus.degree
-        return d * sum((self.power - h) * r for h, r in enumerate(self.type_vector))
+        return _size_log_q(self.modulus.degree, self.type_vector)
+
+
+def _size_log_q(degree: int, type_vector) -> int:
+    """log_q of the size of a row span of this type over GF(q)[x]/<p^f>,
+    deg p = degree and f = len(type_vector): a row in layer h spans
+    GF(q)[x]/<p^(f-h)>, of q^(degree * (f - h)) elements."""
+    f = len(type_vector)
+    return degree * sum((f - h) * r for h, r in enumerate(type_vector))
 
 
 def chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
@@ -495,39 +493,53 @@ def chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
 def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
     """`chain_type` for f >= 1 and a p already known to be irreducible.
 
-    Layer h is one column sweep modulo p^(f-h): in each column a row whose
-    entry is a unit (nonzero mod p) clears that column in every other row
-    and is set aside, counting towards r_h.  Clearing never brings a unit
-    back into a swept column, so what remains is divisible by p and is
-    divided by it for the next layer.
+    Layer h sweeps the columns modulo p^(f-h): in each column a row whose
+    entry u is a unit (not divisible by p) is set aside, counting towards
+    r_h, and every other row becomes u * row - a * pivot_row, a its entry in
+    that column.  As u is a unit this keeps the row span, and so the type,
+    without inverting u.  Clearing never brings a unit back into a swept
+    column, so what remains is divisible by p, and its quotients, kept
+    from the unit tests, are the next layer's rows.  A layer with no unit
+    costs one division by p per entry; p^(f-h) is formed and prepared as a
+    `_divisor_row` only for a layer that sets a row aside.  Zero rows are
+    dropped, and the sweep stops when no row is left.
     """
-    powers = [p]
-    for _ in range(f - 1):
-        powers.append(powers[-1] * p)
-    rows = [[e % powers[-1] for e in row] for row in m.rows]
-    n_cols = m.shape[1]
+    fld = p.field
+    div_p = _divisor_row(p)
+
+    def peel(e: Poly) -> Poly | None:
+        """e / p, or None when p does not divide e."""
+        if len(e.coeffs) <= div_p[0]:
+            return None if e else e
+        rem = list(e.coeffs)
+        quot = _long_divide(fld, rem, div_p)
+        return None if any(rem) else Poly._trusted(fld, quot)
+
+    div = _divisor_row(_power(p, f))
+    rows = [[_remainder(e, div) for e in row] for row in m.rows]
     type_vector = []
     for h in range(f):
-        mod_h = powers[f - h - 1]  # p^(f-h), the modulus for this layer
-        last = h == f - 1  # modulo p itself every nonzero entry is a unit
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            break
+        peeled = [[peel(e) for e in row] for row in rows]
         r_h = 0
-        for c in range(n_cols):
-            if not rows:
-                break
-            at = next((i for i, row in enumerate(rows) if row[c] and (last or row[c] % p)), None)
+        for c in range(m.shape[1]):
+            at = next((i for i, row in enumerate(peeled) if row[c] is None), None)
             if at is None:
                 continue
+            if h and not r_h:
+                div = _divisor_row(_power(p, f - h))
             pivot_row = rows.pop(at)
-            inv = _inv_mod(pivot_row[c], mod_h)
-            pivot_row = [(e * inv) % mod_h if e else e for e in pivot_row]
+            del peeled[at]
+            u = pivot_row[c]
             for i, row in enumerate(rows):
                 a = row[c]
                 if a:
-                    rows[i] = [(x - a * y) % mod_h if y else x for x, y in zip(row, pivot_row)]
+                    rows[i] = [_remainder((u * x)._sub_mul(a, y), div) for x, y in zip(row, pivot_row)]
+                    peeled[i] = [peel(e) for e in rows[i]]
             r_h += 1
         type_vector.append(r_h)
-        if not last:
-            # Everything left is divisible by p exactly; peel one layer.
-            mod_next = powers[f - h - 2]
-            rows = [[e.exact_div(p) % mod_next for e in row] for row in rows]
+        rows = peeled
+    type_vector += [0] * (f - len(type_vector))
     return ChainType(p, f, tuple(type_vector))

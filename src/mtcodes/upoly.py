@@ -243,22 +243,13 @@ class Poly:
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
         """self^n modulo mod, by squaring; mod's reduction row is built
         once for every reduction."""
-        f = self.field
         div = _divisor_row(mod)
-
-        def reduce(p: "Poly") -> "Poly":
-            if len(p.coeffs) <= div[0]:
-                return p
-            rem = list(p.coeffs)
-            _long_divide(f, rem, div)
-            return Poly._trusted(f, rem)
-
-        result = Poly.one(f)
-        base = reduce(self)
+        result = Poly.one(self.field)
+        base = _remainder(self, div)
         while n:
             if n & 1:
-                result = reduce(result * base)
-            base = reduce(base * base)
+                result = _remainder(result * base, div)
+            base = _remainder(base * base, div)
             n >>= 1
         return result
 
@@ -347,6 +338,32 @@ def _long_divide(f: Field, rem: list[int], div) -> list[int]:
     return quot
 
 
+def _remainder(e: Poly, div) -> Poly:
+    """e modulo the polynomial prepared as the `_divisor_row` div."""
+    if len(e.coeffs) <= div[0]:
+        return e
+    rem = list(e.coeffs)
+    _long_divide(e.field, rem, div)
+    return Poly._trusted(e.field, rem)
+
+
+def _power(p: Poly, k: int) -> Poly:
+    """p^k as the product, over the base-c digits k_t of k (c the
+    characteristic), of (p^(c^t))^(k_t), where p^(c^t) = sigma^t(p)(x^(c^t))
+    since the c-th power map is additive and is sigma on the coefficients.
+    Each factor has at most deg p + 1 terms, so for k = c^s there is no
+    product to form at all."""
+    c, t, out = p.field.p, 0, Poly.one(p.field)
+    while k:
+        k, digit = divmod(k, c)
+        if digit:
+            base = _spread(p.frobenius(t), c**t)
+            for _ in range(digit):
+                out = out * base
+        t += 1
+    return out
+
+
 def _parse_poly_term(field: Field, term: str) -> tuple[int, int]:
     """One additive term -> (coefficient, degree)."""
     term = term.strip()
@@ -397,23 +414,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = f.inv(r0.lead)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from mtcodes.upoly import _divisor_row, is_irreducible
 
 from helpers import (
     SWEEP_FIELDS,
+    cofactor_diag,
     cofactor_product_reference,
     f4,
     f9_mod221,
@@ -611,21 +612,24 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
 @pytest.mark.parametrize(
     "prof, multi", [(MIXED_F3, 1), (MTProfile(F3, (4, 8), (1, 1)), 3)], ids=["mixed", "nested"]
 )
-def test_layer_tables_form_the_cofactor_product_once(monkeypatch, prof, multi):
-    """A table builds the auxiliary product once, however many factors
-    have two or more active blocks: MIXED_F3 has one (besides factors
-    with zero and one), blocks 4 8 have three."""
+def test_layer_tables_never_form_the_cofactor_product(monkeypatch, prof, multi):
+    """A factor with two or more active blocks (MIXED_F3 has one, blocks
+    4 8 have three) eliminates residues weighted by c_i mod p^f, so no
+    table forms the degree-N product, and every entry `_chain_type` gets
+    is already below the degree of p^f."""
     import mtcodes.mtcode as mtcode_mod
 
     assert sum(len(active) > 1 for active in prof.factor_valuations) == multi
     products = _count_calls(monkeypatch, mtcode_mod, "_cofactor_product")
+    eliminations = _count_calls(monkeypatch, mtcode_mod, "_chain_type")
     rng = random.Random(11)
     first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
     first.trivial_intersection_evidence(second)
-    assert len(products) == 1
-    products.clear()
     first.property_check("lcd", 0)
-    assert len(products) == 1
+    assert products == []
+    assert len(eliminations) == 2 * multi
+    for m, p, mult in eliminations:
+        assert all(e.degree < mult * p.degree for row in m.rows for e in row)
 
 
 def test_derived_profiles_share_one_factoring(monkeypatch, cold_factor_memo):
@@ -677,6 +681,67 @@ def test_min_valuation_matches_repeated_divmod(data):
         return v
 
     assert _min_valuation(entries, _divisor_row(p), cap) == min([cap] + [reference(e) for e in entries])
+
+
+# -- cofactors modulo p^f in closed form ---------------------------------------
+
+WEIGHT_FIELDS = (
+    field(2), F3, field(2, 2), field(5), field(3, 2), field(2, 4),
+    field(257), field(17, 2), field(2, 9), field(3, 7), field(2, 17),
+)
+
+
+def _low_order_shifts(f: Field) -> list[int]:
+    """1 and some elements of order dividing 2-6: a^((q-1)/o) for small a."""
+    out = {1}
+    for o in range(2, 7):
+        if (f.q - 1) % o == 0:
+            out.update(f.pow(a, (f.q - 1) // o) for a in range(2, min(f.q, 8)))
+    return sorted(out)
+
+
+def _weight_profiles():
+    """Seeded profiles with char | N over every WEIGHT_FIELDS field, block
+    lengths carrying different powers of the characteristic, N <= 600."""
+    rng = random.Random(1818)
+    for f in WEIGHT_FIELDS:
+        c = f.p
+        shifts = _low_order_shifts(f)
+        lengths = [m for m in (1, 2, 3, 4, 6, c, 2 * c, 3 * c, c * c, 2 * c * c) if m <= 300]
+        found = 0
+        while found < 10:
+            ell = rng.randint(2, 3)
+            prof = MTProfile(f, tuple(rng.choice(lengths) for _ in range(ell)), tuple(rng.choice(shifts) for _ in range(ell)))
+            if prof.period % c == 0 and prof.period <= 600 and any(len(a) > 1 for a in prof.factor_valuations):
+                found += 1
+                yield prof
+
+
+def test_factor_weights_are_the_cofactors_modulo_p_f():
+    """`MTProfile.factor_weights` (c_i mod p^f in closed form) against
+    `cofactor_diag`'s degree-N cofactors reduced modulo p^f, p^f built by
+    f - 1 products."""
+    triples, sparse, fields = 0, 0, set()
+    for prof in _weight_profiles():
+        cofactors = cofactor_diag(prof)
+        for (p, mult), active, weights in zip(prof.factorization, prof.factor_valuations, prof.factor_weights):
+            assert (weights is None) == (len(active) < 2)
+            if weights is None:
+                continue
+            power = _power(p, mult)
+            div, pairs = weights
+            assert div == _divisor_row(power)
+            assert [i for i, _ in pairs] == [i for i, _ in active]
+            for (i, v), (_, w) in zip(active, pairs):
+                cs = [0] * power.degree
+                for j, c in w:
+                    cs[j] = c
+                assert Poly(prof.field, cs) == cofactors[i, i] % power, (prof, p, i)
+                triples += 1
+                sparse += v < mult
+                fields.add(prof.field.q)
+    assert fields == {f.q for f in WEIGHT_FIELDS}
+    assert triples >= 250 and sparse >= 100, (triples, sparse)
 
 
 # -- layer tables against the full auxiliary product ---------------------------

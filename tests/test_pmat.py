@@ -298,18 +298,21 @@ def row_span_size(m, modulus):
 def test_chain_type_counts_row_span():
     # A seeded sweep: the span over the chain ring GF(q)[x]/<p^f> has
     # q^size_log_q elements.  Entries carry random powers of p so that
-    # every layer of the type vector is exercised.
+    # every layer of the type vector is exercised; some carry a multiple of
+    # p^f, so they reach past its degree, and a random nonzero scalar, so
+    # unit pivots are not monic and are not inverted by the sweep.
     rng = random.Random(20250)
     moduli = {
         field(2): ["1 + x", "1 + x + x^2"],
         F3: ["2 + x", "1 + x^2"],
         f4(): ["w + x", "w + x + x^2"],
         field(3, 2): ["w + x"],
+        field(5): ["3 + x", "2 + x^2"],
     }
     cases = [(fld, poly(fld, text)) for fld, texts in moduli.items() for text in texts]
     assert all(is_irreducible(p) for _, p in cases)
-    layered = 0
-    for _ in range(120):
+    layered = long_entries = non_monic_units = 0
+    for _ in range(160):
         fld, p = rng.choice(cases)
         power = rng.randint(1, 3)
         n_cols = rng.randint(1, 3)
@@ -325,6 +328,11 @@ def test_chain_type_counts_row_span():
                 e = rand_matrix(rng, fld, 1, 1, max_deg=2).rows[0][0]
                 for _ in range(rng.randint(0, power)):
                     e = e * p
+                if rng.random() < 0.3:
+                    e = e + rand_matrix(rng, fld, 1, 1, max_deg=1).rows[0][0] * modulus
+                e = e.scale(rng.randrange(1, fld.q))
+                long_entries += e.degree >= modulus.degree
+                non_monic_units += bool(e) and e.lead != 1 and bool(e % p)
                 row.append(e)
             rows.append(row)
         m = PolyMatrix(fld, rows)
@@ -334,6 +342,7 @@ def test_chain_type_counts_row_span():
             assert rank_mod(m, p) == t.type_vector[0]
         layered += power > 1 and sum(t.type_vector[1:]) > 0
     assert layered > 10
+    assert long_entries > 20 and non_monic_units > 50, (long_entries, non_monic_units)
 
 
 def test_parse_and_str_round_trip():

@@ -12,7 +12,6 @@ from mtcodes.upoly import (
     NEG_INF,
     _spread,
     is_irreducible,
-    poly_ext_gcd,
     poly_gcd,
 )
 
@@ -113,9 +112,6 @@ def test_gcd_properties(seed):
         return
     assert g.lead == 1  # monic
     assert (a % g).is_zero() and (b % g).is_zero()
-    g2, u, v = poly_ext_gcd(a, b)
-    assert g2 == g
-    assert u * a + v * b == g
 
 
 def test_evaluate():
