@@ -15,7 +15,8 @@ and chooses its arithmetic representation once, at construction:
 * extension fields with 256 < q <= 2^16: log/antilog tables of length
   O(q) to the base of a primitive element, for ``mul`` and ``inv``, and
   Zech logarithms (log(1 + g^n)) for ``add``.
-* extension fields with q > 2^16: loops over the base-p digits, and
+* extension fields with q > 2^16: loops over the base-p digits (in
+  characteristic 2, carry-less products of the bit patterns), and
   ``inv`` by square-and-multiply.
 
 Moduli are tested for irreducibility by ``upoly.is_irreducible``.
@@ -34,6 +35,7 @@ the fused row primitive :meth:`Field.add_scaled` once per row rather than
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import ParseError
@@ -120,9 +122,15 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = modulus
+        # The modulus as an int of base-p digits, as elements are encoded;
+        # in characteristic 2 `_raw_mul` reduces by its bit pattern.
+        self._modulus_int = self.from_coeffs(modulus)
         # w = class of x; for prime fields the modulus is x and w = 0.
         self.omega = p % self.q if e > 1 else None
-        self._powers_of_omega: dict[int, int] | None = None
+        # Discrete logs to the base w, kept per element once found, and the
+        # baby steps of each prime order they were searched in.
+        self._omega_logs: dict[int, int | None] = {}
+        self._baby_steps: dict[int, tuple[int, dict[int, int], int]] = {}
         # The representation is the set of tables that are not None; with
         # none, arithmetic runs on ints (e = 1) or base-p digits (e > 1).
         self._add_table: list[list[int]] | None = None
@@ -237,8 +245,22 @@ class Field:
 
     def _raw_mul(self, a: int, b: int) -> int:
         """a * b from the base-p digits: the schoolbook product of the two
-        digit vectors, reduced by the monic modulus from the top term down."""
+        digit vectors, reduced by the monic modulus from the top term down.
+        In characteristic 2 the digits are the bits of a and b, so the
+        product is a carry-less one of ints."""
         e, m = self.e, self.modulus
+        if self.p == 2:
+            prod = 0
+            while b:
+                if b & 1:
+                    prod ^= a
+                a <<= 1
+                b >>= 1
+            mod = self._modulus_int
+            for k in range(prod.bit_length() - 1, e - 1, -1):
+                if prod >> k & 1:
+                    prod ^= mod << (k - e)
+            return prod
         prod = [0] * (2 * e - 1)
         cb = self.coeffs(b)
         for i, x in enumerate(self.coeffs(a)):
@@ -372,16 +394,60 @@ class Field:
     # -- text forms ----------------------------------------------------------
 
     def _omega_log(self, a: int) -> int | None:
-        if self.omega is None or self.omega == 0:
+        """The least j >= 0 with w^j = a; None when a is not a power of w, or
+        the field is prime.  Kept per element once found."""
+        if self.omega is None:
             return None
-        if self._powers_of_omega is None:
-            table = {}
-            b = 1
-            for j in range(self.mult_order(self.omega)):
-                table.setdefault(b, j)
-                b = self.mul(b, self.omega)
-            self._powers_of_omega = table
-        return self._powers_of_omega.get(a)
+        if a not in self._omega_logs:
+            self._omega_logs[a] = self._discrete_log(a)
+        return self._omega_logs[a]
+
+    def _discrete_log(self, a: int) -> int | None:
+        """Pohlig-Hellman over the prime factors r of the order n of w.
+
+        a is a power of w exactly when a^n = 1, the group being cyclic.  For
+        each r^s exactly dividing n, j mod r^s is found one base-r digit at a
+        time, each a discrete log in the subgroup of order r (`_log_of_order`);
+        the residues combine by the Chinese remainder theorem into the j with
+        0 <= j < n, which is the least, the powers w^0, ..., w^(n-1) being
+        distinct."""
+        w = self.omega
+        n = self.mult_order(w)
+        if not a or self.pow(a, n) != 1:
+            return None
+        j, mod = 0, 1
+        for r in _prime_factors(n):
+            rs = r
+            while n % (rs * r) == 0:
+                rs *= r
+            g, h, gamma = self.pow(w, n // rs), self.pow(a, n // rs), self.pow(w, n // r)
+            x, digit = 0, 1
+            while digit < rs:
+                # h * g^-x lies in the subgroup of order rs / digit.
+                y = self.pow(self.mul(h, self.pow(g, -x)), rs // digit // r)
+                x += self._log_of_order(r, gamma, y) * digit
+                digit *= r
+            j += mod * ((x - j) * pow(mod, -1, rs) % rs)
+            mod *= rs
+        return j
+
+    def _log_of_order(self, r: int, gamma: int, y: int) -> int:
+        """The d < r with gamma^d = y, gamma of prime order r and y a power
+        of it, by baby-step giant-step: the m = ceil(sqrt(r)) baby steps
+        gamma^i are kept per r, and y * gamma^(-m k) is looked up among them
+        for k < m."""
+        if r not in self._baby_steps:
+            m, table, b = math.isqrt(r - 1) + 1, {}, 1
+            for i in range(m):
+                table[b] = i
+                b = self.mul(b, gamma)
+            self._baby_steps[r] = (m, table, self.inv(b))
+        m, table, giant = self._baby_steps[r]
+        for k in range(m):
+            if y in table:
+                return k * m + table[y]
+            y = self.mul(y, giant)
+        raise AssertionError(f"{y} is not a power of {gamma}")
 
     def format_element(self, a: int) -> str:
         """Canonical literal: a digit for prime-subfield values, else a power

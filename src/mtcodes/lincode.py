@@ -230,10 +230,12 @@ class LinearCode:
     # -- intersections ---------------------------------------------------
 
     def intersect(self, other: "LinearCode") -> "LinearCode":
-        """self intersected with other: the words of other that the parity
-        check of self annihilates."""
+        """self intersected with other: the words of the code of fewer rows
+        that the parity check of the other annihilates (see `_meet`)."""
         self._check_compatible(other)
-        return _meet(self.field, self.n, self.parity, other.gen)
+        if other.k <= self.k:
+            return _meet(self.field, self.n, self.parity, other.gen)
+        return _meet(self.field, self.n, other.parity, self.gen)
 
     def trivially_intersects(self, other: "LinearCode") -> bool:
         """True when the intersection is {0}: rank(H1 @ G2^T) = k2."""
@@ -242,13 +244,16 @@ class LinearCode:
         return mat_rank(self.field, prod) == other.k
 
     def galois_intersect(self, other: "LinearCode", kappa: int = 0) -> "LinearCode":
-        """self^(perp kappa) intersected with other, without forming the dual:
-        the check matrix of the Galois dual is sigma^(e-kappa)(G1)."""
+        """self^(perp kappa) intersected with other, without forming the dual
+        as a code: the Galois dual has check matrix sigma^(e-kappa)(G1) and
+        generator sigma^(e-kappa)(H1), so the meet starts from other's
+        k2 rows or the dual's n - k1, whichever are fewer (see `_meet`)."""
         self._check_compatible(other)
         check_kappa(self.field, kappa)
-        field = self.field
-        checks = frobenius_rows(field, self.gen, field.e - kappa)
-        return _meet(field, self.n, checks, other.gen)
+        field, k = self.field, self.field.e - kappa
+        if other.k <= self.n - self.k:
+            return _meet(field, self.n, frobenius_rows(field, self.gen, k), other.gen)
+        return _meet(field, self.n, other.parity, frobenius_rows(field, self.parity, k))
 
     def hull(self, kappa: int = 0) -> "LinearCode":
         """self intersect self^(perp kappa)."""
@@ -267,7 +272,8 @@ class LinearCode:
 
         The largest reversible subcode is self intersected with its reversal,
         the words of G @ J_n that H annihilates; the code is reversible
-        exactly when that subcode keeps dimension k.
+        exactly when that subcode keeps dimension k.  Both sides have k
+        rows, so neither is the smaller side of the meet.
         """
         sub = _meet(self.field, self.n, self.parity, reverse_columns(self.gen))
         return sub.k == self.k, sub
@@ -318,7 +324,10 @@ def _transpose(rows) -> Matrix:
 
 def _meet(field: Field, length: int, checks, gen) -> LinearCode:
     """The words x @ gen that every row of checks is orthogonal to, with x
-    running over the parity check of the span of checks @ gen^T."""
+    running over the parity check of the span of checks @ gen^T.
+
+    The elimination is on the product, of len(gen) columns, so callers
+    pass as ``gen`` whichever side of the meet has fewer rows."""
     if not gen:
         return LinearCode.zero(field, length)
     x = LinearCode(field, len(gen), mat_mul(field, checks, _transpose(gen))).parity

@@ -330,6 +330,15 @@ class MTCode:
         self._linear: LinearCode | None = None
         self._dual: MTCode | None = None
 
+    @staticmethod
+    def _from_pair(profile: MTProfile, gpm: PolyMatrix, companion: PolyMatrix) -> "MTCode":
+        """The code whose reduced GPM is already known, with its companion:
+        no elimination."""
+        code = object.__new__(MTCode)
+        code.profile, code.gpm, code.companion = profile, gpm, companion
+        code._linear = code._dual = None
+        return code
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -427,13 +436,21 @@ class MTCode:
 
     def galois_dual(self, kappa: int = 0) -> "MTCode":
         """The kappa-Galois dual: sigma^(e - kappa) of the Euclidean dual's
-        GPM, which for kappa = 0 is that dual itself."""
+        GPM, which for kappa = 0 is that dual itself.
+
+        sigma^k acts on coefficients as a ring automorphism, so sigma^k(G)
+        is still upper triangular, monic on the diagonal and reduced above
+        it, and sigma^k(A) @ sigma^k(G) = diag(x^m_i - sigma^k(lam_i^-1)):
+        the reduced GPM and companion of the Galois dual profile, with no
+        second elimination."""
         check_kappa(self.field, kappa)
         base = self.dual()
         if kappa == 0:
             return base
         k = self.field.e - kappa
-        return MTCode(self.profile.galois_dual_profile(kappa), base.gpm.frobenius(k))
+        return MTCode._from_pair(
+            self.profile.galois_dual_profile(kappa), base.gpm.frobenius(k), base.companion.frobenius(k)
+        )
 
     # -- reversal ------------------------------------------------------------
 

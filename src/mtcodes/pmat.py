@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .gf import Field
-from .upoly import NEG_INF, Poly, _divisor_row, _long_divide, _power, _remainder, is_irreducible
+from .upoly import NEG_INF, Poly, _divisor_row, _long_divide, _power, _remainder, _trim, is_irreducible
 
 
 class PolyMatrix:
@@ -247,64 +247,98 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     the module, and with it the normal form, is unchanged, while entry
     degrees stay below the moduli's (the F_q[x] analogue of the
     modulo-determinant HNF of Domich, Kannan and Trotter).
+
+    The elimination runs on one mutable coefficient list per entry, kept
+    free of trailing zeros, and wraps each entry as a Poly once, on exit.
+    A row update in column c divides the destination's column-c entry in
+    place by the pivot's, prepared as a `_divisor_row` once per pivot
+    candidate, which leaves the remainder there; the quotient then touches
+    only the columns right of c, both rows being zero to the left of c.
+    Each modulus is prepared once per call.
     """
-    if moduli is not None:
-        zero = Poly.zero(field)
-        bound = [len(d.coeffs) for d in moduli]  # deg d_k + 1
+    neg, add_scaled = field.neg, field.add_scaled
+    work = [[list(e.coeffs) for e in row] for row in rows]
+    mod_div = None if moduli is None else [_divisor_row(d) for d in moduli]
 
-        def settle(row, c):
-            """Reduce the entries of row right of column c modulo their
-            still-pending diagonal generators."""
-            for k in range(c + 1, n_cols):
-                if len(row[k].coeffs) >= bound[k]:
-                    row[k] = row[k] % moduli[k]
+    def settle(e: list[int], k: int) -> None:
+        """Reduce the column-k entry e in place modulo its pending generator."""
+        if len(e) > mod_div[k][0]:
+            _long_divide(field, e, mod_div[k])
+            _trim(e)
 
-        for row in rows:
-            settle(row, -1)
+    if mod_div is not None:
+        for row in work:
+            for k, e in enumerate(row):
+                settle(e, k)
 
-    def sub_scaled(dst, src, q, c):
-        rows[dst] = [a._sub_mul(q, b) if b else a for a, b in zip(rows[dst], rows[src])]
-        if moduli is not None:
-            settle(rows[dst], c)
+    def sub_scaled(dst: list, src: list, div, c: int) -> None:
+        """dst -= q * src for q the quotient of dst[c] by src[c], whose
+        `_divisor_row` is div."""
+        e = dst[c]
+        nq = [neg(x) for x in _long_divide(field, e, div)]
+        _trim(e)
+        for j in range(c + 1, len(dst)):
+            b = src[j]
+            if b:
+                out = dst[j]
+                out.extend([0] * (len(nq) + len(b) - 1 - len(out)))
+                for i, x in enumerate(nq):
+                    if x:
+                        add_scaled(out, i, x, enumerate(b))
+                _trim(out)
+                if mod_div is not None:
+                    settle(out, j)
 
     r = 0
     pivots = []
     for c in range(n_cols):
         if moduli is not None:
-            diag = [zero] * n_cols
-            diag[c] = moduli[c]
-            rows.append(diag)
-        n_rows = len(rows)
+            diag = [[] for _ in range(n_cols)]
+            diag[c] = list(moduli[c].coeffs)
+            work.append(diag)
+        n_rows = len(work)
         while True:
-            cand = None
+            cand, size = None, 0
             for i in range(r, n_rows):
-                e = rows[i][c]
-                if e and (cand is None or e.degree < rows[cand][c].degree):
-                    cand = i
+                length = len(work[i][c])
+                if length and (cand is None or length < size):
+                    cand, size = i, length
             if cand is None:
                 break
             if cand != r:
-                rows[r], rows[cand] = rows[cand], rows[r]
+                work[r], work[cand] = work[cand], work[r]
+            pivot = work[r]
+            div = _divisor_row(Poly._trusted(field, list(pivot[c])))
             dirty = False
             for i in range(r + 1, n_rows):
-                if rows[i][c]:
-                    sub_scaled(i, r, rows[i][c] // rows[r][c], c)
-                    if rows[i][c]:
+                if work[i][c]:
+                    sub_scaled(work[i], pivot, div, c)
+                    if work[i][c]:
                         dirty = True
             if not dirty:
                 break
         if cand is None:
             continue
-        lead = rows[r][c].lead
+        pivot = work[r]
+        lead = pivot[c][-1]
         if lead != 1:
             inv = field.inv(lead)
-            rows[r] = [e.scale(inv) for e in rows[r]]
-        deg = rows[r][c].degree
+            scaled = []
+            for e in pivot:
+                out = [0] * len(e)
+                add_scaled(out, 0, inv, enumerate(e))
+                scaled.append(out)
+            work[r] = pivot = scaled
+        div = None
         for i in range(r):
-            if rows[i][c].degree >= deg:
-                sub_scaled(i, r, rows[i][c] // rows[r][c], c)
+            if len(work[i][c]) >= size:
+                if div is None:
+                    div = _divisor_row(Poly._trusted(field, list(pivot[c])))
+                sub_scaled(work[i], pivot, div, c)
         pivots.append((r, c))
         r += 1
+    zero = Poly.zero(field)
+    rows[:] = [[Poly._trusted(field, e) if e else zero for e in row] for row in work]
     return pivots
 
 
@@ -364,25 +398,46 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
     A_ij = -(sum_{i <= k < j} A_ik * G_kj) / G_jj.  The solution over
     GF(q)(x) is unique, so every division is exact exactly when d_i * e_i
     lies in the row module of G; otherwise this raises ValueError.
+
+    Each G_jj is prepared as a `_divisor_row` once.  Each numerator is
+    accumulated in one coefficient list and divided in place, and the
+    division is exact when the remainder left there is zero.
     """
     ell = len(diag_polys)
     if any(not gpm_rows[j][j] for j in range(ell)):
         raise ValueError(_NOT_DIAGONAL)
+    neg, add_scaled = field.neg, field.add_scaled
+    divs = [_divisor_row(gpm_rows[j][j]) for j in range(ell)]
+    g = [[e.coeffs for e in row] for row in gpm_rows]
     zero = Poly.zero(field)
     out = []
     for i, d in enumerate(diag_polys):
         row = [zero] * ell
-        num = d
+        negs = {}  # k -> the coefficients of -A_ik, for each nonzero A_ik
         for j in range(i, ell):
-            if j > i:
-                num = zero
-                for k in range(i, j):
-                    if row[k] and gpm_rows[k][j]:
-                        num = num - row[k] * gpm_rows[k][j]
-            q, rem = divmod(num, gpm_rows[j][j])
-            if rem:
+            if j == i:
+                num = list(d.coeffs)
+            else:
+                num = []
+                for k, a in negs.items():
+                    b = g[k][j]
+                    if b:
+                        num.extend([0] * (len(a) + len(b) - 1 - len(num)))
+                        if len(a) > len(b):
+                            a, b = b, a
+                        for t, x in enumerate(a):
+                            if x:
+                                add_scaled(num, t, x, enumerate(b))
+                _trim(num)
+            if not num:
+                continue
+            if len(num) <= divs[j][0]:
                 raise ValueError(_NOT_DIAGONAL)
-            row[j] = q
+            quot = _long_divide(field, num, divs[j])
+            if any(num):
+                raise ValueError(_NOT_DIAGONAL)
+            negs[j] = [neg(x) for x in quot]
+            row[j] = Poly._trusted(field, quot)
         out.append(row)
     return out
 

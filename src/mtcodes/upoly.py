@@ -73,8 +73,7 @@ class Poly:
         """Wrap a coefficient list already in range(q), trimming trailing
         zeros; skips the conversion and range check of the constructor, for
         results computed by field arithmetic.  Takes ownership of ``cs``."""
-        while cs and cs[-1] == 0:
-            cs.pop()
+        _trim(cs)
         out = object.__new__(Poly)
         object.__setattr__(out, "field", field)
         object.__setattr__(out, "coeffs", tuple(cs))
@@ -306,6 +305,12 @@ class Poly:
                 coeffs.append(0)
             coeffs[d] = field.add(coeffs[d], c)
         return Poly(field, coeffs)
+
+
+def _trim(cs: list[int]) -> None:
+    """Drop the trailing zeros of a coefficient list in place."""
+    while cs and not cs[-1]:
+        cs.pop()
 
 
 def _divisor_row(b: Poly) -> tuple[int, int, list[tuple[int, int]]]:

@@ -320,3 +320,29 @@ def test_antilog_table_is_powers_of_generator(f):
     assert exp[0] == 1
     assert all(exp[i] == f._raw_mul(exp[i - 1], g) for i in range(1, 2 * (f.q - 1)))
     assert all(f._log[exp[i]] == i for i in range(f.q - 1))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [field(2, 2), field(3, 2), field(2, 4), field(2, 8), field(2, 8, F256_MODULUS), field(3, 5), field(17, 2), field(2, 9)],
+    ids=lambda f: f"q{f.q}-{f.modulus}",
+)
+def test_omega_log_is_the_least_exponent(f):
+    """The discrete log agrees with a walk over the powers of w, including
+    None off the subgroup w generates when w is not primitive."""
+    first, b = {}, 1
+    for j in range(f.q - 1):
+        first.setdefault(b, j)
+        b = f.mul(b, f.omega)
+    assert [f._omega_log(a) for a in range(f.q)] == [first.get(a) for a in range(f.q)]
+
+
+@pytest.mark.parametrize("f", [field(2, 31), field(3, 11), field(2, 20)], ids=lambda f: f"q{f.q}")
+def test_omega_log_in_digit_loop_fields(f):
+    rng = random.Random(f.q)
+    n = f.mult_order(f.omega)
+    for j in [0, 1, n - 1] + [rng.randrange(n) for _ in range(3)]:
+        assert f._omega_log(f.pow(f.omega, j)) == j
+    # 2^31 - 1 is prime, so w^-1 is the one power with exponent 2^31 - 2
+    if f.q == 2**31:
+        assert f.format_element(f.inv(f.omega)) == "w^2147483646"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mtcodes import LinearCode, field, oracle
 from mtcodes.errors import BudgetError
-from mtcodes.lincode import mat_mul, mat_rank, rref
+from mtcodes.lincode import _meet, frobenius_rows, mat_mul, mat_rank, rref
 
 from helpers import f4, random_linear_code, words
 
@@ -130,6 +130,31 @@ def test_galois_intersect_is_dual_cap():
             dual = oracle.galois_dual_set(a, kappa)
             assert all_words(a.galois_intersect(b, kappa)) == dual & oracle.enumerate_code(b)
             assert all_words(a.hull(kappa)) == dual & oracle.enumerate_code(a)
+
+
+def test_meet_from_the_smaller_side_matches_the_parity_route():
+    """intersect, galois_intersect and hull against the meet that always
+    starts from the second code's generator, on codes with k near n."""
+
+    def near_full(f, n):
+        return LinearCode(f, n, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n - rng.randint(0, 2))])
+
+    rng = random.Random(584)
+    swapped = galois_swapped = 0
+    for f in FIELDS + (field(2, 3), field(17, 2)):
+        for _ in range(25):
+            n = rng.randint(2, 10)
+            a = near_full(f, n)
+            b = random_linear_code(rng, f, n) if rng.random() < 0.5 else near_full(f, n)
+            for x, y in ((a, b), (b, a)):
+                swapped += y.k > x.k
+                assert x.intersect(y) == _meet(f, n, x.parity, y.gen)
+                for kappa in range(f.e):
+                    galois_swapped += y.k > n - x.k
+                    checks = frobenius_rows(f, x.gen, f.e - kappa)
+                    assert x.galois_intersect(y, kappa) == _meet(f, n, checks, y.gen)
+                    assert x.hull(kappa) == _meet(f, n, checks, x.gen)
+    assert swapped > 20 and galois_swapped > 50
 
 
 def test_reversibility_against_brute_force():

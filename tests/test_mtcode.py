@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mtcodes.pmat as pmat_mod
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf, oracle
 from mtcodes.errors import BudgetError, DomainError
 from mtcodes.mtcode import (
@@ -278,6 +279,34 @@ def test_galois_dual_zero_is_the_dual():
         e = code.field.e
         assert MTCode(code.profile.galois_dual_profile(0), dual.gpm.frobenius(e)) == dual
         assert dual.to_linear() == code.to_linear().galois_dual(0)
+
+
+def test_galois_dual_equals_the_eliminated_sigma_of_the_dual():
+    rng = random.Random(1919)
+    for f in (f4(), field(3, 2), field(2, 3), field(17, 2), field(2, 9)):
+        for _ in range(12):
+            code = random_mt_code(rng, random_profile(rng, f))
+            dual = code.dual()
+            for kappa in range(1, f.e):
+                gd = code.galois_dual(kappa)
+                fresh = MTCode(code.profile.galois_dual_profile(kappa), dual.gpm.frobenius(f.e - kappa))
+                assert gd.profile == fresh.profile
+                assert gd.gpm == fresh.gpm and gd.companion == fresh.companion
+
+
+def test_galois_dual_runs_no_elimination_once_the_dual_is_known(monkeypatch):
+    calls = []
+    real = pmat_mod._echelon
+    monkeypatch.setattr(pmat_mod, "_echelon", lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(23)
+    codes = [c1(), random_mt_code(rng, MTProfile(field(2, 3), (3, 2), (2, 5)))]
+    assert calls
+    for code in codes:
+        code.dual()
+        calls.clear()
+        for kappa in range(1, code.field.e):
+            code.galois_dual(kappa)
+        assert calls == []
 
 
 # -- reversal ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mtcodes.mtcode as mtcode_mod
 from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod, reduce_to_gpm, solve_identical
+from mtcodes.pmat import _gpm_pair
 from mtcodes.upoly import NEG_INF, is_irreducible
 
 from helpers import det, express_in_row_module, f4, pmat, poly, small_dim_pair, sweep_pair
@@ -240,6 +241,33 @@ def test_hnf_over_moduli_is_the_hnf_of_the_stack():
     assert res.transform is None
     with pytest.raises(ValueError):
         hnf(top, moduli)
+
+
+# Dense tables (GF(2), GF(3), GF(4), GF(9)), a large prime field, log tables
+# (GF(17^2), GF(2^9)) and base-p digit loops (GF(2^17)).
+REPRESENTATION_FIELDS = (field(2), F3, field(2, 2), field(3, 2), field(257), field(17, 2), field(2, 9), field(2, 17))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_hnf_over_moduli_is_the_hnf_of_the_stack_in_every_representation(seed):
+    rng = random.Random(seed)
+    f = REPRESENTATION_FIELDS[seed % len(REPRESENTATION_FIELDS)]
+    ell = rng.randint(1, 3)
+    # Moduli of any shape, not only x^m - lam, and not monic.
+    moduli = [
+        Poly(f, [rng.randrange(f.q) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, f.q)]) for _ in range(ell)
+    ]
+    top = rand_matrix(rng, f, rng.randint(0, 3), ell, max_deg=6)
+    stack = PolyMatrix.stack(top, PolyMatrix.diagonal(moduli))
+    res = hnf(top, moduli, transform=False)
+    full = hnf(stack)
+    assert full.transform @ stack == full.h
+    assert_is_hnf(res.h, res.pivots)
+    assert res.h == full.h and res.pivots == full.pivots
+    g, a = _gpm_pair(top, moduli)
+    assert g == PolyMatrix(f, full.h.rows[:ell])
+    assert a @ g == PolyMatrix.diagonal(moduli)
 
 
 def test_full_rank_stack_without_the_diagonal_is_rejected():
