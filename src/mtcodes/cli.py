@@ -70,6 +70,8 @@ def parse_field_header(text: str, lineno: int) -> Field:
         if exp is None:
             return Field.of_order(base, coeffs)
         return field(base, int(exp), coeffs)
+    except DomainError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 

@@ -30,6 +30,13 @@ operation needs the field in hand, which in practice every caller already
 has.  Polynomial arithmetic, and the scalar matrices of ``lincode``, call
 the fused row primitive :meth:`Field.add_scaled` once per row rather than
 ``add``/``mul`` once per coefficient.
+
+Integers are factored (``_prime_factors``) for the order q of a field, for
+the unit group order q - 1, kept per field for multiplicative orders and
+discrete logs, and for small cyclotomic indices.  Trial division by every
+d below 2^10 comes first; a larger piece is proven prime by
+Miller-Rabin, exact below 3.3 * 10^24, or split by Pollard-Brent rho with
+a fixed step budget, past which DomainError is raised: no q hangs.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 # Largest q for which dense add/mul tables are precomputed.
 _TABLE_LIMIT = 256
@@ -50,18 +57,98 @@ _TABLE_LIMIT = 256
 _LOG_LIMIT = 2**16
 
 
+# Miller-Rabin to these bases decides primality exactly below _MR_EXACT
+# (Sorenson and Webster, 2015): 3.3 * 10^24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+# The most Pollard-Brent rho steps one `_prime_factors` call takes, about a
+# second in pure Python; enough to split off any prime factor below about
+# 10^11.
+_RHO_STEPS = 1 << 20
+
+
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending; [] for n < 2.
+
+    The factors below 2^10 are divided out first, by trial division, which
+    leaves n prime when n < 2^20.  Any larger piece is proven prime by
+    Miller-Rabin to the bases 2, ..., 41, exact below 3.3 * 10^24, or split
+    by Pollard-Brent rho (`_rho_split`).  A piece that is neither proven
+    prime nor split within _RHO_STEPS steps in all raises DomainError, so
+    the call is bounded in time."""
     out = []
-    d = 2
-    while d * d <= n:
+    for d in range(2, 1 << 10):
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    todo, steps = [n] if n > 1 else [], _RHO_STEPS
+    while todo:
+        m = todo.pop()
+        if m < 1 << 20 or (m < _MR_EXACT and _is_strong_probable_prime(m)):
+            out.append(m)
+        else:
+            d, steps = _rho_split(m, steps)
+            todo += (d, m // d)
+    return sorted(set(out))
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the odd n > 41 to every base in _MR_BASES."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_split(n: int, steps: int) -> tuple[int, int]:
+    """A factor 1 < d < n of n, which has no prime factor below 2^10 and is
+    not proven prime, with the steps left of ``steps``: Pollard's rho with
+    Brent's cycle search on y -> y^2 + c for c = 1, 2, ..., the differences
+    multiplied together and taken gcd with n once per 128 steps.  Raises
+    DomainError when the steps run out."""
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                raise DomainError(
+                    f"cannot factor {n}: not proven prime (Miller-Rabin is exact below 3.3*10^24) "
+                    f"and not split within {_RHO_STEPS} Pollard rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batch overshot: replay it one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
 
 
 def _is_prime(n: int) -> bool:
@@ -130,6 +217,9 @@ class Field:
         # Discrete logs to the base w, kept per element once found, and the
         # baby steps of each prime order they were searched in.
         self._omega_logs: dict[int, int | None] = {}
+        # The prime factors of q - 1, the order of the unit group, which
+        # every element's order divides; set by the first `mult_order`.
+        self._unit_primes: list[int] | None = None
         self._baby_steps: dict[int, tuple[int, dict[int, int], int]] = {}
         # The representation is the set of tables that are not None; with
         # none, arithmetic runs on ints (e = 1) or base-p digits (e > 1).
@@ -381,12 +471,14 @@ class Field:
         """Least t >= 1 with a^t = 1; error on 0.
 
         t divides q - 1, so it is found by dividing q - 1 by each of its
-        prime factors r while a^(t/r) = 1.
+        prime factors r while a^(t/r) = 1; they are found on the first call.
         """
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         t = self.q - 1
-        for r in _prime_factors(t):
+        if self._unit_primes is None:
+            self._unit_primes = _prime_factors(t)
+        for r in self._unit_primes:
             while t % r == 0 and self.pow(a, t // r) == 1:
                 t //= r
         return t
@@ -416,7 +508,9 @@ class Field:
         if not a or self.pow(a, n) != 1:
             return None
         j, mod = 0, 1
-        for r in _prime_factors(n):
+        for r in self._unit_primes:
+            if n % r:
+                continue
             rs = r
             while n % (rs * r) == 0:
                 rs *= r

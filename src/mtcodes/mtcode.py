@@ -13,7 +13,7 @@ A @ G = diag(x^m_i - lam_i): the identical equation.  Everything in this
 module works through G and A:
 
 * duals and Galois duals (via the reciprocal transform of A),
-* reversed codes (via the dual companion B),
+* reversed codes, whose GPM and companion are read off the dual's pair,
 * intersections of codes sharing a profile (via an auxiliary quasi-cyclic
   code of co-index N = lcm(t_i * m_i), t_i the order of lam_i),
 * trivial-intersection and Galois LCD tests via ranks modulo the
@@ -50,7 +50,7 @@ from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import PolyMatrix, _chain_type, _gpm_pair, _size_log_q
-from .upoly import Factorization, Poly, _divisor_row, _long_divide, _power, _remainder, factor, reciprocal_poly
+from .upoly import Factorization, Poly, _add_product, _divisor_row, _long_divide, _power, _trim, factor, reciprocal_poly
 
 ADVISOR_BUDGET = 4096
 
@@ -150,8 +150,8 @@ class MTProfile:
     def factor_weights(self) -> tuple:
         """Per factor p^f of x^N - 1 with two or more active blocks, in
         `factorization` order: `_divisor_row(p^f)` and the pairs (i, w_i)
-        over its active blocks, w_i = c_i mod p^f as the (index, coefficient)
-        pairs of its nonzero terms; None for every other factor.
+        over its active blocks, w_i = c_i mod p^f as a coefficient list free
+        of trailing zeros; None for every other factor.
 
         With c the characteristic, N = N' * f and x^N - 1 = (x^N' - 1)^f,
         and m_i = m'_i * v for v = v_p(x^m_i - lam_i) (`factor_valuations`),
@@ -185,7 +185,8 @@ class MTProfile:
                 cs[::step] = [kappa] * (f // v)
                 if len(cs) > div[0]:
                     _long_divide(fld, cs, div)
-                weights.append((i, [(j, w) for j, w in enumerate(cs) if w]))
+                    _trim(cs)
+                weights.append((i, cs))
             out.append((div, tuple(weights)))
         return tuple(out)
 
@@ -267,47 +268,59 @@ def reciprocal_columns(mat: PolyMatrix, profile: MTProfile) -> PolyMatrix:
     return PolyMatrix._trusted(mat.field, rows)
 
 
+def _antitranspose(mat: PolyMatrix) -> PolyMatrix:
+    """J @ mat^T @ J for J the backward identity: (i, j) is mat[n-1-j][n-1-i]."""
+    n = len(mat.rows)
+    return PolyMatrix._trusted(mat.field, [[row[n - 1 - i] for row in reversed(mat.rows)] for i in range(n)])
+
+
+def _block_residues(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, k: int) -> list:
+    """The matrix of r_k = left[a][k] * right[k][b] mod x^m_k - lam_k, over
+    the rows a of left and the columns b of right, as coefficient lists free
+    of trailing zeros; the block modulus is prepared once."""
+    fld, div = profile.field, _divisor_row(profile.moduli[k])
+    column = [b.coeffs for b in right.rows[k]]
+    out = []
+    for row in left.rows:
+        a, orow = row[k].coeffs, []
+        for b in column:
+            r: list[int] = []
+            if a and b:
+                _add_product(fld, r, a, b)
+                if len(r) > div[0]:
+                    _long_divide(fld, r, div)
+                _trim(r)
+            orow.append(r)
+        out.append(orow)
+    return out
+
+
 def _cofactor_product(left: PolyMatrix, right: PolyMatrix, profile: MTProfile) -> PolyMatrix:
     """left @ diag(c_k) @ right modulo x^N - 1, with c_k = (x^N - 1) /
     (x^m_k - lam_k), block by block and without a degree-N product.
 
     Since c_k * (x^m_k - lam_k) = x^N - 1, the k-th term of entry (i, j) is
-    c_k * r for r = left[i][k] * right[k][j] mod x^m_k - lam_k, already of
-    degree below N.  With o the order of lam_k,
-    c_k = sum_t lam_k^-(t+1) x^(t*m_k) over 0 <= t < N/m_k, so c_k * r is
-    r * lam_k^-1, ..., r * lam_k^-o in successive windows of m_k: a cycle of
-    o*m_k coefficients that repeats N/(o*m_k) times.
+    c_k * r for r = left[i][k] * right[k][j] mod x^m_k - lam_k
+    (`_block_residues`), already of degree below N.  With o the order of
+    lam_k, c_k = sum_t lam_k^-(t+1) x^(t*m_k) over 0 <= t < N/m_k, so
+    c_k * r is r * lam_k^-1, ..., r * lam_k^-o in successive windows of
+    m_k: a cycle of o*m_k coefficients that repeats N/(o*m_k) times.
     """
-    f = profile.field
-    n = profile.period
+    f, n, zero = profile.field, profile.period, Poly.zero(profile.field)
     mul, add_scaled = f.mul, f.add_scaled
-    blocks = []
-    for m, lam, o, d in zip(profile.blocks, profile.shifts, profile.orders, profile.moduli):
-        inv = f.inv(lam)
-        scales = [inv]
-        for _ in range(o - 1):
-            scales.append(mul(scales[-1], inv))
-        blocks.append((m, d, scales, n // (o * m)))
-    zero = Poly.zero(f)
-    cols = list(zip(*right.rows))
-    out = []
-    for row in left.rows:
-        orow = []
-        for col in cols:
-            acc = None
-            for a, b, (m, d, scales, reps) in zip(row, col, blocks):
-                if a and b:
-                    r = (a * b) % d
-                    if r:
-                        rc = r.coeffs + (0,) * (m - len(r.coeffs))
-                        term = [mul(s, c) for s in scales for c in rc] * reps
-                        if acc is None:
-                            acc = term
-                        else:
-                            add_scaled(acc, 0, 1, enumerate(term))
-            orow.append(zero if acc is None else Poly._trusted(f, acc))
-        out.append(orow)
-    return PolyMatrix._trusted(f, out)
+    acc = [[[] for _ in right.rows[0]] for _ in left.rows]
+    for k, (m, lam, o) in enumerate(zip(profile.blocks, profile.shifts, profile.orders)):
+        scales, reps = [f.pow(lam, -t) for t in range(1, o + 1)], n // (o * m)
+        for acc_row, r_row in zip(acc, _block_residues(left, right, profile, k)):
+            for e, r in zip(acc_row, r_row):
+                if r:
+                    r += [0] * (m - len(r))
+                    term = [mul(s, c) for s in scales for c in r] * reps
+                    if e:
+                        add_scaled(e, 0, 1, enumerate(term))
+                    else:
+                        e.extend(term)
+    return PolyMatrix._trusted(f, [[Poly._trusted(f, e) if e else zero for e in row] for row in acc])
 
 
 class MTCode:
@@ -455,11 +468,19 @@ class MTCode:
     # -- reversal ------------------------------------------------------------
 
     def reversed_code(self) -> "MTCode":
-        """The coordinate-reversed code, multi-twisted for the reversed
-        profile; its GPM is B^T @ J_ell for the dual companion B."""
-        b = self.dual().companion
-        j = PolyMatrix.backward_identity(self.field, self.profile.ell)
-        return MTCode(self.profile.reversed_profile(), b.transpose() @ j)
+        """The coordinate-reversed code, generated by the rows of B^T @ J for
+        the dual pair (G', B) and J the backward identity; its GPM and
+        companion are read off that pair, with no elimination.
+
+        B = D @ G'^-1 for D = diag(x^m_i - lam_i^-1), and G' is reduced, so
+        B is upper triangular, monic on the diagonal, and, column by column
+        of B @ G' = D, deg B_rc < deg B_rr for c > r.  So J @ B^T @ J, of
+        the same row module as B^T @ J, is the reduced GPM, and
+        (J @ G'^T @ J) @ (J @ B^T @ J) = J @ D @ J gives its companion."""
+        dual = self.dual()
+        return MTCode._from_pair(
+            self.profile.reversed_profile(), _antitranspose(dual.companion), _antitranspose(dual.gpm)
+        )
 
     # -- containment and intersections -----------------------------------
 
@@ -671,20 +692,19 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
       sum_i w_i * r_i modulo p_j^f_j (`_weighted_residues`), where
       w_i = c_i mod p_j^f_j (`MTProfile.factor_weights`) and
       r_i = left[a][i] * right[i][b] mod x^m_i - lam_i, formed once per
-      table for each block active in such a factor.  c_i * r_i differs from
+      table for each block active in such a factor (`_block_residues`).  c_i * r_i differs from
       c_i * left[a][i] * right[i][b] by a multiple of x^N - 1, so no entry
       of degree N is formed or reduced.
     """
-    layers, residues, sums = [], {}, {}
+    layers, residues = [], {}
     for (p_j, f_j), div, active, weights in zip(
         profile.factorization, profile.factor_divisors, profile.factor_valuations, profile.factor_weights
     ):
         if len(active) > 1:
             for i, _ in active:
                 if i not in residues:
-                    d = _divisor_row(profile.moduli[i])
-                    residues[i] = [[_remainder(a * b, d).coeffs for b in right.rows[i]] for a in (row[i] for row in left.rows)]
-            matrix = _weighted_residues(residues, sums, weights, profile.field)
+                    residues[i] = _block_residues(left, right, profile, i)
+            matrix = _weighted_residues(residues, weights, profile.field)
             type_vector = _chain_type(matrix, p_j, f_j).type_vector
         elif active:
             ((i, v),) = active
@@ -696,51 +716,24 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     return LayerTable(tuple(layers), target)
 
 
-def _weighted_residues(residues, sums, weights, fld: Field) -> PolyMatrix:
-    """The matrix of sum_i w_i * r_i modulo P = p^f, for the residue
-    matrices r_i (coefficient tuples) and one factor's entry of
-    `MTProfile.factor_weights`: P's `_divisor_row` and the w_i.  A constant
-    weight, the one term (0, kappa_i), depends on the block but not on the
-    factor, so the terms with one are summed as they are, once per table
-    for each set of them (``sums``); a term with any other weight adds r_i,
-    reduced modulo P first, times w_i.  Each entry is reduced modulo P
-    once."""
+def _weighted_residues(residues, weights, fld: Field) -> list:
+    """The matrix of sum_i w_i * r_i modulo P = p^f, as rows of coefficient
+    lists, for the residue matrices r_i (`_block_residues`) and one
+    factor's entry of `MTProfile.factor_weights`: P's `_divisor_row` and
+    the coefficient lists w_i.  Each entry is reduced modulo P once, after
+    the sum."""
     div, pairs = weights
-    add_scaled, db = fld.add_scaled, div[0]
-    scaled = tuple((i, w[0][1]) for i, w in pairs if not w[-1][0])
-    if scaled not in sums:
-        sums[scaled] = _scaled_sum(residues, scaled, fld)
-    spread = [(i, w) for i, w in pairs if w[-1][0]]
-    width = max([db + w[-1][0] for _, w in spread], default=0)
-    out = []
-    for a, base_row in enumerate(sums[scaled]):
-        row = []
-        for b, base in enumerate(base_row):
-            acc = base + [0] * (width - len(base))
-            for i, w in spread:
-                r = residues[i][a][b]
-                if len(r) > db:
-                    r = list(r)
-                    _long_divide(fld, r, div)
-                for j, c in w:
-                    add_scaled(acc, j, c, enumerate(r))
-            if len(acc) > db:
-                _long_divide(fld, acc, div)
-            row.append(Poly._trusted(fld, acc))
-        out.append(row)
-    return PolyMatrix._trusted(fld, out)
 
+    def entry(a: int, b: int) -> list[int]:
+        acc: list[int] = []
+        for i, w in pairs:
+            _add_product(fld, acc, w, residues[i][a][b])
+        if len(acc) > div[0]:
+            _long_divide(fld, acc, div)
+        _trim(acc)
+        return acc
 
-def _scaled_sum(residues, scaled, fld: Field) -> list:
-    """sum_i kappa_i * r_i entry by entry, for the (i, kappa_i) pairs in
-    ``scaled``, as coefficient lists."""
-    out = [[[] for _ in row] for row in next(iter(residues.values()))]
-    for i, kappa in scaled:
-        for acc_row, r_row in zip(out, residues[i]):
-            for acc, r in zip(acc_row, r_row):
-                acc.extend([0] * (len(r) - len(acc)))
-                fld.add_scaled(acc, 0, kappa, enumerate(r))
-    return out
+    return [[entry(a, b) for b in range(len(row))] for a, row in enumerate(residues[pairs[0][0]])]
 
 
 def _outer_product_type(u, v, h: int, div, f: int) -> tuple[int, ...]:

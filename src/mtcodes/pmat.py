@@ -20,9 +20,9 @@ follows from the triangular G by back-substitution, whose exact divisions
 certify that the module contains the diagonal rows.
 
 The type of a row span over the chain ring GF(q)[x]/<p^f>, p irreducible,
-comes from one elimination (`_chain_type`): one column sweep modulo
-p^(f-h) per layer h.  The rank over the field GF(q)[x]/<p> is the type for
-f = 1.
+comes from one elimination (`_chain_type`, on rows of coefficient lists):
+one column sweep modulo p^(f-h) per layer h.  The rank over the field
+GF(q)[x]/<p> is the type for f = 1.
 
 Text form: one row per line, entries separated by '|', each entry in the
 Poly grammar.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .gf import Field
-from .upoly import NEG_INF, Poly, _divisor_row, _long_divide, _power, _remainder, _trim, is_irreducible
+from .upoly import NEG_INF, Poly, _add_product, _divisor_row, _long_divide, _power, _trim, is_irreducible
 
 
 class PolyMatrix:
@@ -149,19 +149,18 @@ class PolyMatrix:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         if r1 == 0 or c2 == 0:
             return PolyMatrix.zeros(self.field, r1, c2)
-        zero = Poly.zero(self.field)
+        f, zero = self.field, Poly.zero(self.field)
         cols = list(zip(*other.rows)) if other.rows else [()] * c2
         out = []
         for row in self.rows:
             orow = []
             for col in cols:
-                acc = zero
+                acc: list[int] = []
                 for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                orow.append(acc)
+                    _add_product(f, acc, a.coeffs, b.coeffs)
+                orow.append(Poly._trusted(f, acc) if acc else zero)
             out.append(orow)
-        return PolyMatrix._trusted(self.field, out)
+        return PolyMatrix._trusted(f, out)
 
     def transpose(self) -> "PolyMatrix":
         r, c = self.shape
@@ -281,10 +280,7 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
             b = src[j]
             if b:
                 out = dst[j]
-                out.extend([0] * (len(nq) + len(b) - 1 - len(out)))
-                for i, x in enumerate(nq):
-                    if x:
-                        add_scaled(out, i, x, enumerate(b))
+                _add_product(field, out, nq, b)
                 _trim(out)
                 if mod_div is not None:
                     settle(out, j)
@@ -406,7 +402,7 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
     ell = len(diag_polys)
     if any(not gpm_rows[j][j] for j in range(ell)):
         raise ValueError(_NOT_DIAGONAL)
-    neg, add_scaled = field.neg, field.add_scaled
+    neg = field.neg
     divs = [_divisor_row(gpm_rows[j][j]) for j in range(ell)]
     g = [[e.coeffs for e in row] for row in gpm_rows]
     zero = Poly.zero(field)
@@ -420,14 +416,7 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
             else:
                 num = []
                 for k, a in negs.items():
-                    b = g[k][j]
-                    if b:
-                        num.extend([0] * (len(a) + len(b) - 1 - len(num)))
-                        if len(a) > len(b):
-                            a, b = b, a
-                        for t, x in enumerate(a):
-                            if x:
-                                add_scaled(num, t, x, enumerate(b))
+                    _add_product(field, num, a, g[k][j])
                 _trim(num)
             if not num:
                 continue
@@ -510,7 +499,7 @@ def rank_mod(m: PolyMatrix, p: Poly) -> int:
     type for exponent 1."""
     if not is_irreducible(p):
         raise ValueError("modulus must be irreducible")
-    return _chain_type(m, p, 1).type_vector[0]
+    return _chain_type([[e.coeffs for e in row] for row in m.rows], p, 1).type_vector[0]
 
 
 @dataclass(frozen=True)
@@ -542,11 +531,13 @@ def chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
         raise ValueError("chain exponent must be >= 1")
     if not is_irreducible(p):
         raise ValueError("modulus must be irreducible")
-    return _chain_type(m, p, f)
+    return _chain_type([[e.coeffs for e in row] for row in m.rows], p, f)
 
 
-def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
-    """`chain_type` for f >= 1 and a p already known to be irreducible.
+def _chain_type(rows, p: Poly, f: int) -> ChainType:
+    """`chain_type` for f >= 1 and a p already known to be irreducible, on
+    ``rows``: a matrix as rows of coefficient sequences, low degree first,
+    which it does not modify.
 
     Layer h sweeps the columns modulo p^(f-h): in each column a row whose
     entry u is a unit (not divisible by p) is set aside, counting towards
@@ -562,16 +553,25 @@ def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
     fld = p.field
     div_p = _divisor_row(p)
 
-    def peel(e: Poly) -> Poly | None:
+    def peel(e: list[int]) -> list[int] | None:
         """e / p, or None when p does not divide e."""
-        if len(e.coeffs) <= div_p[0]:
+        if len(e) <= div_p[0]:
             return None if e else e
-        rem = list(e.coeffs)
+        rem = list(e)
         quot = _long_divide(fld, rem, div_p)
-        return None if any(rem) else Poly._trusted(fld, quot)
+        return None if any(rem) else quot
 
+    def reduced(e: list[int]) -> list[int]:
+        """e, trimmed, modulo p^(f-h), in place."""
+        _trim(e)
+        if len(e) > div[0]:
+            _long_divide(fld, e, div)
+            _trim(e)
+        return e
+
+    n_cols = len(rows[0]) if rows else 0
     div = _divisor_row(_power(p, f))
-    rows = [[_remainder(e, div) for e in row] for row in m.rows]
+    rows = [[reduced(list(e)) for e in row] for row in rows]
     type_vector = []
     for h in range(f):
         rows = [row for row in rows if any(row)]
@@ -579,7 +579,7 @@ def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
             break
         peeled = [[peel(e) for e in row] for row in rows]
         r_h = 0
-        for c in range(m.shape[1]):
+        for c in range(n_cols):
             at = next((i for i, row in enumerate(peeled) if row[c] is None), None)
             if at is None:
                 continue
@@ -591,8 +591,13 @@ def _chain_type(m: PolyMatrix, p: Poly, f: int) -> ChainType:
             for i, row in enumerate(rows):
                 a = row[c]
                 if a:
-                    rows[i] = [_remainder((u * x)._sub_mul(a, y), div) for x, y in zip(row, pivot_row)]
-                    peeled[i] = [peel(e) for e in rows[i]]
+                    na, new = [fld.neg(x) for x in a], []
+                    for x, y in zip(row, pivot_row):
+                        e: list[int] = []
+                        _add_product(fld, e, u, x)
+                        _add_product(fld, e, na, y)
+                        new.append(reduced(e))
+                    rows[i], peeled[i] = new, [peel(e) for e in new]
             r_h += 1
         type_vector.append(r_h)
         rows = peeled

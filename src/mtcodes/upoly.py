@@ -166,38 +166,9 @@ class Poly:
         return Poly._trusted(f, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        if len(a) > len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        # One scaled row of the longer factor per nonzero coefficient of
-        # the shorter; its zero entries are dropped once, up front.
-        row = [(j, bj) for j, bj in enumerate(b) if bj]
-        add_scaled = f.add_scaled
-        for i, ai in enumerate(a):
-            if ai:
-                add_scaled(out, i, ai, row)
-        return Poly._trusted(f, out)
-
-    def _sub_mul(self, q: "Poly", b: "Poly") -> "Poly":
-        """self - q * b in one coefficient buffer, without forming q * b."""
-        f = self.field
-        qc, bc = q.coeffs, b.coeffs
-        if not qc or not bc:
-            return self
-        if len(qc) > len(bc):
-            qc, bc = bc, qc
-        a = self.coeffs
-        out = list(a) + [0] * (len(qc) + len(bc) - 1 - len(a))
-        row = [(j, bj) for j, bj in enumerate(bc) if bj]
-        add_scaled, neg = f.add_scaled, f.neg
-        for i, qi in enumerate(qc):
-            if qi:
-                add_scaled(out, i, neg(qi), row)
-        return Poly._trusted(f, out)
+        out: list[int] = []
+        _add_product(self.field, out, self.coeffs, other.coeffs)
+        return Poly._trusted(self.field, out)
 
     def scale(self, c: int) -> "Poly":
         f = self.field
@@ -313,6 +284,29 @@ def _trim(cs: list[int]) -> None:
         cs.pop()
 
 
+def _add_product(f: Field, out: list[int], a, b) -> None:
+    """out += a * b in place, for coefficient sequences a and b, extending
+    out as far as the product reaches: one `Field.add_scaled` over the
+    nonzero terms of the longer factor per nonzero term of the shorter.
+    When the shorter is a constant the longer is read once, with no list of
+    its nonzero terms, and copied when that constant is 1 and out is empty.
+    Trailing zeros of out are left for the caller to trim.  Every product
+    of two polynomials in the package goes through here."""
+    if not a or not b:
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    if not out and len(a) == 1 and a[0] == 1:
+        out.extend(b)
+        return
+    out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+    row = enumerate(b) if len(a) == 1 else [(j, bj) for j, bj in enumerate(b) if bj]
+    add_scaled = f.add_scaled
+    for i, ai in enumerate(a):
+        if ai:
+            add_scaled(out, i, ai, row)
+
+
 def _divisor_row(b: Poly) -> tuple[int, int, list[tuple[int, int]]]:
     """b prepared for long division: its degree, the inverse of its leading
     coefficient, and -b below the leading term as (index, coeff) pairs of
@@ -336,9 +330,10 @@ def _long_divide(f: Field, rem: list[int], div) -> list[int]:
     for k in range(len(rem) - 1, db - 1, -1):
         c = rem[k]
         if c:
-            qc = mul(c, inv_lead)
-            quot[k - db] = qc
-            add_scaled(rem, k - db, qc, row)
+            if inv_lead != 1:
+                c = mul(c, inv_lead)
+            quot[k - db] = c
+            add_scaled(rem, k - db, c, row)
     del rem[db:]
     return quot
 

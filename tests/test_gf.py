@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcodes import Poly, field
-from mtcodes.errors import ParseError
+from mtcodes import gf
+from mtcodes.cli import main
+from mtcodes.errors import DomainError, ParseError
 from mtcodes.gf import Field, default_modulus
 
 from helpers import f9_mod221
@@ -346,3 +348,64 @@ def test_omega_log_in_digit_loop_fields(f):
     # 2^31 - 1 is prime, so w^-1 is the one power with exponent 2^31 - 2
     if f.q == 2**31:
         assert f.format_element(f.inv(f.omega)) == "w^2147483646"
+
+
+def trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(5)
+    for n in list(range(3000)) + [rng.randrange(3000, 10**5) for _ in range(3000)] + [2**20 - 3, 1031**2, 1031**3]:
+        assert gf._prime_factors(n) == trial_division_factors(n), n
+
+
+def test_prime_factors_of_mersenne_numbers():
+    for k in range(2, 33):
+        assert gf._prime_factors(2**k - 1) == trial_division_factors(2**k - 1), k
+    assert gf._prime_factors(2**61 - 1) == [2**61 - 1]
+    assert gf._prime_factors(2**64 - 1) == [3, 5, 17, 257, 641, 65537, 6700417]
+    assert gf._prime_factors(2**128 - 1) == [3, 5, 17, 257, 641, 65537, 274177, 6700417, 67280421310721]
+    assert gf._prime_factors((2**31 - 1) ** 2 * 1031) == [1031, 2**31 - 1]
+    # 2^89 - 1 is prime, but above the bound below which Miller-Rabin is exact
+    with pytest.raises(DomainError, match="3.3\\*10\\^24"):
+        gf._prime_factors(2**89 - 1)
+
+
+def test_unit_order_is_factored_once_per_field(monkeypatch):
+    calls = []
+    real = gf._prime_factors
+    monkeypatch.setattr(gf, "_prime_factors", lambda n: calls.append(n) or real(n))
+    f = Field(17, 2)
+    orders = [f.mult_order(a) for a in range(1, f.q)]
+    assert calls.count(f.q - 1) == 1
+    assert all((f.q - 1) % t == 0 for t in orders) and max(orders) == f.q - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "GF(2^61)\ncode A\nmt 1\nblocks 3\nshifts 1\ngpm\n1\n",
+        "GF(2305843009213693951)\ncode A\nmatrix 1 2\n1 2\n",
+    ],
+    ids=["mult-order-of-2^61", "field-of-prime-order-2^61-1"],
+)
+def test_documents_over_fields_of_a_large_prime_exit_0(tmp_path, capsys, text):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text)
+    assert main(["info", str(doc)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_field_of_an_unprovable_order_exits_1(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(f"GF({2**89 - 1})\ncode A\nmatrix 1 2\n1 2\n")
+    assert main(["info", str(doc)]) == 1
+    assert "Pollard rho steps" in capsys.readouterr().err

@@ -196,11 +196,38 @@ def test_gpm_pair_matches_transform_hnf_reference(monkeypatch):
     # Blocks have length at most 4, so a modulus of higher degree is the
     # x^N - 1 of an intersection's quasi-cyclic stack.
     qc_stacks = [s for s in seen if s[1][0].degree > 4]
-    assert len(seen) > 150 and len(qc_stacks) > 10
+    assert len(seen) >= 150 and len(qc_stacks) > 10
     for stack, moduli, g, a in seen:
         ref_g, ref_a = reference_gpm_pair(stack, moduli)
         assert reduce_to_gpm(stack, moduli) == g == ref_g
         assert solve_identical(g, moduli) == a == ref_a
+
+
+def test_reversed_pair_is_the_gpm_pair_of_the_reversed_stack(monkeypatch):
+    """A reversed code's GPM and companion, read off the dual pair, are what
+    `reduce_to_gpm` and `solve_identical` give for the stack
+    [B^T @ J; diag(reversed moduli)], B the dual's companion, for every code
+    that sweep_and_large_field_codes constructs."""
+    codes = []
+    real = mtcode_mod.MTCode.__init__
+
+    def spy(self, profile, rows=()):
+        real(self, profile, rows)
+        codes.append(self)
+
+    monkeypatch.setattr(mtcode_mod.MTCode, "__init__", spy)
+    sweep_and_large_field_codes()
+    monkeypatch.undo()
+    assert len(codes) > 100
+    for code in codes:
+        prof = code.profile.reversed_profile()
+        j = PolyMatrix.backward_identity(code.field, prof.ell)
+        stack = PolyMatrix.stack(code.dual().companion.transpose() @ j, PolyMatrix.diagonal(prof.moduli))
+        g = reduce_to_gpm(stack, prof.moduli)
+        rev = code.reversed_code()
+        assert rev.profile == prof
+        assert rev.gpm == g
+        assert rev.companion == solve_identical(g, prof.moduli)
 
 
 def test_gpm_reduction_ignores_degree_beyond_the_block():

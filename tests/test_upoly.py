@@ -10,6 +10,7 @@ from mtcodes import Poly, PolyMatrix, factor, field, reciprocal_poly
 from mtcodes.upoly import (
     FACTOR_SEED,
     NEG_INF,
+    _add_product,
     _spread,
     is_irreducible,
     poly_gcd,
@@ -237,9 +238,41 @@ def test_mul_matches_schoolbook(f):
     for _ in range(30):
         a, b = rand_poly(rng, f, 9), rand_poly(rng, f, 6)
         assert a * b == schoolbook_mul(a, b) == b * a
-        assert b._sub_mul(a, b) == b - a * b == b._sub_mul(b, a)
         assert a - b == a + (-b)
         assert (a - b) + b == a
+
+
+PRODUCT_FIELDS = [field(2), F3, f4(), f9_mod221(), field(257), field(17, 2), field(2, 9), field(2, 17)]
+
+
+def coefficient_list(rng, f, max_len, density):
+    """Up to max_len coefficients, each nonzero with probability density;
+    the list may end in zeros."""
+    return [rng.randrange(1, f.q) if rng.random() < density else 0 for _ in range(rng.randint(0, max_len))]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=160, deadline=None)
+def test_add_product_accumulates_the_schoolbook_product(seed):
+    """out += a * b against one Field.add/mul call per coefficient pair, for
+    factors that are zero, one, constant, sparse or dense, into an empty out
+    and a non-empty one shorter than, as long as and longer than the
+    product."""
+    rng = random.Random(seed)
+    f = PRODUCT_FIELDS[seed % len(PRODUCT_FIELDS)]
+    a = [1] if seed % 5 == 0 else coefficient_list(rng, f, rng.choice([1, 9]), rng.choice([0.0, 0.2, 1.0]))
+    b = coefficient_list(rng, f, 12, rng.choice([0.2, 0.6, 1.0]))
+    if rng.random() < 0.5:
+        a, b = b, a
+    n = len(a) + len(b) - 1 if a and b else 0
+    for extra in (None, -2, 0, 3):
+        out = [] if extra is None else [rng.randrange(f.q) for _ in range(max(1, n + extra))]
+        want = out + [0] * (n - len(out))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] = f.add(want[i + j], f.mul(x, y))
+        _add_product(f, out, a, b)
+        assert out == want
 
 
 @pytest.mark.parametrize("f", LARGE, ids=lambda f: f"q{f.q}")
