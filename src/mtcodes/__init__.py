@@ -2,7 +2,7 @@
 
 from .gf import Field, field
 from .upoly import Poly, Factorization, factor, reciprocal_poly
-from .pmat import PolyMatrix, hnf, deg_det, rank_mod, chain_type, reduce_to_gpm, solve_identical
+from .pmat import PolyMatrix, hnf, deg_det, rank_mod, chain_type
 from .lincode import LinearCode
 from .mtcode import MTProfile, MTCode
 
@@ -20,8 +20,6 @@ __all__ = [
     "deg_det",
     "rank_mod",
     "chain_type",
-    "reduce_to_gpm",
-    "solve_identical",
     "LinearCode",
     "MTProfile",
     "MTCode",

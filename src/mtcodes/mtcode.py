@@ -50,7 +50,9 @@ from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import PolyMatrix, _chain_type, _gpm_pair, _size_log_q
-from .upoly import Factorization, Poly, _add_product, _divisor_row, _long_divide, _power, _trim, factor, reciprocal_poly
+from .upoly import (
+    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _power, _reduce, factor, reciprocal_poly,
+)
 
 ADVISOR_BUDGET = 4096
 
@@ -117,7 +119,7 @@ class MTProfile:
         """A `_divisor_row` per factor of x^N - 1, in `factorization`
         order: the division data every remainder by that factor reuses
         (`factor_valuations`, `_layer_table`)."""
-        return tuple(_divisor_row(p) for p, _ in self.factorization)
+        return tuple(_divisor_row(self.field, p.coeffs) for p, _ in self.factorization)
 
     @cached_property
     def factor_valuations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -175,7 +177,7 @@ class MTProfile:
             if len(active) < 2:
                 out.append(None)
                 continue
-            div = _divisor_row(_power(p, f))
+            div = _divisor_row(fld, _power(p, f).coeffs)
             n_red = self.period // f
             weights = []
             for i, v in active:
@@ -183,10 +185,7 @@ class MTProfile:
                 step = n_red * v
                 cs = [0] * ((f // v - 1) * step + 1)
                 cs[::step] = [kappa] * (f // v)
-                if len(cs) > div[0]:
-                    _long_divide(fld, cs, div)
-                    _trim(cs)
-                weights.append((i, cs))
+                weights.append((i, _reduce(fld, cs, div)))
             out.append((div, tuple(weights)))
         return tuple(out)
 
@@ -278,7 +277,7 @@ def _block_residues(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, k: 
     """The matrix of r_k = left[a][k] * right[k][b] mod x^m_k - lam_k, over
     the rows a of left and the columns b of right, as coefficient lists free
     of trailing zeros; the block modulus is prepared once."""
-    fld, div = profile.field, _divisor_row(profile.moduli[k])
+    fld, div = profile.field, _divisor_row(profile.field, profile.moduli[k].coeffs)
     column = [b.coeffs for b in right.rows[k]]
     out = []
     for row in left.rows:
@@ -287,9 +286,7 @@ def _block_residues(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, k: 
             r: list[int] = []
             if a and b:
                 _add_product(fld, r, a, b)
-                if len(r) > div[0]:
-                    _long_divide(fld, r, div)
-                _trim(r)
+                _reduce(fld, r, div)
             orow.append(r)
         out.append(orow)
     return out
@@ -621,8 +618,8 @@ class MTCode:
                 None,
                 None,
             )
-        j = PolyMatrix.backward_identity(f, ell)
-        residue = _cofactor_product(reciprocal_columns(self.gpm, prof) @ j, self.companion, prof)
+        left = PolyMatrix._trusted(f, [row[::-1] for row in reciprocal_columns(self.gpm, prof).rows])
+        residue = _cofactor_product(left, self.companion, prof)
         return PropertyCheck("reversible", None, residue.is_zero(), None, residue, None)
 
 
@@ -728,10 +725,7 @@ def _weighted_residues(residues, weights, fld: Field) -> list:
         acc: list[int] = []
         for i, w in pairs:
             _add_product(fld, acc, w, residues[i][a][b])
-        if len(acc) > div[0]:
-            _long_divide(fld, acc, div)
-        _trim(acc)
-        return acc
+        return _reduce(fld, acc, div)
 
     return [[entry(a, b) for b in range(len(row))] for a, row in enumerate(residues[pairs[0][0]])]
 
@@ -752,21 +746,19 @@ def _outer_product_type(u, v, h: int, div, f: int) -> tuple[int, ...]:
 
 def _min_valuation(entries, div, cap: int) -> int:
     """min(cap, v_p(e) over the entries), p given by its `_divisor_row`.
-    An entry's coefficients are reduced by `_long_divide`, and the quotient
-    is divided next only when the remainder is zero: one remainder per
-    entry when cap is 1, and none once the minimum is 0."""
+    An entry is divided by p again only while the quotient is exact: one
+    division per entry when cap is 1, and none once the minimum is 0."""
     for e in entries:
         if not cap:
             break
         cs, v = e.coeffs, 0
         if not cs:
             continue
-        while v < cap and len(cs) > div[0]:
-            rem = list(cs)
-            quot = _long_divide(e.field, rem, div)
-            if any(rem):
+        while v < cap:
+            cs = _exact_quotient(e.field, cs, div)
+            if cs is None:
                 break
-            cs, v = quot, v + 1
+            v += 1
         cap = v
     return cap
 

@@ -9,15 +9,15 @@ unimodular left transform along, so membership questions ("write this
 vector in the row module") reduce to back-substitution against the echelon
 rows.
 
-On top of HNF sit the operations the twisted-code layer needs: reduction of
-a generating stack to a square generator polynomial matrix, solving
-A * G = diag(x^m_i - lam_i) for the companion A, and the degree of the
-determinant, read off the HNF diagonal (the determinant itself is never
-needed).  A GPM and its companion come from one transform-free
-elimination: a stack ending in diag(x^m_i - lam_i) is reduced modulo those
-moduli as it is eliminated, so degrees stay below the block lengths, and A
-follows from the triangular G by back-substitution, whose exact divisions
-certify that the module contains the diagonal rows.
+The degree of the determinant is read off the HNF diagonal (the
+determinant itself is never needed).  The twisted-code layer gets a GPM
+and its companion A, with A * G = diag(x^m_i - lam_i), from one
+transform-free elimination (`_gpm_pair`): the stack [top;
+diag(x^m_i - lam_i)] is reduced modulo those moduli as it is eliminated,
+so degrees stay below the block lengths, and A follows from the
+triangular G by back-substitution, whose exact divisions certify that the
+module contains the diagonal rows.  Every division goes through the
+coefficient-list kernel of `upoly`.
 
 The type of a row span over the chain ring GF(q)[x]/<p^f>, p irreducible,
 comes from one elimination (`_chain_type`, on rows of coefficient lists):
@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .gf import Field
-from .upoly import NEG_INF, Poly, _add_product, _divisor_row, _long_divide, _power, _trim, is_irreducible
+from .upoly import (
+    NEG_INF, Poly, _add_product, _divisor_row, _exact_quotient, _long_divide, _power, _reduce, _trim, is_irreducible,
+)
 
 
 class PolyMatrix:
@@ -86,12 +88,6 @@ class PolyMatrix:
         zero = Poly.zero(field)
         n = len(entries)
         return PolyMatrix(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def backward_identity(field: Field, n: int) -> "PolyMatrix":
-        """J_n: ones on the antidiagonal."""
-        one, zero = Poly.one(field), Poly.zero(field)
-        return PolyMatrix(field, [[one if i + j == n - 1 else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
     def stack(*mats: "PolyMatrix") -> "PolyMatrix":
@@ -204,14 +200,6 @@ class PolyMatrix:
             raise ParseError("empty matrix text")
         return PolyMatrix(field, rows)
 
-    # -- derived forms ---------------------------------------------------
-
-    def hnf(self) -> "HnfResult":
-        return hnf(self)
-
-    def deg_det(self):
-        return deg_det(self)
-
 
 @dataclass(frozen=True)
 class HnfResult:
@@ -257,18 +245,11 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     """
     neg, add_scaled = field.neg, field.add_scaled
     work = [[list(e.coeffs) for e in row] for row in rows]
-    mod_div = None if moduli is None else [_divisor_row(d) for d in moduli]
-
-    def settle(e: list[int], k: int) -> None:
-        """Reduce the column-k entry e in place modulo its pending generator."""
-        if len(e) > mod_div[k][0]:
-            _long_divide(field, e, mod_div[k])
-            _trim(e)
-
+    mod_div = None if moduli is None else [_divisor_row(field, d.coeffs) for d in moduli]
     if mod_div is not None:
         for row in work:
             for k, e in enumerate(row):
-                settle(e, k)
+                _reduce(field, e, mod_div[k])
 
     def sub_scaled(dst: list, src: list, div, c: int) -> None:
         """dst -= q * src for q the quotient of dst[c] by src[c], whose
@@ -281,9 +262,10 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
             if b:
                 out = dst[j]
                 _add_product(field, out, nq, b)
-                _trim(out)
-                if mod_div is not None:
-                    settle(out, j)
+                if mod_div is None:
+                    _trim(out)
+                else:
+                    _reduce(field, out, mod_div[j])
 
     r = 0
     pivots = []
@@ -304,7 +286,7 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
             if cand != r:
                 work[r], work[cand] = work[cand], work[r]
             pivot = work[r]
-            div = _divisor_row(Poly._trusted(field, list(pivot[c])))
+            div = _divisor_row(field, pivot[c])
             dirty = False
             for i in range(r + 1, n_rows):
                 if work[i][c]:
@@ -329,7 +311,7 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
         for i in range(r):
             if len(work[i][c]) >= size:
                 if div is None:
-                    div = _divisor_row(Poly._trusted(field, list(pivot[c])))
+                    div = _divisor_row(field, pivot[c])
                 sub_scaled(work[i], pivot, div, c)
         pivots.append((r, c))
         r += 1
@@ -395,15 +377,14 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
     GF(q)(x) is unique, so every division is exact exactly when d_i * e_i
     lies in the row module of G; otherwise this raises ValueError.
 
-    Each G_jj is prepared as a `_divisor_row` once.  Each numerator is
-    accumulated in one coefficient list and divided in place, and the
-    division is exact when the remainder left there is zero.
+    Each G_jj is prepared as a `_divisor_row` once, and each numerator
+    is accumulated in one coefficient list.
     """
     ell = len(diag_polys)
     if any(not gpm_rows[j][j] for j in range(ell)):
         raise ValueError(_NOT_DIAGONAL)
     neg = field.neg
-    divs = [_divisor_row(gpm_rows[j][j]) for j in range(ell)]
+    divs = [_divisor_row(field, gpm_rows[j][j].coeffs) for j in range(ell)]
     g = [[e.coeffs for e in row] for row in gpm_rows]
     zero = Poly.zero(field)
     out = []
@@ -412,7 +393,7 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
         negs = {}  # k -> the coefficients of -A_ik, for each nonzero A_ik
         for j in range(i, ell):
             if j == i:
-                num = list(d.coeffs)
+                num = d.coeffs
             else:
                 num = []
                 for k, a in negs.items():
@@ -420,10 +401,8 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
                 _trim(num)
             if not num:
                 continue
-            if len(num) <= divs[j][0]:
-                raise ValueError(_NOT_DIAGONAL)
-            quot = _long_divide(field, num, divs[j])
-            if any(num):
+            quot = _exact_quotient(field, num, divs[j])
+            if quot is None:
                 raise ValueError(_NOT_DIAGONAL)
             negs[j] = [neg(x) for x in quot]
             row[j] = Poly._trusted(field, quot)
@@ -448,46 +427,6 @@ def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
     no transform."""
     diag_polys = list(diag_polys)
     return _with_companion(hnf(top, diag_polys, transform=False), diag_polys)
-
-
-def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
-    """HNF a generating stack down to the square generator polynomial matrix.
-
-    diag_polys are the block moduli x^m_i - lam_i; the stack's row module
-    must contain each of them on its own axis, which the back-substitution
-    for the companion certifies.  No transform is tracked.  A stack that
-    ends in diag(diag_polys) is eliminated as its other rows over those
-    moduli (see `hnf`), so degrees stay below the block lengths; any other
-    stack is eliminated as it is.
-    """
-    diag_polys = list(diag_polys)
-    ell = len(diag_polys)
-    if stack.shape[1] != ell:
-        raise ValueError(f"stack has {stack.shape[1]} columns but {ell} block moduli")
-    top, moduli = stack, None
-    if ell and all(diag_polys) and stack.rows[-ell:] == PolyMatrix.diagonal(diag_polys).rows:
-        top, moduli = PolyMatrix(stack.field, stack.rows[:-ell]), diag_polys
-    return _with_companion(hnf(top, moduli, transform=False), diag_polys)[0]
-
-
-def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
-    """The unique A with A @ gpm = diag(diag_polys).
-
-    With H = U @ gpm the HNF of gpm, back-substitution on the triangular H
-    solves A' @ H = diag(diag_polys), and A = A' @ U; an inexact division
-    there raises ValueError.  Verified by multiplying back; a failure there
-    means the input was not a generator polynomial matrix for these moduli.
-    """
-    diag_polys = list(diag_polys)
-    ell = len(diag_polys)
-    r, c = gpm.shape
-    if r != ell or c != ell:
-        raise ValueError("generator polynomial matrix must be square")
-    res = hnf(gpm)
-    a = _with_companion(res, diag_polys)[1] @ res.transform
-    if (a @ gpm) != PolyMatrix.diagonal(diag_polys):
-        raise AssertionError("companion solve failed the multiply-back check")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -551,40 +490,23 @@ def _chain_type(rows, p: Poly, f: int) -> ChainType:
     dropped, and the sweep stops when no row is left.
     """
     fld = p.field
-    div_p = _divisor_row(p)
-
-    def peel(e: list[int]) -> list[int] | None:
-        """e / p, or None when p does not divide e."""
-        if len(e) <= div_p[0]:
-            return None if e else e
-        rem = list(e)
-        quot = _long_divide(fld, rem, div_p)
-        return None if any(rem) else quot
-
-    def reduced(e: list[int]) -> list[int]:
-        """e, trimmed, modulo p^(f-h), in place."""
-        _trim(e)
-        if len(e) > div[0]:
-            _long_divide(fld, e, div)
-            _trim(e)
-        return e
-
+    div_p = _divisor_row(fld, p.coeffs)
     n_cols = len(rows[0]) if rows else 0
-    div = _divisor_row(_power(p, f))
-    rows = [[reduced(list(e)) for e in row] for row in rows]
+    div = _divisor_row(fld, _power(p, f).coeffs)
+    rows = [[_reduce(fld, list(e), div) for e in row] for row in rows]
     type_vector = []
     for h in range(f):
         rows = [row for row in rows if any(row)]
         if not rows:
             break
-        peeled = [[peel(e) for e in row] for row in rows]
+        peeled = [[_exact_quotient(fld, e, div_p) for e in row] for row in rows]
         r_h = 0
         for c in range(n_cols):
             at = next((i for i, row in enumerate(peeled) if row[c] is None), None)
             if at is None:
                 continue
             if h and not r_h:
-                div = _divisor_row(_power(p, f - h))
+                div = _divisor_row(fld, _power(p, f - h).coeffs)
             pivot_row = rows.pop(at)
             del peeled[at]
             u = pivot_row[c]
@@ -596,8 +518,8 @@ def _chain_type(rows, p: Poly, f: int) -> ChainType:
                         e: list[int] = []
                         _add_product(fld, e, u, x)
                         _add_product(fld, e, na, y)
-                        new.append(reduced(e))
-                    rows[i], peeled[i] = new, [peel(e) for e in new]
+                        new.append(_reduce(fld, e, div))
+                    rows[i], peeled[i] = new, [_exact_quotient(fld, e, div_p) for e in new]
             r_h += 1
         type_vector.append(r_h)
         rows = peeled

@@ -9,6 +9,11 @@ unit coefficients contracted (``w + x``, ``x^6 + 1``).  The parser accepts
 the same grammar plus binary/unary minus, arbitrary whitespace, and terms in
 any order.
 
+Every product and division in the package, in `Poly`, the matrix
+eliminations and the layer tables, runs on one kernel over coefficient
+lists: `_add_product`, `_divisor_row`, `_long_divide`, `_reduce` and
+`_exact_quotient`.  It is the one place that reads a divisor row.
+
 Factorization covers exactly c * (x^N - 1), the only polynomials the
 codes factor.  With N = N' * p^s, x^N - 1 is the product of Phi_d^(p^s)
 over d | N', and every irreducible factor of Phi_d has degree ord_d(q).
@@ -101,10 +106,6 @@ class Poly:
         return Poly(field, (0, 1))
 
     @staticmethod
-    def monomial(field: Field, degree: int, c: int = 1) -> "Poly":
-        return Poly(field, (0,) * degree + (c,))
-
-    @staticmethod
     def binomial(field: Field, m: int, lam: int) -> "Poly":
         """x^m - lam, the block modulus of a twisted block."""
         if m < 1:
@@ -120,9 +121,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
 
     @property
     def lead(self) -> int:
@@ -188,11 +186,8 @@ class Poly:
         db = len(other.coeffs) - 1
         if len(rem) - 1 < db:
             return Poly.zero(f), self
-        quot = _long_divide(f, rem, _divisor_row(other))
+        quot = _long_divide(f, rem, _divisor_row(f, other.coeffs))
         return Poly._trusted(f, quot), Poly._trusted(f, rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         if len(self.coeffs) < len(other.coeffs):
@@ -213,7 +208,7 @@ class Poly:
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
         """self^n modulo mod, by squaring; mod's reduction row is built
         once for every reduction."""
-        div = _divisor_row(mod)
+        div = _divisor_row(mod.field, mod.coeffs)
         result = Poly.one(self.field)
         base = _remainder(self, div)
         while n:
@@ -222,13 +217,6 @@ class Poly:
             base = _remainder(base * base, div)
             n >>= 1
         return result
-
-    def evaluate(self, a: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
 
     def frobenius(self, k: int) -> "Poly":
         """Apply sigma^k to every coefficient; sigma^e is the identity, so
@@ -307,15 +295,15 @@ def _add_product(f: Field, out: list[int], a, b) -> None:
             add_scaled(out, i, ai, row)
 
 
-def _divisor_row(b: Poly) -> tuple[int, int, list[tuple[int, int]]]:
-    """b prepared for long division: its degree, the inverse of its leading
-    coefficient, and -b below the leading term as (index, coeff) pairs of
-    its nonzero entries.  Subtracting qc * b from a remainder adds
-    qc * (-b); the leading term only cancels a coefficient that is never
-    read again."""
-    if b.is_zero():
+def _divisor_row(f: Field, cs) -> tuple[int, int, list[tuple[int, int]]]:
+    """The divisor with coefficient sequence cs, free of trailing zeros,
+    prepared for long division: its degree, the inverse of its leading
+    coefficient, and -cs below the leading term as (index, coeff) pairs of
+    its nonzero entries.  Subtracting qc times the divisor from a remainder
+    adds qc * (-cs); the leading term only cancels a coefficient that is
+    never read again."""
+    if not cs:
         raise ZeroDivisionError("polynomial division by zero")
-    f, cs = b.field, b.coeffs
     neg = f.neg
     return len(cs) - 1, f.inv(cs[-1]), [(i, neg(bi)) for i, bi in enumerate(cs[:-1]) if bi]
 
@@ -338,13 +326,32 @@ def _long_divide(f: Field, rem: list[int], div) -> list[int]:
     return quot
 
 
+def _reduce(f: Field, cs: list[int], div) -> list[int]:
+    """cs modulo the `_divisor_row` div, in place, free of trailing zeros;
+    returns cs."""
+    _trim(cs)
+    if len(cs) > div[0]:
+        _long_divide(f, cs, div)
+        _trim(cs)
+    return cs
+
+
+def _exact_quotient(f: Field, cs, div) -> list[int] | None:
+    """cs divided by the `_divisor_row` div, free of trailing zeros, or None
+    when the division leaves a remainder; cs itself is not modified."""
+    rem = list(cs)
+    quot = _long_divide(f, rem, div) if len(rem) > div[0] else []
+    if any(rem):
+        return None
+    _trim(quot)
+    return quot
+
+
 def _remainder(e: Poly, div) -> Poly:
     """e modulo the polynomial prepared as the `_divisor_row` div."""
     if len(e.coeffs) <= div[0]:
         return e
-    rem = list(e.coeffs)
-    _long_divide(e.field, rem, div)
-    return Poly._trusted(e.field, rem)
+    return Poly._trusted(e.field, _reduce(e.field, list(e.coeffs), div))
 
 
 def _power(p: Poly, k: int) -> Poly:
@@ -434,9 +441,6 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.factors)
-
-    def is_squarefree(self) -> bool:
-        return all(m == 1 for _, m in self.factors)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -6,10 +6,11 @@ and gets the same codes back, so failures reproduce exactly.
 
 import random
 
-from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field
+from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
 from mtcodes import oracle
 from mtcodes.errors import DomainError
 from mtcodes.mtcode import reciprocal_columns
+from mtcodes.pmat import _with_companion
 
 
 SMALL_FIELDS = ((2, 1), (3, 1), (4, 2), (5, 1), (9, 2))
@@ -67,6 +68,51 @@ def det(m: PolyMatrix) -> Poly:
         prev = a[k][k]
     d = a[n_r - 1][n_r - 1]
     return d if sign > 0 else -d
+
+
+def backward_identity(f: Field, n: int) -> PolyMatrix:
+    """J_n: ones on the antidiagonal."""
+    one, zero = Poly.one(f), Poly.zero(f)
+    return PolyMatrix(f, [[one if i + j == n - 1 else zero for j in range(n)] for i in range(n)])
+
+
+def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
+    """Reference GPM of a generating stack, by the library's HNF and
+    back-substitution.
+
+    diag_polys are the block moduli x^m_i - lam_i; the stack's row module
+    must contain each of them on its own axis, which the back-substitution
+    for the companion certifies.  A stack that ends in diag(diag_polys) is
+    eliminated as its other rows over those moduli (see `hnf`); any other
+    stack is eliminated as it is.
+    """
+    diag_polys = list(diag_polys)
+    ell = len(diag_polys)
+    if stack.shape[1] != ell:
+        raise ValueError(f"stack has {stack.shape[1]} columns but {ell} block moduli")
+    top, moduli = stack, None
+    if ell and all(diag_polys) and stack.rows[-ell:] == PolyMatrix.diagonal(diag_polys).rows:
+        top, moduli = PolyMatrix(stack.field, stack.rows[:-ell]), diag_polys
+    return _with_companion(hnf(top, moduli, transform=False), diag_polys)[0]
+
+
+def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
+    """Reference companion: the unique A with A @ gpm = diag(diag_polys).
+
+    With H = U @ gpm the HNF of gpm, back-substitution on the triangular H
+    solves A' @ H = diag(diag_polys), and A = A' @ U; an inexact division
+    there raises ValueError.  Verified by multiplying back.
+    """
+    diag_polys = list(diag_polys)
+    ell = len(diag_polys)
+    r, c = gpm.shape
+    if r != ell or c != ell:
+        raise ValueError("generator polynomial matrix must be square")
+    res = hnf(gpm)
+    a = _with_companion(res, diag_polys)[1] @ res.transform
+    if (a @ gpm) != PolyMatrix.diagonal(diag_polys):
+        raise AssertionError("companion solve failed the multiply-back check")
+    return a
 
 
 def modulus_diag(prof: MTProfile) -> PolyMatrix:
@@ -336,7 +382,7 @@ def small_dim_pair(rng: random.Random, f: Field) -> tuple[MTCode, MTCode]:
     def code():
         row = []
         for m, lam, rs in zip(blocks, shifts, roots):
-            eig = Poly.binomial(f, m, lam) // Poly(f, [f.neg(rng.choice(rs)), 1])
+            eig = Poly.binomial(f, m, lam).exact_div(Poly(f, [f.neg(rng.choice(rs)), 1]))
             row.append(eig.scale(rng.randrange(f.q)))
         return MTCode(profile, [tuple(row)])
 

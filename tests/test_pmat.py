@@ -7,11 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtcodes.mtcode as mtcode_mod
-from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod, reduce_to_gpm, solve_identical
+from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod
 from mtcodes.pmat import _gpm_pair
 from mtcodes.upoly import NEG_INF, is_irreducible
 
-from helpers import det, express_in_row_module, f4, pmat, poly, small_dim_pair, sweep_pair
+from helpers import (
+    backward_identity,
+    det,
+    express_in_row_module,
+    f4,
+    pmat,
+    poly,
+    reduce_to_gpm,
+    small_dim_pair,
+    solve_identical,
+    sweep_pair,
+)
 
 
 F3 = field(3)
@@ -111,6 +122,16 @@ def test_express_in_row_module():
     assert acc == combo
     with pytest.raises(ValueError):
         express_in_row_module(res, [Poly.one(f), Poly.zero(f)])
+
+
+def test_every_export_resolves():
+    """`from mtcodes import *` binds every name in `mtcodes.__all__`, so an
+    export of a moved or deleted name fails here."""
+    import mtcodes
+
+    namespace: dict = {}
+    exec("from mtcodes import *", namespace)
+    assert set(mtcodes.__all__) <= set(namespace)
 
 
 def test_reduce_to_gpm_requires_diagonal_membership():
@@ -221,7 +242,7 @@ def test_reversed_pair_is_the_gpm_pair_of_the_reversed_stack(monkeypatch):
     assert len(codes) > 100
     for code in codes:
         prof = code.profile.reversed_profile()
-        j = PolyMatrix.backward_identity(code.field, prof.ell)
+        j = backward_identity(code.field, prof.ell)
         stack = PolyMatrix.stack(code.dual().companion.transpose() @ j, PolyMatrix.diagonal(prof.moduli))
         g = reduce_to_gpm(stack, prof.moduli)
         rev = code.reversed_code()
