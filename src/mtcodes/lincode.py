@@ -281,41 +281,66 @@ class LinearCode:
     # -- metrics -----------------------------------------------------------
 
     def min_distance(self, budget: int | None = None) -> float:
-        """Exact minimum weight, over one codeword per projective point.
+        """Exact minimum weight by Brouwer-Zimmermann enumeration.
 
-        Scaling keeps the weight, so for each row g_i of the RREF generator
-        only g_i plus the combinations of the rows below it are walked, in
-        reflected q-ary Gray order: (q^k - 1)/(q - 1) words, one
-        Field.add_scaled each.  Returns math.inf for the zero code, and
-        raises BudgetError when q^k exceeds the budget (ENUM_BUDGET).
+        On each of m disjoint information sets a word equals its
+        coefficient vector on that set's systematic generator.  Round w
+        weighs each combination of w rows of a set (coefficient 1 on the
+        first), so once round w is done on j sets and round w - 1 on the
+        others, every word not yet seen weighs >= mw + j; the walk stops
+        when that bound reaches the lightest word seen.  Round 1, the rows,
+        runs as each set is built, with the bound 2j on the j built so far.
+        Returns math.inf for the zero code, and raises BudgetError when q^k
+        exceeds the budget (ENUM_BUDGET).
         """
         if self.k == 0:
             return math.inf
         check_enum_budget(self.field.q, self.k, budget)
-        field, q, n = self.field, self.field.q, self.n
-        terms = self._terms
-        best = n
-        for i, row in enumerate(self.gen):
-            word, below = list(row), terms[i + 1 :]
-            digit, step = [0] * len(below), [1] * len(below)
-            for t in range(1, q ** len(below) + 1):
-                best = min(best, n - word.count(0))
-                if best == 1:
-                    return 1
-                # The digit that changes next is the number of trailing zeros
-                # of t in base q; it is len(below) once every word is seen.
-                j = 0
-                while t % q == 0:
-                    t //= q
-                    j += 1
-                if j == len(below):
-                    break
-                old = digit[j]
-                new = digit[j] = old + step[j]
-                if new in (0, q - 1):
-                    step[j] = -step[j]
-                field.add_scaled(word, 0, field.sub(new, old), below[j])
+        gens, best = [], self.n
+        for gen in self._systematic_generators():
+            gens.append(gen)
+            best = min(best, *map(len, gen))
+            if best <= 2 * len(gens):
+                return best
+        for w in range(2, self.k + 1):
+            for j, gen in enumerate(gens):
+                if best <= len(gens) * w + j:
+                    return best
+                best = min(best, _lightest(self.field, self.n, gen, w))
         return best
+
+    def _systematic_generators(self):
+        """Generators, as the nonzero (column, entry) terms of each row, on
+        disjoint information sets: the RREF's, then one rref per set with
+        the unused columns first, while all k pivots land in them."""
+        yield self._terms
+        used = set(self._pivots)
+        while self.n - len(used) >= self.k:
+            order = [c for c in range(self.n) if c not in used] + sorted(used)
+            rows, pivots = rref(self.field, [[row[c] for c in order] for row in self.gen])
+            if pivots[-1] >= self.n - len(used):
+                return
+            yield [sorted((order[j], e) for j, e in enumerate(row) if e) for row in rows]
+            used.update(order[p] for p in pivots)
+
+
+def _lightest(field: Field, length: int, gen, w: int) -> int:
+    """The least weight of sum c_i g_i over w rows g_i of gen (term lists),
+    with c = 1 on the first row and c != 0 on the rest, depth first: one
+    Field.add_scaled per word, prefixes of fewer rows included."""
+    best, k, nonzero = length, len(gen), range(1, field.q)
+    stack = [([0] * length, 0, w, (1,))]
+    while stack:
+        word, start, left, coefs = stack.pop()
+        for i in range(start, k - left + 1):
+            for c in coefs:
+                new = word.copy()
+                field.add_scaled(new, 0, c, gen[i])
+                if left > 1:
+                    stack.append((new, i + 1, left - 1, nonzero))
+                else:
+                    best = min(best, length - new.count(0))
+    return best
 
 
 def _transpose(rows) -> Matrix:

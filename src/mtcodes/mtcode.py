@@ -421,8 +421,9 @@ class MTCode:
         return self._linear
 
     def min_distance(self, budget: int | None = None) -> float:
-        """LinearCode.min_distance of to_linear(), with the budget checked
-        before the expansion."""
+        """LinearCode.min_distance of to_linear(), Brouwer-Zimmermann on
+        its information sets, with the q^k budget checked before the
+        expansion."""
         if self.dim:
             check_enum_budget(self.field.q, self.dim, budget)
         return self.to_linear().min_distance(budget)

@@ -4,6 +4,7 @@ Everything here is seeded: a test passes the same Random instance (or seed)
 and gets the same codes back, so failures reproduce exactly.
 """
 
+import math
 import random
 
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
@@ -218,6 +219,38 @@ def random_mt_code(rng: random.Random, profile: MTProfile, max_rows: int = 2) ->
             row.append(Poly(f, coeffs))
         rows.append(row)
     return MTCode(profile, [tuple(r) for r in rows])
+
+
+def reference_min_distance(code: LinearCode) -> float:
+    """Minimum weight over one codeword per projective point.
+
+    Scaling keeps the weight, so for each row g_i of the RREF generator only
+    g_i plus the combinations of the rows below it are walked, in reflected
+    q-ary Gray order: (q^k - 1)/(q - 1) words, one Field.add_scaled each.
+    math.inf for the zero code.
+    """
+    field, q, n = code.field, code.field.q, code.n
+    terms = [[(j, e) for j, e in enumerate(row) if e] for row in code.gen]
+    best = math.inf
+    for i, row in enumerate(code.gen):
+        word, below = list(row), terms[i + 1 :]
+        digit, step = [0] * len(below), [1] * len(below)
+        for t in range(1, q ** len(below) + 1):
+            best = min(best, n - word.count(0))
+            # The digit that changes next is the number of trailing zeros
+            # of t in base q; it is len(below) once every word is seen.
+            j = 0
+            while t % q == 0:
+                t //= q
+                j += 1
+            if j == len(below):
+                break
+            old = digit[j]
+            new = digit[j] = old + step[j]
+            if new in (0, q - 1):
+                step[j] = -step[j]
+            field.add_scaled(word, 0, field.sub(new, old), below[j])
+    return best
 
 
 def random_linear_code(rng: random.Random, f: Field, n: int, max_k: int | None = None) -> LinearCode:

@@ -174,7 +174,7 @@ def test_criterion_10_gf9_code():
     code = c6()
     f = code.field
     assert (code.n, code.dim) == (16, 5)
-    assert code.min_distance() == 5  # (9^5 - 1)/8 words, one per projective point
+    assert code.min_distance() == 5  # 2 information sets, rounds w <= 2: mw + j reaches 5
     assert code.profile.shifts == (1, f.parse_element("w^2"), 2)
     assert code.profile.period == 140
     assert code.gpm == pmat(f, [

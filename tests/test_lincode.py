@@ -12,7 +12,7 @@ from mtcodes import LinearCode, field, oracle
 from mtcodes.errors import BudgetError
 from mtcodes.lincode import _meet, frobenius_rows, mat_mul, mat_rank, rref
 
-from helpers import f4, random_linear_code, words
+from helpers import f4, random_linear_code, reference_min_distance, words
 
 
 F2 = field(2)
@@ -185,8 +185,25 @@ def test_min_distance():
 
 
 # Every representation of Field: dense tables (q <= 256), log/Zech tables
-# (GF(17^2)) and prime-field integer arithmetic (GF(257)).
-DISTANCE_FIELDS = (F2, F3, f4(), field(3, 2), field(17, 2), field(257))
+# (GF(17^2), and GF(2^9) in characteristic 2) and prime-field integer
+# arithmetic (GF(257)).
+DISTANCE_FIELDS = (F2, F3, f4(), field(3, 2), field(17, 2), field(2, 9), field(257))
+
+
+def reed_solomon(f, n, k):
+    """The [n, k, n - k + 1] code evaluating polynomials of degree < k at
+    the field elements 1 .. n, all distinct and nonzero for n < q."""
+    return LinearCode(f, n, [[f.pow(a, i) for a in range(1, n + 1)] for i in range(k)])
+
+
+# Weight 3 is a row only of the generator systematic on columns 2 and 3:
+# both RREF rows weigh more, so round 1 meets it on the second set.
+SECOND_SET_LIGHTEST = LinearCode(F2, 6, [(1, 0, 1, 0, 1, 1), (0, 1, 1, 1, 1, 1)])
+# Columns 2 and 5 are zero, so the four columns off the RREF pivots have
+# rank 2 < k and the RREF's is the only information set; d = 3 > 2m needs
+# round 2.
+ONLY_RREF_SET = LinearCode(f4(), 7, [(1, 0, 0, 0, 2, 0, 3), (0, 1, 0, 0, 1, 0, 1),
+                                     (0, 0, 0, 1, 1, 0, 3)])
 
 
 @st.composite
@@ -205,9 +222,14 @@ def small_codes(draw):
 
 
 @given(small_codes())
-@example(LinearCode(field(257), 1, [(5,)]))
+@example(LinearCode(field(257), 1, [(5,)]))  # k = n = 1
 @example(LinearCode(field(17, 2), 3, [(0, 7, 200)]))
-@example(LinearCode.full(f4(), 5))
+@example(LinearCode(field(2, 9), 6, [(0, 300, 0, 7, 1, 511)]))  # k = 1: one set per nonzero column
+@example(LinearCode.full(f4(), 5))  # k = n
+@example(reed_solomon(field(3, 2), 8, 3))  # MDS [8,3,6]: floor(8/3) = 2 sets, stops after round 2
+@example(reed_solomon(field(3, 2), 8, 2))  # MDS [8,2,7]: 4 sets
+@example(ONLY_RREF_SET)
+@example(SECOND_SET_LIGHTEST)
 @example(LinearCode(f4(), 4, [(1, 0, 1, 1), (0, 1, 2, 2)]))  # weight 2 needs w^2 * g_1
 @example(LinearCode(field(3, 2), 4, [(1, 0, 1, 1), (0, 1, 3, 3)]))  # weight 2 needs -w^-1 * g_1
 @example(LinearCode(F3, 4, [(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 0)]))
@@ -216,6 +238,65 @@ def small_codes(draw):
 @settings(max_examples=150, deadline=None)
 def test_min_distance_matches_oracle(code):
     assert code.min_distance() == oracle.min_distance_of_words(oracle.enumerate_code(code))
+
+
+@pytest.mark.parametrize(
+    "code, m",
+    [(reed_solomon(field(3, 2), 8, 3), 2), (reed_solomon(field(3, 2), 8, 2), 4),
+     (reed_solomon(field(17, 2), 12, 3), 4), (ONLY_RREF_SET, 1), (SECOND_SET_LIGHTEST, 2),
+     (LinearCode(field(2, 9), 6, [(0, 300, 0, 7, 1, 511)]), 4), (LinearCode.full(F3, 4), 1)],
+)
+def test_information_sets_are_disjoint_and_systematic(code, m):
+    """m generators of the code, each the identity on its own k columns,
+    with no column shared between two of them."""
+    gens = list(code._systematic_generators())
+    assert len(gens) == m
+    assert gens[0] == code._terms
+    units = [tuple(int(i == t) for t in range(code.k)) for i in range(code.k)]
+    seen = set()
+    for gen in gens:
+        rows = [[0] * code.n for _ in gen]
+        for row, terms in zip(rows, gen):
+            assert [j for j, _ in terms] == sorted(j for j, _ in terms)
+            for j, e in terms:
+                row[j] = e
+        assert LinearCode(code.field, code.n, rows) == code
+        columns = list(zip(*rows))
+        info = [next((c for c in range(code.n) if c not in seen and columns[c] == u), None)
+                for u in units]
+        assert None not in info
+        seen.update(info)
+
+
+@st.composite
+def walkable_codes(draw):
+    """Codes with q^k <= 2^16, k at least half the largest such, and n from
+    2k to 3k + 2, sparse or dense, some columns forced to zero: one to three
+    information sets and rounds w >= 3."""
+    f = draw(st.sampled_from(DISTANCE_FIELDS))
+    k_max = max(k for k in range(1, 17) if f.q**k <= 2**16)
+    k = draw(st.integers((k_max + 1) // 2, k_max))
+    n = draw(st.integers(2 * k, 3 * k + 2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 4))
+    density = draw(st.sampled_from((0.4, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [
+        [rng.randrange(f.q) if j not in zero_cols and rng.random() < density else 0
+         for j in range(n)]
+        for _ in range(k)
+    ]
+    return LinearCode(f, n, rows)
+
+
+_rng = random.Random(25)
+BINARY_48_16 = LinearCode(F2, 48, [[_rng.randrange(2) for _ in range(48)] for _ in range(16)])
+
+
+@given(walkable_codes())
+@example(BINARY_48_16)  # 3 sets, d = 11: stops after round 3
+@settings(max_examples=60, deadline=None)
+def test_min_distance_matches_reference_walk(code):
+    assert code.min_distance() == reference_min_distance(code)
 
 
 @pytest.mark.parametrize("f", [F2, F3, field(3, 2), field(257)])

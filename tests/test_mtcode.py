@@ -950,8 +950,21 @@ def test_to_linear_expands_dim_rows(monkeypatch):
     assert fed == [code.dim] and lin.k == code.dim
 
 
-def test_c6_distance_walks_one_word_per_projective_point(monkeypatch):
+def test_c6_distance_enumerates_rounds_up_to_the_stopping_bound(monkeypatch):
+    """Each further information set costs one rref of the k x n generator,
+    at most k^2 row updates; a failed attempt costs as much.  Round w costs
+    one add_scaled per word and prefix on each of the m sets, at most
+    sum_{j <= w} C(k, j) (q - 1)^(j - 1), and no round after W = d // m
+    starts, as m (W + 1) > d.  For C6, m = 2, W = 2: 220 calls, against
+    (9^5 - 1)/8 = 7381 for one word per projective point."""
     lin = c6().to_linear()
+    k, q, d = lin.k, lin.field.q, 5
+    m = len(list(lin._systematic_generators()))
+    stop = d // m
+    rounds = sum(math.comb(k, j) * (q - 1) ** (j - 1)
+                 for w in range(2, stop + 1) for j in range(1, w + 1))
+    bound = m * k * k + m * rounds
+    assert (m, stop, bound) == (2, 2, 220)
     calls = 0
     real = Field.add_scaled
 
@@ -961,8 +974,8 @@ def test_c6_distance_walks_one_word_per_projective_point(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(Field, "add_scaled", counting)
-    assert lin.min_distance() == 5
-    assert 0 < calls <= (9**5 - 1) // 8
+    assert lin.min_distance() == d
+    assert 0 < calls <= bound
 
 
 def test_min_distance_checks_budget_before_expanding(monkeypatch):
