@@ -28,11 +28,11 @@ used for minimum distances and --oracle cross-checks.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import oracle
 from .errors import BudgetError, DomainError, ParseError
@@ -192,9 +192,12 @@ def _parse_mt_block(fld: Field, lines, start: int) -> tuple[MTCode, int]:
 def load_document(path: str) -> CodeDocument:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read())
+            text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0) from None
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
+    return parse_document(text)
 
 
 # ---------------------------------------------------------------------------
@@ -615,78 +618,100 @@ def cmd_reverse(args, budget) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command line
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mtcodes",
-        description="exact operations on linear and multi-twisted codes",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+# Per command: run function, help line, then as usage lines show them its
+# options, the options of which at most one may be given (exactly one if in
+# parentheses) and its positionals (in brackets if optional).  "--flag=K"
+# takes an integer, "--flag=OTHER" a code name; a bare "--flag" is a switch.
+_COMMON = "--json --oracle"
+COMMANDS = {
+    "info": (cmd_info, "describe codes in a document", "", "", "file [name]"),
+    "intersect": (cmd_intersect, "intersect two codes", "--galois=K", "[--mt|--linear]", "file first second"),
+    "check": (cmd_check, "test a property of a code", "",
+              "(--so=K|--dc=K|--lcd=K|--reversible|--hull=K|--reverse|--advisor=OTHER)", "file name"),
+    "dual": (cmd_dual, "dual or Galois dual of a code", "--galois=K", "", "file name"),
+    "reverse": (cmd_reverse, "reversed code", "", "", "file name"),
+}
+_HELP = {"-h": "", "--help": ""}
 
-    def common(p):
-        p.add_argument("file", help="code document")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check against brute-force enumeration")
 
-    p = sub.add_parser("info", help="describe codes in a document")
-    common(p)
-    p.add_argument("name", nargs="?", help="code name (default: all)")
-    p.set_defaults(run=cmd_info)
+def _usage(name) -> str:
+    if name not in COMMANDS:
+        return f"usage: mtcodes [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, options, group, positionals = COMMANDS[name]
+    opts = " ".join(f"[{opt}]" for opt in f"{_COMMON} {options}".split())
+    return " ".join(f"usage: mtcodes {name} [-h] {opts} {group} {positionals}".replace("=", " ").split())
 
-    p = sub.add_parser("intersect", help="intersection of two codes")
-    common(p)
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--galois", type=int, metavar="K",
-                   help="intersect the K-Galois dual of the first code with the second")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--mt", action="store_true", help="require the GPM route")
-    mode.add_argument("--linear", action="store_true", help="force the linear route")
-    p.set_defaults(run=cmd_intersect)
 
-    p = sub.add_parser("check", help="test a property of a code")
-    common(p)
-    p.add_argument("name")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--so", type=int, metavar="K", help="K-Galois self-orthogonal")
-    which.add_argument("--dc", type=int, metavar="K", help="K-Galois dual-containing")
-    which.add_argument("--lcd", type=int, metavar="K", help="K-Galois complementary dual")
-    which.add_argument("--reversible", action="store_true",
-                       help="reversibility; reports the largest reversible subcode if not")
-    which.add_argument("--hull", type=int, metavar="K", help="K-Galois hull")
-    which.add_argument("--reverse", action="store_true", help="the reversed code")
-    which.add_argument("--advisor", metavar="OTHER",
-                       help="shift constants under which the intersection with OTHER is MT")
-    p.set_defaults(run=cmd_check)
+def _option(token: str, flags: dict) -> tuple | None:
+    """(flag, text after '=' or None) for an option, a long one by any unique prefix; else None."""
+    flag, eq, value = token.partition("=")
+    hits = [f for f in flags if f == flag] or [f for f in flags if flag[:2] == "--" and f.startswith(flag)]
+    if len(hits) == 1:
+        return hits[0], value if eq else None
+    if hits or token[:1] == "-" and token != "-" and " " not in token and not re.match(r"-\d*\.?\d+$", token):
+        raise ParseError(f"{'ambiguous' if hits else 'unrecognized'} option {token}")
+    return None
 
-    p = sub.add_parser("dual", help="dual or Galois dual of a code")
-    common(p)
-    p.add_argument("name")
-    p.add_argument("--galois", type=int, metavar="K", help="K-Galois dual")
-    p.set_defaults(run=cmd_dual)
 
-    p = sub.add_parser("reverse", help="reversed code")
-    common(p)
-    p.add_argument("name")
-    p.set_defaults(run=cmd_reverse)
-    return parser
+def parse_args(argv) -> SimpleNamespace | None:
+    """The command line, ``run`` being its command, or None after help; raises ParseError."""
+    name = argv[0] if argv else ""
+    if name not in COMMANDS:
+        if name != "-h" and not (name[2:] and "--help".startswith(name)):
+            raise ParseError(f"choose a command from {', '.join(COMMANDS)}")
+        print("\n".join([_usage(None), ""] + [f"  {cmd:<10} {c[1]}" for cmd, c in COMMANDS.items()]))
+        return None
+    run, text, options, group, positionals = COMMANDS[name]
+    specs = f"{_COMMON} {options} {group}".replace("|", " ").split()
+    flags = dict(opt.strip("[()]").partition("=")[::2] for opt in specs) | _HELP
+    values = {flag[2:]: None if meta else False for flag, meta in flags.items() if flag not in _HELP}
+    members = [opt.strip("[()]").partition("=")[0] for opt in group.split("|")]
+    chosen, pos, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        if token == "--" or (hit := _option(token, flags)) is None:
+            pos += tokens if token == "--" else [token]  # every token after '--' is positional
+            continue
+        flag, value = hit
+        if flags[flag] and value is None:
+            value = next(tokens, "--")
+            if value == "--" or _option(value, flags):
+                raise ParseError(f"argument {flag}: expected one argument")
+        elif not flags[flag] and value is not None:
+            raise ParseError(f"argument {flag}: takes no value")
+        if flag in _HELP:
+            print(f"{_usage(name)}\n\n{text}")
+            return None
+        try:
+            values[flag[2:]] = int(value) if flags[flag] == "K" else value if flags[flag] else True
+        except ValueError:
+            raise ParseError(f"argument {flag}: {value!r} is not an integer") from None
+        chosen += [flag] if flag in members else []
+    names = positionals.replace("[", "").replace("]", "").split()
+    if not len(names) - positionals.count("[") <= len(pos) <= len(names):
+        raise ParseError(f"expected arguments {positionals}, got {len(pos)}")
+    if len(set(chosen)) > 1 or group.startswith("(") and not chosen:
+        raise ParseError(f"give {'one' if group.startswith('(') else 'at most one'} of {' '.join(members)}")
+    return SimpleNamespace(run=run, **values, **dict(zip(names, pos + [None] * len(names))))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    budget = None
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is not None:
-        try:
-            budget = int(raw)
-        except ValueError:
-            print(f"error: {ENV_BUDGET} must be an integer", file=sys.stderr)
-            return 2
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        try:
+            args = parse_args(argv)
+        except ParseError as exc:
+            print(f"{_usage(argv[0] if argv else None)}\nerror: {exc}", file=sys.stderr)
+            return 2
+        if args is None:
+            return 0
+        raw = os.environ.get(ENV_BUDGET)
+        try:
+            budget = None if raw is None else int(raw)
+        except ValueError:
+            raise ParseError(f"{ENV_BUDGET} must be an integer") from None
         return args.run(args, budget)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

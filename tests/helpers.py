@@ -4,11 +4,12 @@ Everything here is seeded: a test passes the same Random instance (or seed)
 and gets the same codes back, so failures reproduce exactly.
 """
 
+import argparse
 import math
 import random
 
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
-from mtcodes import oracle
+from mtcodes import cli, oracle
 from mtcodes.errors import DomainError
 from mtcodes.mtcode import reciprocal_columns
 from mtcodes.pmat import _with_companion
@@ -251,6 +252,65 @@ def reference_min_distance(code: LinearCode) -> float:
                 step[j] = -step[j]
             field.add_scaled(word, 0, field.sub(new, old), below[j])
     return best
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was first built on: the
+    reference ``cli.parse_args`` must agree with, argv for argv."""
+    parser = argparse.ArgumentParser(
+        prog="mtcodes",
+        description="exact operations on linear and multi-twisted codes",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    def common(p):
+        p.add_argument("file", help="code document")
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--oracle", action="store_true",
+                       help="cross-check against brute-force enumeration")
+
+    p = sub.add_parser("info", help="describe codes in a document")
+    common(p)
+    p.add_argument("name", nargs="?", help="code name (default: all)")
+    p.set_defaults(run=cli.cmd_info)
+
+    p = sub.add_parser("intersect", help="intersection of two codes")
+    common(p)
+    p.add_argument("first")
+    p.add_argument("second")
+    p.add_argument("--galois", type=int, metavar="K",
+                   help="intersect the K-Galois dual of the first code with the second")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--mt", action="store_true", help="require the GPM route")
+    mode.add_argument("--linear", action="store_true", help="force the linear route")
+    p.set_defaults(run=cli.cmd_intersect)
+
+    p = sub.add_parser("check", help="test a property of a code")
+    common(p)
+    p.add_argument("name")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--so", type=int, metavar="K", help="K-Galois self-orthogonal")
+    which.add_argument("--dc", type=int, metavar="K", help="K-Galois dual-containing")
+    which.add_argument("--lcd", type=int, metavar="K", help="K-Galois complementary dual")
+    which.add_argument("--reversible", action="store_true",
+                       help="reversibility; reports the largest reversible subcode if not")
+    which.add_argument("--hull", type=int, metavar="K", help="K-Galois hull")
+    which.add_argument("--reverse", action="store_true", help="the reversed code")
+    which.add_argument("--advisor", metavar="OTHER",
+                       help="shift constants under which the intersection with OTHER is MT")
+    p.set_defaults(run=cli.cmd_check)
+
+    p = sub.add_parser("dual", help="dual or Galois dual of a code")
+    common(p)
+    p.add_argument("name")
+    p.add_argument("--galois", type=int, metavar="K", help="K-Galois dual")
+    p.set_defaults(run=cli.cmd_dual)
+
+    p = sub.add_parser("reverse", help="reversed code")
+    common(p)
+    p.add_argument("name")
+    p.set_defaults(run=cli.cmd_reverse)
+    return parser
 
 
 def random_linear_code(rng: random.Random, f: Field, n: int, max_k: int | None = None) -> LinearCode:

@@ -1,5 +1,8 @@
 """CLI behavior: document parsing, exit codes, payload shape, determinism."""
 
+import contextlib
+import errno
+import io
 import json
 import os
 import subprocess
@@ -7,12 +10,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtcodes import Field
-from mtcodes.cli import main, parse_document, parse_field_header, scalar_rows
+from mtcodes.cli import main, parse_args, parse_document, parse_field_header, scalar_rows
+from mtcodes.errors import ParseError
 from mtcodes.upoly import Poly
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
+from helpers import reference_parser
+from test_goldens import CASES as GOLDEN_CASES
+
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "fixtures"
 F4_DOC = str(FIXTURES / "f4_codes.txt")
 F3_DOC = str(FIXTURES / "f3_codes.txt")
 F9_DOC = str(FIXTURES / "f9_codes.txt")
@@ -146,6 +156,19 @@ def test_parse_failure_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "info", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, os.strerror(errno.ENOENT)),
+    (lambda path: path.mkdir(), os.strerror(errno.EISDIR)),
+    (lambda path: path.write_bytes(b"\xff\xfeG\x00F\x00(\x002\x00)\x00"), "not UTF-8 text"),
+], ids=["missing", "directory", "utf-16"])
+def test_unreadable_document_exits_2_with_one_error_line(tmp_path, capsys, make, reason):
+    path = tmp_path / "doc.txt"
+    make(path)
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_bad_budget_env_exits_2(capsys, monkeypatch):
@@ -482,3 +505,179 @@ def test_text_and_json_share_content(capsys):
     assert f"distance: {c2['distance']}" in text
     for row in c2["gpm"]:
         assert row in text
+
+
+# -- the command line ----------------------------------------------------
+
+F3_REL, F4_REL, F9_REL = "fixtures/f3_codes.txt", "fixtures/f4_codes.txt", "fixtures/f9_codes.txt"
+
+
+def argv_id(argv):
+    return " ".join(argv).replace(f"{ROOT}{os.sep}", "")
+
+
+README_COMMANDS = [
+    ["info", F4_REL],
+    ["intersect", F4_REL, "C1", "C2", "--oracle"],
+    ["intersect", F4_REL, "C1", "C2", "--galois", "1", "--json"],
+    ["dual", F4_REL, "C1", "--galois", "1"],
+    ["reverse", F4_REL, "C1"],
+    ["check", F3_REL, "C3", "--so", "0"],
+    ["check", F3_REL, "C5", "--reversible"],
+    ["check", F9_REL, "C6", "--lcd", "1"],
+    ["check", F3_REL, "C3", "--advisor", "C5"],
+]
+# README and golden commands overlap; each argv runs once.
+ACCEPTED = list({argv_id(argv): argv for argv in README_COMMANDS + [argv for _, argv in GOLDEN_CASES] + [
+    ["info", F4_REL, "C1"],
+    ["check", "--so", "0", F3_REL, "C3"],  # options before, between and after positionals
+    ["check", F3_REL, "--so", "0", "C3"],
+    ["intersect", "--json", F4_REL, "C1", "--linear", "C2", "--oracle"],
+    ["check", F3_REL, "C3", "--so=0"],  # --opt=value
+    ["check", F3_REL, "C3", "--advisor=C5"],
+    ["check", F3_REL, "C3", "--advisor="],
+    ["dual", F4_REL, "C1", "--galois=-1"],
+    ["check", F3_REL, "C3", "--so", "-1"],  # negative K
+    ["intersect", F4_REL, "C1", "C2", "--galois", "-2"],
+    ["intersect", F4_REL, "C1", "C2", "--lin"],  # unique prefixes
+    ["intersect", F4_REL, "C1", "C2", "--gal", "1", "--m"],
+    ["check", F3_REL, "C3", "--reversi", "--js", "--o"],
+    ["check", F3_REL, "C3", "--adv", "C5"],
+    ["info", "--json", "--", F4_REL, "C1"],  # '--' before positionals
+    ["intersect", F4_REL, "--", "C1", "C2"],
+    ["check", "--so", "0", "--", F3_REL, "C3"],
+    ["check", F3_REL, "C3", "--so", "0", "--so", "1"],  # the last repeat wins
+    ["dual", F4_REL, "C1", "--galois", "1", "--galois", "2"],
+    ["intersect", F4_REL, "C1", "C2", "--mt", "--mt", "--json", "--json"],
+]}.values())
+REJECTED = [
+    [], ["frobnicate", F4_REL], ["--json", "info", F4_REL],  # no command
+    ["info"], ["intersect", F4_REL, "C1"], ["check", F3_REL, "--so", "0"], ["reverse"],  # missing positional
+    ["info", F4_REL, "C1", "C2"], ["reverse", F4_REL, "C1", "C2"],  # extra positional
+    ["intersect", F4_REL, "C1", "C2", "C3"],
+    ["info", F4_REL, "--bogus"], ["check", F3_REL, "C3", "--so", "0", "-x"],  # unknown option
+    ["reverse", F4_REL, "C1", "--rev"],
+    ["check", F3_REL, "C3", "--rev"], ["check", F3_REL, "C3", "--h", "0"],  # ambiguous prefix
+    ["dual", F4_REL, "C1", "--galois"], ["check", F3_REL, "C3", "--so"],  # missing value
+    ["check", F3_REL, "C3", "--advisor", "--json"], ["check", F3_REL, "C3", "--so", "--", "0"],
+    ["check", F3_REL, "C3", "--so", "x"], ["check", F3_REL, "C3", "--so="],  # non-integer K
+    ["intersect", F4_REL, "C1", "C2", "--galois", "1.5"],
+    ["info", F4_REL, "--json=yes"],  # a switch given a value
+    ["intersect", F4_REL, "C1", "C2", "--mt", "--linear"],  # two options of one group
+    ["check", F3_REL, "C3", "--so", "0", "--dc", "0"], ["check", F3_REL, "C3", "--reversible", "--reverse"],
+    ["check", F3_REL, "C3"], ["check", F3_REL, "C3", "--json"],  # check with no property
+]
+HELP = [["-h"], ["--help"], ["--he"], ["info", F4_REL, "--he"]] + [
+    [cmd, flag] for cmd, flag in zip(["info", "intersect", "check", "dual", "reverse"], ["-h", "--help"] * 3)
+]
+# Accepted here, rejected by argparse: a name after an option once the file
+# has been read alone.
+ALLOWED_DIFFERENCES = {("info", F4_REL, "--json", "C1"): {"file": F4_REL, "name": "C1", "json": True}}
+
+
+def reference_vars(argv):
+    ns = vars(reference_parser().parse_args(argv))
+    del ns["cmd"]
+    return ns
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=argv_id)
+def test_command_line_parses_as_argparse_did(argv):
+    assert vars(parse_args(argv)) == reference_vars(argv)
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=argv_id)
+def test_command_line_rejects_what_argparse_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        reference_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(ParseError):
+        parse_args(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: mtcodes") and err.count("\nerror: ") == 1
+
+
+@pytest.mark.parametrize("argv", HELP, ids=argv_id)
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        reference_parser().parse_args(argv)
+    assert exit_info.value.code == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: mtcodes")
+
+
+def test_allowed_difference_from_argparse():
+    for argv, want in ALLOWED_DIFFERENCES.items():
+        ns = vars(parse_args(list(argv)))
+        assert {key: ns[key] for key in want} == want
+        try:
+            ref = reference_vars(list(argv))
+        except SystemExit:
+            continue
+        assert ns == ref  # an argparse that accepts it must agree
+
+
+def test_cold_command_imports_no_argparse():
+    script = (
+        "import sys\n"
+        "from mtcodes.cli import main\n"
+        "rc = main(['info', 'fixtures/f4_codes.txt'])\n"
+        "sys.stderr.write(' '.join(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))))\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+FUZZ_TOKENS = [
+    "info", "intersect", "check", "dual", "reverse", F3_DOC, F4_DOC, F9_DOC, "DOC",
+    "C1", "C2", "C3", "C5", "C6", "C2lin", "A", "B", "--json", "--oracle", "--galois", "--mt",
+    "--linear", "--so", "--dc", "--lcd", "--reversible", "--hull", "--reverse", "--advisor",
+    "-h", "--help", "--", "-", "--gal=1", "--so=-1", "--rev", "--l", "-x", "",
+]
+DOC_LINES = [
+    "GF(2)", "GF(3)", "GF(4)", "GF(9) mod 2 2 1", "GF(2^2)", "GF(6)", "GF(3) mod 1 1",
+    "code A", "code B", "code A", "mt 1", "mt 2", "mt 0", "mt x", "blocks 3", "blocks 2 2", "blocks 4 2",
+    "blocks 0", "shifts 1", "shifts 1 1", "shifts 2 w", "shifts 0", "gpm", "gen", "matrix 1 3",
+    "matrix 2 2", "matrix 0 3", "1 0 1", "1 1", "0 1", "w 1", "1 + x", "x^2 + 1", "1 | x",
+    "0 | 1 + x", "1 + x^1000000000000 | 1", "x^-1", "| |", "# comment", "", "code", "junk",
+]
+DOCS = [
+    ["GF(2)", "code A", "mt 2", "blocks 3 3", "shifts 1 1", "gpm", "1 + x | 1", "0 | 1 + x"],
+    ["GF(4)", "code A", "matrix 2 3", "1 0 w", "0 1 w^2", "code B", "mt 1", "blocks 3", "shifts w", "gpm", "1 + x"],
+    ["GF(3)", "code A", "mt 1", "blocks 4", "shifts 2", "gen", "matrix 1 4", "1 1 1 1",
+     "code B", "mt 1", "blocks 4", "shifts 2", "gpm", "1 + x^2"],
+]
+# A junk token is text a command line can carry: no NUL, no lone surrogate.
+JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+TOKEN = st.sampled_from(FUZZ_TOKENS) | st.integers(-3, 9).map(str) | JUNK
+# Command lines that run on DOCS, K standing for a small integer.
+RUNS = [
+    ["info", "DOC"], ["info", "DOC", "A"], ["intersect", "DOC", "A", "B"], ["intersect", "DOC", "B", "B", "--galois", "K"],
+    ["dual", "DOC", "A"], ["dual", "DOC", "B", "--galois", "K"], ["reverse", "DOC", "B"],
+    ["check", "DOC", "A", "--advisor", "B"], ["check", "DOC", "A", "--reversible"], ["check", "DOC", "B", "--reverse"],
+] + [["check", "DOC", name, flag, "K"] for name in "AB" for flag in ("--so", "--dc", "--lcd", "--hull")]
+
+
+@given(
+    argv=st.lists(TOKEN, max_size=7)
+    | st.builds(
+        lambda argv, k, extra: [str(k) if t == "K" else t for t in argv] + extra,
+        st.sampled_from(RUNS), st.integers(-1, 3), st.lists(st.sampled_from(["--json", "--oracle"]), max_size=2),
+    ),
+    doc=st.lists(st.sampled_from(DOC_LINES), max_size=10) | st.sampled_from(DOCS),
+)
+@settings(max_examples=500, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_command_lines_exit_0_1_or_2(tmp_path_factory, argv, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz_doc.txt"
+    path.write_text("\n".join(doc) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if token == "DOC" else token for token in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
