@@ -363,7 +363,7 @@ def _oracle_intersection(lin1, lin2, result, kappa, budget) -> bool:
     if kappa is None:
         words = oracle.intersect_codes(lin1, lin2, budget)
     else:
-        words = oracle.galois_dual_set(lin1, kappa, budget) & oracle.enumerate_code(lin2, budget)
+        words = oracle.intersect_galois_dual(lin1, lin2, kappa, budget)
     return oracle.same_code(_as_linear(result), words, budget)
 
 
@@ -462,16 +462,19 @@ def _property_payload(check) -> dict:
 
 
 def _oracle_property(code, prop: str, kappa: int, verdict: bool, budget) -> bool:
+    """The verdict by enumeration: self-orthogonal iff the kappa-hull is
+    the whole code, LCD iff it is {0}."""
     lin = _as_linear(code)
-    words = oracle.enumerate_code(lin, budget)
     if prop == "reversible":
+        words = oracle.enumerate_code(lin, budget)
         return (oracle.reverse_words(words) == words) == verdict
-    dual = oracle.galois_dual_set(lin, kappa, budget)
-    if prop == "self_orthogonal":
-        return (words <= dual) == verdict
     if prop == "dual_containing":
-        return (dual <= words) == verdict
-    return ((words & dual) == {(0,) * lin.n}) == verdict
+        dual = oracle.galois_dual_set(lin, kappa, budget)
+        return (dual <= oracle.enumerate_code(lin, budget)) == verdict
+    hull = oracle.intersect_galois_dual(lin, lin, kappa, budget)
+    if prop == "self_orthogonal":
+        return (hull == oracle.enumerate_code(lin, budget)) == verdict
+    return (hull == {(0,) * lin.n}) == verdict
 
 
 def _linear_property(lin: LinearCode, prop: str, kappa: int) -> bool:
@@ -705,14 +708,18 @@ def main(argv=None) -> int:
         except ParseError as exc:
             print(f"{_usage(argv[0] if argv else None)}\nerror: {exc}", file=sys.stderr)
             return 2
-        if args is None:
-            return 0
-        raw = os.environ.get(ENV_BUDGET)
-        try:
-            budget = None if raw is None else int(raw)
-        except ValueError:
-            raise ParseError(f"{ENV_BUDGET} must be an integer") from None
-        return args.run(args, budget)
+        status = 0
+        if args is not None:
+            raw = os.environ.get(ENV_BUDGET)
+            try:
+                budget = None if raw is None else int(raw)
+            except ValueError:
+                raise ParseError(f"{ENV_BUDGET} must be an integer") from None
+            status = args.run(args, budget)
+        # A report smaller than the buffer is first written here, so that a
+        # reader who has gone is met below and not at interpreter exit.
+        sys.stdout.flush()
+        return status
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

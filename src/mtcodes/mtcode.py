@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import PolyMatrix, _chain_type, _gpm_pair, _size_log_q
+from .record import Record
 from .upoly import (
     Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _power, _reduce, factor, reciprocal_poly,
 )
@@ -57,17 +57,15 @@ from .upoly import (
 ADVISOR_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class MTProfile:
+class MTProfile(Record):
     """Index, block lengths, and shift constants of a multi-twisted family."""
 
     field: Field
     blocks: tuple[int, ...]
     shifts: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
+    def __init__(self, field: Field, blocks, shifts):
+        self._set_fields(field, tuple(int(m) for m in blocks), tuple(int(s) for s in shifts))
         if len(self.blocks) != len(self.shifts) or not self.blocks:
             raise ValueError("need matching, nonempty block and shift tuples")
         if any(m < 1 for m in self.blocks):
@@ -628,8 +626,7 @@ class MTCode:
 # intersection machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GpmIntersection:
+class GpmIntersection(Record):
     """Intersection result plus the auxiliary quasi-cyclic pair (Q, P)."""
 
     code: MTCode
@@ -645,8 +642,7 @@ def _qc_intersection(top: PolyMatrix, profile: MTProfile, second: MTCode) -> Gpm
     return GpmIntersection(code, q, p)
 
 
-@dataclass(frozen=True)
-class FactorLayer:
+class FactorLayer(Record):
     """Dimension contribution of one irreducible factor of x^N - 1."""
 
     factor: Poly
@@ -659,8 +655,7 @@ class FactorLayer:
         return _size_log_q(self.factor.degree, self.type_vector)
 
 
-@dataclass(frozen=True)
-class LayerTable:
+class LayerTable(Record):
     """Per-factor evidence that an auxiliary code reaches a target dimension."""
 
     layers: tuple[FactorLayer, ...]
@@ -764,8 +759,7 @@ def _min_valuation(entries, div, cap: int) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Record):
     """Outcome of a property test; holds=None means a precondition failed."""
 
     prop: str
@@ -780,8 +774,7 @@ class PropertyCheck:
 # intersection structure advisor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureAdvice:
+class StructureAdvice(Record):
     """What shift vectors, if any, make the intersection multi-twisted.
 
     admitted lists every certified Gamma; exhaustive says whether all

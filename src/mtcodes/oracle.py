@@ -1,10 +1,15 @@
 """Brute-force reference implementations for cross-checking.
 
 Everything here works on explicit sets of codewords and deliberately avoids
-the polynomial-matrix machinery: duals scan the whole ambient space,
-intersections intersect sets, and the twisted shift is rebuilt from scratch
-against block lengths and shift constants.  Meant for small parameters
-only; every routine takes an enumeration budget and refuses to exceed it.
+the polynomial-matrix machinery and the linear layer's elimination: duals
+scan the whole ambient space, an intersection enumerates its smaller side
+and keeps the words in the other side's span, tested by this module's own
+elimination over the field's add, mul, neg and inv, and the twisted shift is
+rebuilt from scratch against block lengths and shift constants.  Meant for
+small parameters only; every routine takes an enumeration budget and
+refuses to exceed it.  An intersection still holds each side's q^k, and a
+Galois dual q^n, to the budget, so it refuses exactly the checks that a walk
+over every side would.
 """
 
 from __future__ import annotations
@@ -26,8 +31,55 @@ def enumerate_code(code: LinearCode, budget: int | None = None) -> set[tuple[int
     return words
 
 
+def echelon(f: Field, rows) -> list[tuple[int, list[int]]]:
+    """A basis of the span of ``rows`` as (pivot, row) pairs: each row is 1
+    at its pivot and 0 at the pivots of the rows before it."""
+    basis = []
+    for row in rows:
+        rest = _reduce(f, basis, row)
+        pivot = next((j for j, e in enumerate(rest) if e), None)
+        if pivot is not None:
+            scale = f.inv(rest[pivot])
+            basis.append((pivot, [f.mul(scale, e) for e in rest]))
+    return basis
+
+
+def in_span(f: Field, basis, word) -> bool:
+    """Whether ``word`` lies in the span of an `echelon` basis."""
+    return not any(_reduce(f, basis, word))
+
+
+def _reduce(f: Field, basis, word) -> list[int]:
+    """``word`` minus the combination of basis rows that clears every pivot;
+    a later row is 0 at each earlier pivot, so one pass in order suffices."""
+    out = list(word)
+    for pivot, row in basis:
+        if out[pivot]:
+            c = f.neg(out[pivot])
+            out = [f.add(a, f.mul(c, b)) for a, b in zip(out, row)]
+    return out
+
+
 def intersect_codes(a: LinearCode, b: LinearCode, budget: int | None = None) -> set[tuple[int, ...]]:
-    return enumerate_code(a, budget) & enumerate_code(b, budget)
+    """The words of the code with fewer words that lie in the other's span.
+    Both q^k are held to the budget, as when both sides were enumerated."""
+    check_enum_budget(a.field.q, a.k, budget)
+    check_enum_budget(b.field.q, b.k, budget)
+    small, large = (a, b) if a.k <= b.k else (b, a)
+    basis = echelon(a.field, large.gen)
+    return {w for w in enumerate_code(small, budget) if in_span(a.field, basis, w)}
+
+
+def intersect_galois_dual(
+    a: LinearCode, b: LinearCode, kappa: int = 0, budget: int | None = None
+) -> set[tuple[int, ...]]:
+    """The kappa-Galois dual of a met with b: the words of b kappa-orthogonal
+    to every generator row of a, tested as `galois_dual_set` tests a vector.
+    q^n is held to the budget, as when the dual was scanned."""
+    f = a.field
+    check_enum_budget(f.q, a.n, budget)
+    gens = _sigma_rows(a, kappa)
+    return {w for w in enumerate_code(b, budget) if all(_dot(f, w, g) == 0 for g in gens)}
 
 
 def galois_dual_set(code: LinearCode, kappa: int = 0, budget: int | None = None) -> set[tuple[int, ...]]:
@@ -40,7 +92,7 @@ def galois_dual_set(code: LinearCode, kappa: int = 0, budget: int | None = None)
     """
     f = code.field
     check_enum_budget(f.q, code.n, budget)
-    gens = [tuple(f.frobenius(c, f.e - kappa) for c in row) for row in code.gen]
+    gens = _sigma_rows(code, kappa)
     out = set()
     for raw in range(f.q**code.n):
         cand, left = [], raw
@@ -51,6 +103,12 @@ def galois_dual_set(code: LinearCode, kappa: int = 0, budget: int | None = None)
         if all(_dot(f, cand, g) == 0 for g in gens):
             out.add(cand)
     return out
+
+
+def _sigma_rows(code: LinearCode, kappa: int) -> list[tuple[int, ...]]:
+    """The generator rows under sigma^(e-kappa), as `galois_dual_set` says."""
+    f = code.field
+    return [tuple(f.frobenius(c, f.e - kappa) for c in row) for row in code.gen]
 
 
 def _dot(f: Field, u, v) -> int:

@@ -30,10 +30,9 @@ Poly grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
 from .gf import Field
+from .record import Record
 from .upoly import (
     NEG_INF, Poly, _add_product, _divisor_row, _exact_quotient, _long_divide, _power, _reduce, _trim, is_irreducible,
 )
@@ -201,8 +200,7 @@ class PolyMatrix:
         return PolyMatrix(field, rows)
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(Record):
     """h = transform @ origin, det(transform) a nonzero constant; transform
     is None when it was not requested."""
 
@@ -441,8 +439,7 @@ def rank_mod(m: PolyMatrix, p: Poly) -> int:
     return _chain_type([[e.coeffs for e in row] for row in m.rows], p, 1).type_vector[0]
 
 
-@dataclass(frozen=True)
-class ChainType:
+class ChainType(Record):
     """Type (r_0, ..., r_{f-1}) of a row span over GF(q)[x]/<p^f>."""
 
     modulus: Poly

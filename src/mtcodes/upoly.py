@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParseError
 from .gf import Field, _prime_factors, _split_sum
+from .record import Record
 
 NEG_INF = float("-inf")
 
@@ -423,8 +423,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit * prod(f_i ^ m_i) with the f_i monic irreducible, sorted by
     (degree, coefficient tuple)."""
 

@@ -254,6 +254,18 @@ def reference_min_distance(code: LinearCode) -> float:
     return best
 
 
+def reference_intersection(a: LinearCode, b: LinearCode, budget: int | None = None) -> set:
+    """C_a meet C_b as the set intersection of both enumerated codes: the walk
+    `oracle.intersect_codes` made before it enumerated only one side."""
+    return oracle.enumerate_code(a, budget) & oracle.enumerate_code(b, budget)
+
+
+def reference_galois_dual_intersection(a: LinearCode, b: LinearCode, kappa: int, budget: int | None = None) -> set:
+    """The kappa-Galois dual of a met with b, from the scan of all q^n
+    vectors that `oracle.intersect_galois_dual` replaced."""
+    return oracle.galois_dual_set(a, kappa, budget) & oracle.enumerate_code(b, budget)
+
+
 def reference_parser() -> argparse.ArgumentParser:
     """The argparse parser the command line was first built on: the
     reference ``cli.parse_args`` must agree with, argv for argv."""
@@ -398,6 +410,7 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
 
     # intersection: linear route and GPM route against the set intersection
     both = w1 & w2
+    assert oracle.intersect_codes(lin1, lin2) == both
     assert oracle.same_code(lin1.intersect(lin2), both)
     inter = code1.intersect(code2)
     assert oracle.same_code(inter.to_linear(), both)
@@ -407,6 +420,7 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     dual_set = oracle.galois_dual_set(lin1, kappa)
     gd = code1.galois_dual(kappa)
     assert oracle.same_code(gd.to_linear(), dual_set)
+    assert oracle.intersect_galois_dual(lin1, lin1, kappa) == w1 & dual_set
     assert oracle.same_code(lin1.hull(kappa), w1 & dual_set)
     try:
         hull = code1.galois_hull_details(kappa).code

@@ -285,6 +285,26 @@ def test_oracle_budget_skip(capsys, monkeypatch):
     assert payload["oracle"].startswith("skipped")
 
 
+@pytest.mark.parametrize("argv, words", [
+    (("intersect", F4_DOC, "C1", "C2"), 4**6),  # 4^3 words of C2 are enumerated
+    (("intersect", F4_DOC, "C2", "C1"), 4**6),
+    (("intersect", F4_DOC, "C2", "C2", "--galois", "1"), 4**8),  # only C2 is enumerated
+    (("check", F4_DOC, "C2", "--hull", "1"), 4**8),
+    (("check", F4_DOC, "C2lin", "--so", "0"), 4**8),
+    (("check", F4_DOC, "C2", "--lcd", "1"), 4**8),
+    (("check", F4_DOC, "C2lin", "--dc", "0"), 4**8),
+], ids=["meet", "meet-swapped", "galois-meet", "hull", "so", "lcd", "dc"])
+def test_oracle_budget_compares_every_side(capsys, monkeypatch, argv, words):
+    # a side the oracle no longer walks (q^k1, or the q^n vectors of a
+    # Galois dual) still counts against the budget, as when it was walked
+    monkeypatch.setenv("MTCODES_ENUM_BUDGET", "1000")
+    code, payload, _ = run_json(capsys, *argv, "--oracle")
+    assert (code, payload["oracle"]) == (0, "skipped (budget exceeded)")
+    monkeypatch.setenv("MTCODES_ENUM_BUDGET", str(words))
+    code, payload, _ = run_json(capsys, *argv, "--oracle")
+    assert (code, payload["oracle"]) == (0, "confirmed")
+
+
 # -- check -------------------------------------------------------------------
 
 def test_check_so_true(capsys):
@@ -428,21 +448,27 @@ def test_check_linear_code_property(capsys):
                 assert twin["result"]["holds"] in (None, holds), (name, argv)
 
 
-@pytest.mark.parametrize("blocks", [64, 211])
+@pytest.mark.parametrize("blocks", [None, 64, 211])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, blocks):
-    # reports of 9 and 90 KB over GF(257); the reader is gone before the
+    # reports of 9 and 90 KB over GF(257), and with blocks None the f4 info
+    # report, which fits the stdout buffer, so that without PYTHONUNBUFFERED
+    # its first write is the flush in main; the reader is gone before the
     # first write, so every write to stdout fails with EPIPE
-    doc = tmp_path / "doc.txt"
-    doc.write_text(f"GF(257)\ncode A\nmt 1\nblocks {blocks}\nshifts 1\ngpm\n1 + x\n")
+    doc = F4_DOC
+    if blocks is not None:
+        doc = tmp_path / "doc.txt"
+        doc.write_text(f"GF(257)\ncode A\nmt 1\nblocks {blocks}\nshifts 1\ngpm\n1 + x\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "mtcodes", "info", str(doc)], stdout=write_end, stderr=subprocess.PIPE
+        [sys.executable, "-m", "mtcodes", "info", str(doc)], stdout=write_end, stderr=subprocess.PIPE, env=env
     )
     os.close(write_end)
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
 
 
 # -- dual and reverse ----------------------------------------------------
@@ -621,17 +647,27 @@ def test_allowed_difference_from_argparse():
         assert ns == ref  # an argparse that accepts it must agree
 
 
-def test_cold_command_imports_no_argparse():
+def _cold_info_imports(modules) -> str:
+    """Which of ``modules`` a fresh interpreter holds after one info command."""
     script = (
         "import sys\n"
         "from mtcodes.cli import main\n"
         "rc = main(['info', 'fixtures/f4_codes.txt'])\n"
-        "sys.stderr.write(' '.join(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))))\n"
+        f"sys.stderr.write(' '.join(sorted({set(modules)!r} & set(sys.modules))))\n"
         "sys.exit(rc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stderr == ""
+    return proc.stderr
+
+
+def test_cold_command_imports_no_argparse():
+    assert _cold_info_imports({"argparse", "gettext", "locale"}) == ""
+
+
+def test_cold_command_imports_no_dataclasses():
+    # dataclasses would bring in inspect, ast, dis and tokenize
+    assert _cold_info_imports({"dataclasses", "inspect"}) == ""
 
 
 FUZZ_TOKENS = [

@@ -8,6 +8,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcodes import LinearCode, MTCode, MTProfile, field, oracle
 from mtcodes.errors import BudgetError
@@ -17,6 +19,8 @@ from helpers import (
     check_structured_vs_oracle,
     f4,
     random_linear_code,
+    reference_galois_dual_intersection,
+    reference_intersection,
     sweep_pair,
     words,
 )
@@ -96,3 +100,93 @@ def test_min_distance_of_words():
     assert oracle.min_distance_of_words({(0, 0)}) == math.inf
     assert oracle.min_distance_of_words({(0, 0), (1, 0), (1, 1)}) == 1
 
+
+
+# -- the oracle's own elimination and one-sided intersections -------------
+
+def test_echelon_of_rank_deficient_rows():
+    # over GF(3): row 2 is twice row 1, row 4 is row 1 plus row 3
+    rows = [(1, 2, 0, 1), (2, 1, 0, 2), (0, 1, 1, 0), (1, 0, 1, 1), (0, 0, 0, 0)]
+    basis = oracle.echelon(F3, rows)
+    assert [pivot for pivot, _ in basis] == [0, 1]
+    for i, (pivot, row) in enumerate(basis):
+        assert row[pivot] == 1
+        assert all(row[p] == 0 for p, _ in basis[:i])
+    assert all(oracle.in_span(F3, basis, r) for r in rows)
+    assert oracle.in_span(F3, basis, (2, 0, 2, 2))  # 2 * row 1 + 2 * row 3
+    assert not oracle.in_span(F3, basis, (0, 0, 0, 1))
+    assert not oracle.in_span(F3, basis, (0, 0, 1, 0))
+    assert oracle.echelon(F3, []) == [] and oracle.echelon(F3, [(0, 0)]) == []
+    assert oracle.in_span(F3, [], (0, 0)) and not oracle.in_span(F3, [], (0, 1))
+
+
+def test_echelon_membership_over_gf4():
+    f = f4()
+    rows = words(f, "1 w 0 / w w^2 0 / 0 1 w^2")  # row 2 is w times row 1
+    basis = oracle.echelon(f, rows)
+    assert len(basis) == 2
+    span = oracle.enumerate_code(LinearCode(f, 3, rows))
+    every = {(a, b, c) for a in range(4) for b in range(4) for c in range(4)}
+    assert {w for w in every if oracle.in_span(f, basis, w)} == span
+
+
+PROPERTY_FIELDS = [field(2), field(3), field(2, 2), field(3, 2), field(17, 2)]
+# the references scan all q^n vectors, so n stays small
+PROPERTY_MAX_N = {2: 8, 3: 5, 4: 4, 9: 3, 289: 2}
+
+
+def _code(draw, f, n):
+    kind = draw(st.sampled_from(["rows", "zero", "full"]))
+    if kind == "zero":
+        return LinearCode(f, n)
+    if kind == "full":
+        return LinearCode.full(f, n)
+    entries = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n)
+    return LinearCode(f, n, draw(st.lists(entries, max_size=min(n, 3))))
+
+
+@st.composite
+def code_pairs(draw):
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    n = draw(st.integers(1, PROPERTY_MAX_N[f.q]))
+    a = _code(draw, f, n)
+    return a, (a if draw(st.booleans()) else _code(draw, f, n))
+
+
+def _assert_one_sided_matches(a, b):
+    assert oracle.intersect_codes(a, b) == reference_intersection(a, b)
+    for kappa in range(a.field.e):
+        got = oracle.intersect_galois_dual(a, b, kappa)
+        assert got == reference_galois_dual_intersection(a, b, kappa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_pairs())
+def test_one_sided_intersections_match_two_sided(pair):
+    _assert_one_sided_matches(*pair)
+
+
+@pytest.mark.parametrize("f", PROPERTY_FIELDS, ids=lambda f: f"q{f.q}")
+def test_one_sided_intersections_on_zero_full_and_equal_codes(f):
+    n = 3 if f.q < 100 else 1  # GF(17^2) gets n = 2 from the property above
+    rng = random.Random(f.q)
+    some = random_linear_code(rng, f, n, max_k=2)
+    codes = [LinearCode(f, n), LinearCode.full(f, n), some]
+    for a in codes:
+        for b in codes:
+            _assert_one_sided_matches(a, b)
+
+
+def test_one_sided_intersections_keep_the_budget():
+    # q^k1 = 3^6 and q^n = 3^8 exceed a budget of 500; q^k2 = 3^2 does not
+    big = LinearCode(F3, 8, [tuple(int(i == j) for j in range(8)) for i in range(6)])
+    small = LinearCode(F3, 8, [(1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)])
+    for a, b in ((big, small), (small, big)):
+        with pytest.raises(BudgetError):
+            oracle.intersect_codes(a, b, budget=500)
+    for a, b in ((big, small), (small, small)):
+        with pytest.raises(BudgetError):
+            oracle.intersect_galois_dual(a, b, 0, budget=500)
+    assert oracle.intersect_codes(big, small, budget=3**6) == reference_intersection(big, small)
+    got = oracle.intersect_galois_dual(small, small, 0, budget=3**8)
+    assert got == reference_galois_dual_intersection(small, small, 0)
