@@ -473,7 +473,8 @@ def _oracle_property(code, prop: str, kappa: int, verdict: bool, budget) -> bool
         return (dual <= oracle.enumerate_code(lin, budget)) == verdict
     hull = oracle.intersect_galois_dual(lin, lin, kappa, budget)
     if prop == "self_orthogonal":
-        return (hull == oracle.enumerate_code(lin, budget)) == verdict
+        # the hull is a set of codewords, so it is the code when it is as large
+        return (len(hull) == lin.field.q**lin.k) == verdict
     return (hull == {(0,) * lin.n}) == verdict
 
 
@@ -583,11 +584,20 @@ def _cmd_check_hull(args, code, payload, budget) -> int:
     )
 
 
+def _equals_original(code, rev) -> bool:
+    """Whether a code equals its reversal: by reduced GPMs, unique per
+    module, when the reversed profile is the code's own; otherwise by the
+    scalar codes, as a code can equal its reversal under another profile."""
+    if isinstance(code, MTCode) and rev.profile == code.profile:
+        return rev == code
+    return _as_linear(rev) == _as_linear(code)
+
+
 def _cmd_reverse_payload(args, code, payload, budget) -> int:
     payload["check"] = "reverse"
     rev = code.reversed_code()
     payload["reversed"] = code_payload("reversed", rev, budget)
-    payload["equals_original"] = _as_linear(rev) == _as_linear(code)
+    payload["equals_original"] = _equals_original(code, rev)
 
     def check():
         words = oracle.reverse_words(oracle.enumerate_code(_as_linear(code), budget))

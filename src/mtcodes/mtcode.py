@@ -14,8 +14,13 @@ module works through G and A:
 
 * duals and Galois duals (via the reciprocal transform of A),
 * reversed codes, whose GPM and companion are read off the dual's pair,
-* intersections of codes sharing a profile (via an auxiliary quasi-cyclic
-  code of co-index N = lcm(t_i * m_i), t_i the order of lam_i),
+* intersections of codes sharing a profile, from one elimination of the
+  stack [[G1, G1], [G2, 0]] modulo the block moduli (Zassenhaus's
+  sum-and-intersection), and the subcode test, by division against the
+  other code's GPM; neither forms an entry of degree N,
+* the paper's auxiliary quasi-cyclic pair (Q, P) of an intersection, of
+  co-index N = lcm(t_i * m_i), t_i the order of lam_i, which only the
+  reported intersections and hulls read,
 * trivial-intersection and Galois LCD tests via ranks modulo the
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
@@ -25,10 +30,10 @@ module works through G and A:
   two or more eliminates, on residues modulo x^m_i - lam_i weighted by
   the cofactors c_i = (x^N - 1)/(x^m_i - lam_i) taken modulo p_j^f_j in
   closed form (`MTProfile.factor_weights`), so no entry reaches degree N,
-* Galois self-orthogonality, dual-containment, reversibility and subcode
-  tests as exact polynomial congruences modulo x^N - 1.
+* Galois self-orthogonality, dual-containment and reversibility tests as
+  exact polynomial congruences modulo x^N - 1.
 
-Those congruences and the intersections' auxiliary stacks read
+Those congruences and the auxiliary quasi-cyclic stacks read
 L @ diag(c_i) @ R modulo x^N - 1, and `_cofactor_product` builds it block
 by block from residues modulo x^m_i - lam_i, with no degree-N product and
 no division by x^N - 1.
@@ -48,7 +53,7 @@ from functools import cached_property, reduce
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
-from .pmat import PolyMatrix, _chain_type, _gpm_pair, _size_log_q
+from .pmat import PolyMatrix, _back_substitute, _chain_type, _gpm_pair, _size_log_q, hnf
 from .record import Record
 from .upoly import (
     Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _power, _reduce, factor, reciprocal_poly,
@@ -481,13 +486,63 @@ class MTCode:
     # -- containment and intersections -----------------------------------
 
     def is_subcode_of(self, other: "MTCode") -> bool:
+        """Whether each row of this GPM lies in the other's module, by
+        division against its reduced GPM G2, column by column.
+
+        G2 is upper triangular with nonzero diagonal, so a vector zero left
+        of column c is in the module exactly when its column-c entry is a
+        multiple of G2[c][c], a, and the vector minus a * (row c of G2) is
+        in it.  The module holds diag(x^m_i - lam_i), so each later entry
+        is reduced modulo its block modulus along the way: no entry reaches
+        the degree of its modulus, and no companion is needed."""
         self._require_same_profile(other)
-        return _cofactor_product(self.gpm, other.companion, self.profile).is_zero()
+        fld, ell = self.field, self.profile.ell
+        neg, moduli = fld.neg, [_divisor_row(fld, d.coeffs) for d in self.profile.moduli]
+        g2 = [[e.coeffs for e in row] for row in other.gpm.rows]
+        pivots = [_divisor_row(fld, g2[c][c]) for c in range(ell)]
+        for row in self.gpm.rows:
+            work = [list(e.coeffs) for e in row]
+            for c in range(ell):
+                if not _reduce(fld, work[c], moduli[c]):
+                    continue
+                quot = _exact_quotient(fld, work[c], pivots[c])
+                if quot is None:
+                    return False
+                nq = [neg(x) for x in quot]
+                for j in range(c + 1, ell):
+                    if g2[c][j]:
+                        _add_product(fld, work[j], nq, g2[c][j])
+                        _reduce(fld, work[j], moduli[j])
+        return True
 
     def intersect(self, other: "MTCode") -> "MTCode":
-        return self.intersection_details(other).code
+        """C1 cap C2 by Zassenhaus's sum-and-intersection (H. Cohen, *A
+        Course in Computational Algebraic Number Theory*, 2.4): one
+        elimination of the stack [[G1, G1], [G2, 0]].
+
+        Its rows with zero left half are [0 | a1 G1] for a1 G1 = -a2 G2,
+        exactly the module of C1 cap C2.  That module holds
+        A1 [G1 | G1] - A2 [G2 | 0] = [0 | D] and A2 [G2 | 0] = [D | 0] for
+        D = diag(x^m_i - lam_i), so columns k and ell + k are reduced modulo
+        x^m_k - lam_k as the stack is eliminated, and no entry reaches the
+        degree of its modulus.  C1 + C2 and C1 cap C2 both contain D, so
+        each half holds ell pivots, and the right halves of rows ell to
+        2 ell - 1 are the reduced GPM; the companion follows by
+        back-substitution.  `intersection_details` keeps the paper's
+        quasi-cyclic route for the (Q, P) pair that reports print."""
+        self._require_same_profile(other)
+        prof, fld, ell = self.profile, self.field, self.profile.ell
+        zeros = (Poly.zero(fld),) * ell
+        stack = [row + row for row in self.gpm.rows] + [row + zeros for row in other.gpm.rows]
+        rows = hnf(PolyMatrix._trusted(fld, stack), prof.moduli * 2, transform=False).h.rows
+        gpm = [row[ell:] for row in rows[ell : 2 * ell]]
+        companion = _back_substitute(fld, gpm, prof.moduli)
+        return MTCode._from_pair(prof, PolyMatrix._trusted(fld, gpm), PolyMatrix._trusted(fld, companion))
 
     def intersection_details(self, other: "MTCode") -> "GpmIntersection":
+        """C1 cap C2 with the paper's auxiliary quasi-cyclic pair (Q, P):
+        Q the GPM of A1^T diag(c_i) G2^T modulo x^N - 1, and the code read
+        off P^T @ G2."""
         self._require_same_profile(other)
         top = _cofactor_product(self.companion.transpose(), other.gpm.transpose(), self.profile)
         return _qc_intersection(top, self.profile, other)

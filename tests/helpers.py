@@ -11,7 +11,7 @@ import random
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
 from mtcodes import cli, oracle
 from mtcodes.errors import DomainError
-from mtcodes.mtcode import reciprocal_columns
+from mtcodes.mtcode import _cofactor_product, reciprocal_columns
 from mtcodes.pmat import _with_companion
 
 
@@ -392,6 +392,17 @@ def check_equation_identities(code: MTCode) -> None:
     assert dprof.shifts == tuple(prof.field.inv(s) for s in prof.shifts)
 
 
+def check_meet_routes(code1: MTCode, code2: MTCode) -> None:
+    """In both orders: `intersect` (one elimination modulo the block
+    moduli) gives the GPM and companion of the paper's quasi-cyclic route,
+    and `is_subcode_of` (division against the other GPM) the paper's
+    congruence G1 @ diag(c_i) @ A2 = 0 modulo x^N - 1."""
+    for a, b in ((code1, code2), (code2, code1)):
+        meet, paper = a.intersect(b), a.intersection_details(b).code
+        assert meet == paper and meet.companion == paper.companion
+        assert a.is_subcode_of(b) == _cofactor_product(a.gpm, b.companion, a.profile).is_zero()
+
+
 def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     """One sweep case: every structured operation against brute force."""
     code1, code2 = sweep_pair(rng, idx)
@@ -414,6 +425,7 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     assert oracle.same_code(lin1.intersect(lin2), both)
     inter = code1.intersect(code2)
     assert oracle.same_code(inter.to_linear(), both)
+    check_meet_routes(code1, code2)
 
     # Galois dual / hull / dual-profile shifts
     kappa = rng.randrange(f.e)
@@ -434,6 +446,7 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     # reversal: full reversal flips the block structure, so compare wordwise
     rev = code1.reversed_code()
     assert oracle.same_code(rev.to_linear(), oracle.reverse_words(w1))
+    assert cli._equals_original(code1, rev) == (oracle.reverse_words(w1) == w1)
     is_rev, sub = lin1.reversibility()
     assert is_rev == (oracle.reverse_words(w1) == w1)
     assert oracle.same_code(sub, {w for w in w1 if w[::-1] in w1})
@@ -515,6 +528,7 @@ def check_small_dim_pair(rng: random.Random, f: Field) -> None:
 
     both = w1 & w2
     assert oracle.same_code(code1.intersect(code2).to_linear(), both)
+    check_meet_routes(code1, code2)
     assert code1.trivially_intersects(code2) == (both == {(0,) * code1.n})
     assert code1.is_subcode_of(code2) == (w1 <= w2)
     assert code1.min_distance() == oracle.min_distance_of_words(w1)

@@ -314,6 +314,21 @@ def test_check_so_true(capsys):
     assert payload["oracle"] == "confirmed"
 
 
+def test_check_so_oracle_enumerates_the_code_once(capsys, monkeypatch):
+    # the hull holds only codewords, so it is the code when it has q^k words
+    import mtcodes.oracle as oracle
+
+    calls, real = [], oracle.enumerate_code
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "enumerate_code", counted)
+    code, payload, _ = run_json(capsys, "check", F3_DOC, "C3", "--so", "0", "--oracle")
+    assert (code, payload["oracle"], len(calls)) == (0, "confirmed", 1)
+
+
 def test_check_reversible_false_reports_subcode(capsys):
     code, payload, _ = run_json(capsys, "check", F3_DOC, "C5", "--reversible")
     assert code == 0

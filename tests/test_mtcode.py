@@ -7,6 +7,7 @@ they are frozen here so any drift in the reduction pipeline is caught exactly.
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -661,6 +662,67 @@ def test_layer_tables_never_form_the_cofactor_product(monkeypatch, prof, multi):
         assert all(len(e) <= mult * p.degree for row in m for e in row)
 
 
+@pytest.mark.parametrize(
+    "prof", [MIXED_F3, MTProfile(F3, (12, 25), (2, 2))], ids=["mixed", "long-period"]
+)
+def test_meet_and_subcode_never_form_the_cofactor_product(monkeypatch, prof):
+    """`intersect` eliminates one stack modulo the block moduli, and
+    `is_subcode_of` divides by the other GPM's diagonal: neither forms the
+    degree-N product.  Every entry handed to the elimination has degree at
+    most its column's modulus, every entry it returns but a pivot less, and
+    every entry the subcode test divides has degree below the longest block
+    (N = 600 for blocks 12 25)."""
+    import mtcodes.mtcode as mtcode_mod
+
+    rng = random.Random(17)
+    first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
+    products = _count_calls(monkeypatch, mtcode_mod, "_cofactor_product")
+    quotients = _count_calls(monkeypatch, mtcode_mod, "_exact_quotient")
+    stacks, real = [], pmat_mod._echelon
+
+    def spy(field_, rows, n_cols, moduli=None):
+        handed = [[e.degree for e in row] for row in rows]
+        pivots = real(field_, rows, n_cols, moduli)
+        stacks.append((handed, rows, moduli, pivots))
+        return pivots
+
+    monkeypatch.setattr(pmat_mod, "_echelon", spy)
+    meet = first.intersect(second)
+    assert len(stacks) == 1
+    first.is_subcode_of(second)
+    assert meet.is_subcode_of(first) and meet.is_subcode_of(second)
+    assert products == []
+    ((handed, rows, moduli, pivots),) = stacks
+    assert len(moduli) == 2 * prof.ell
+    degrees = [d.degree for d in moduli]
+    assert all(e <= d for row in handed for e, d in zip(row, degrees))
+    # a pivot may be the modulus itself, where the column holds nothing else
+    assert all(
+        rows[r][c].degree < d or (r, c) in pivots for r, row in enumerate(rows) for c, d in enumerate(degrees)
+    )
+    assert quotients and all(len(cs) <= max(prof.blocks) for _, cs, _ in quotients)
+
+
+# GF(3), shifts of order 1 and 2: N = lcm(7, 16, 9, 10, 11, 26) = 720720.
+LONG_PERIOD = MTProfile(F3, (7, 8, 9, 5, 11, 13), (1, 2, 1, 2, 1, 2))
+
+
+def test_long_period_meet_and_subcode_within_deadline():
+    """Degrees stay below the block lengths whatever N is, so a meet and a
+    subcode test on a period of 720720 take milliseconds; forming entries
+    of degree N took seconds.  Both agree with the linear layer."""
+    assert LONG_PERIOD.period == 720720 and LONG_PERIOD.n == 53
+    rng = random.Random(23)
+    first, second = random_mt_code(rng, LONG_PERIOD), random_mt_code(rng, LONG_PERIOD)
+    start = time.perf_counter()
+    meet = first.intersect(second)
+    subcodes = [first.is_subcode_of(second), meet.is_subcode_of(first), meet.is_subcode_of(second)]
+    assert time.perf_counter() - start < 0.25
+    lin1, lin2 = first.to_linear(), second.to_linear()
+    assert meet.to_linear() == lin1.intersect(lin2)
+    assert subcodes == [all(lin2.contains_word(w) for w in lin1.gen), True, True]
+
+
 def test_derived_profiles_share_one_factoring(monkeypatch, cold_factor_memo):
     """A profile, its dual, Galois dual and reversal have one period N, and
     x^N - 1 is factored once for all of them."""
@@ -915,6 +977,9 @@ def test_construction_runs_one_elimination(monkeypatch):
     second = random_mt_code(rng, prof)
     calls = 0
     first.intersect(second)
+    assert calls == 1
+    calls = 0
+    first.intersection_details(second)
     assert calls == 2
 
 

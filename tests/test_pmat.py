@@ -203,12 +203,14 @@ def sweep_and_large_field_codes():
     for idx in range(24):
         c1, c2 = sweep_pair(rng, idx)
         c1.intersect(c2)
+        c1.intersection_details(c2)
         c1.galois_dual(rng.randrange(c1.field.e))
         c1.reversed_code()
     for f in (field(257), field(17, 2)):
         for _ in range(3):
             c1, c2 = small_dim_pair(rng, f)
             c1.intersect(c2)
+            c1.intersection_details(c2)
             c1.dual()
 
 
