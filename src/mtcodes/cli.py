@@ -584,20 +584,11 @@ def _cmd_check_hull(args, code, payload, budget) -> int:
     )
 
 
-def _equals_original(code, rev) -> bool:
-    """Whether a code equals its reversal: by reduced GPMs, unique per
-    module, when the reversed profile is the code's own; otherwise by the
-    scalar codes, as a code can equal its reversal under another profile."""
-    if isinstance(code, MTCode) and rev.profile == code.profile:
-        return rev == code
-    return _as_linear(rev) == _as_linear(code)
-
-
 def _cmd_reverse_payload(args, code, payload, budget) -> int:
     payload["check"] = "reverse"
     rev = code.reversed_code()
     payload["reversed"] = code_payload("reversed", rev, budget)
-    payload["equals_original"] = _equals_original(code, rev)
+    payload["equals_original"] = _as_linear(rev) == _as_linear(code)
 
     def check():
         words = oracle.reverse_words(oracle.enumerate_code(_as_linear(code), budget))

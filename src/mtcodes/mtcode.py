@@ -16,8 +16,8 @@ module works through G and A:
 * reversed codes, whose GPM and companion are read off the dual's pair,
 * intersections of codes sharing a profile, from one elimination of the
   stack [[G1, G1], [G2, 0]] modulo the block moduli (Zassenhaus's
-  sum-and-intersection), and the subcode test, by division against the
-  other code's GPM; neither forms an entry of degree N,
+  sum-and-intersection), and the subcode test, by one elimination of
+  [G2; G1] modulo the block moduli; neither forms an entry of degree N,
 * the paper's auxiliary quasi-cyclic pair (Q, P) of an intersection, of
   co-index N = lcm(t_i * m_i), t_i the order of lam_i, which only the
   reported intersections and hulls read,
@@ -486,34 +486,13 @@ class MTCode:
     # -- containment and intersections -----------------------------------
 
     def is_subcode_of(self, other: "MTCode") -> bool:
-        """Whether each row of this GPM lies in the other's module, by
-        division against its reduced GPM G2, column by column.
-
-        G2 is upper triangular with nonzero diagonal, so a vector zero left
-        of column c is in the module exactly when its column-c entry is a
-        multiple of G2[c][c], a, and the vector minus a * (row c of G2) is
-        in it.  The module holds diag(x^m_i - lam_i), so each later entry
-        is reduced modulo its block modulus along the way: no entry reaches
+        """Whether this module lies in the other's.  The reduced GPM is
+        unique per module, so exactly when the normal form of [G2; G1],
+        eliminated modulo the block moduli, is G2 itself: no entry reaches
         the degree of its modulus, and no companion is needed."""
         self._require_same_profile(other)
-        fld, ell = self.field, self.profile.ell
-        neg, moduli = fld.neg, [_divisor_row(fld, d.coeffs) for d in self.profile.moduli]
-        g2 = [[e.coeffs for e in row] for row in other.gpm.rows]
-        pivots = [_divisor_row(fld, g2[c][c]) for c in range(ell)]
-        for row in self.gpm.rows:
-            work = [list(e.coeffs) for e in row]
-            for c in range(ell):
-                if not _reduce(fld, work[c], moduli[c]):
-                    continue
-                quot = _exact_quotient(fld, work[c], pivots[c])
-                if quot is None:
-                    return False
-                nq = [neg(x) for x in quot]
-                for j in range(c + 1, ell):
-                    if g2[c][j]:
-                        _add_product(fld, work[j], nq, g2[c][j])
-                        _reduce(fld, work[j], moduli[j])
-        return True
+        stack = PolyMatrix._trusted(self.field, other.gpm.rows + self.gpm.rows)
+        return hnf(stack, self.profile.moduli, transform=False).h.rows[: self.profile.ell] == other.gpm.rows
 
     def intersect(self, other: "MTCode") -> "MTCode":
         """C1 cap C2 by Zassenhaus's sum-and-intersection (H. Cohen, *A

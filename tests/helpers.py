@@ -395,7 +395,7 @@ def check_equation_identities(code: MTCode) -> None:
 def check_meet_routes(code1: MTCode, code2: MTCode) -> None:
     """In both orders: `intersect` (one elimination modulo the block
     moduli) gives the GPM and companion of the paper's quasi-cyclic route,
-    and `is_subcode_of` (division against the other GPM) the paper's
+    and `is_subcode_of` (one elimination of [G2; G1]) the paper's
     congruence G1 @ diag(c_i) @ A2 = 0 modulo x^N - 1."""
     for a, b in ((code1, code2), (code2, code1)):
         meet, paper = a.intersect(b), a.intersection_details(b).code
@@ -446,7 +446,6 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     # reversal: full reversal flips the block structure, so compare wordwise
     rev = code1.reversed_code()
     assert oracle.same_code(rev.to_linear(), oracle.reverse_words(w1))
-    assert cli._equals_original(code1, rev) == (oracle.reverse_words(w1) == w1)
     is_rev, sub = lin1.reversibility()
     assert is_rev == (oracle.reverse_words(w1) == w1)
     assert oracle.same_code(sub, {w for w in w1 if w[::-1] in w1})

@@ -666,18 +666,16 @@ def test_layer_tables_never_form_the_cofactor_product(monkeypatch, prof, multi):
     "prof", [MIXED_F3, MTProfile(F3, (12, 25), (2, 2))], ids=["mixed", "long-period"]
 )
 def test_meet_and_subcode_never_form_the_cofactor_product(monkeypatch, prof):
-    """`intersect` eliminates one stack modulo the block moduli, and
-    `is_subcode_of` divides by the other GPM's diagonal: neither forms the
-    degree-N product.  Every entry handed to the elimination has degree at
-    most its column's modulus, every entry it returns but a pivot less, and
-    every entry the subcode test divides has degree below the longest block
-    (N = 600 for blocks 12 25)."""
+    """`intersect` eliminates [[G1, G1], [G2, 0]] and `is_subcode_of`
+    [G2; G1], each once and modulo the block moduli: neither forms the
+    degree-N product (N = 600 for blocks 12 25).  Every entry handed to an
+    elimination has degree at most its column's modulus, and every entry
+    it returns but a pivot less."""
     import mtcodes.mtcode as mtcode_mod
 
     rng = random.Random(17)
     first, second = random_mt_code(rng, prof), random_mt_code(rng, prof)
     products = _count_calls(monkeypatch, mtcode_mod, "_cofactor_product")
-    quotients = _count_calls(monkeypatch, mtcode_mod, "_exact_quotient")
     stacks, real = [], pmat_mod._echelon
 
     def spy(field_, rows, n_cols, moduli=None):
@@ -688,19 +686,18 @@ def test_meet_and_subcode_never_form_the_cofactor_product(monkeypatch, prof):
 
     monkeypatch.setattr(pmat_mod, "_echelon", spy)
     meet = first.intersect(second)
-    assert len(stacks) == 1
+    assert len(stacks) == 1 and len(stacks[0][2]) == 2 * prof.ell
     first.is_subcode_of(second)
     assert meet.is_subcode_of(first) and meet.is_subcode_of(second)
+    assert len(stacks) == 4 and all(len(moduli) == prof.ell for _, _, moduli, _ in stacks[1:])
     assert products == []
-    ((handed, rows, moduli, pivots),) = stacks
-    assert len(moduli) == 2 * prof.ell
-    degrees = [d.degree for d in moduli]
-    assert all(e <= d for row in handed for e, d in zip(row, degrees))
-    # a pivot may be the modulus itself, where the column holds nothing else
-    assert all(
-        rows[r][c].degree < d or (r, c) in pivots for r, row in enumerate(rows) for c, d in enumerate(degrees)
-    )
-    assert quotients and all(len(cs) <= max(prof.blocks) for _, cs, _ in quotients)
+    for handed, rows, moduli, pivots in stacks:
+        degrees = [d.degree for d in moduli]
+        assert all(e <= d for row in handed for e, d in zip(row, degrees))
+        # a pivot may be the modulus itself, where the column holds nothing else
+        assert all(
+            rows[r][c].degree < d or (r, c) in pivots for r, row in enumerate(rows) for c, d in enumerate(degrees)
+        )
 
 
 # GF(3), shifts of order 1 and 2: N = lcm(7, 16, 9, 10, 11, 26) = 720720.
