@@ -16,12 +16,14 @@ module works through G and A:
 * reversed codes, whose GPM and companion are read off the dual's pair,
 * intersections of codes sharing a profile, from one elimination of the
   stack [[G1, G1], [G2, 0]] modulo the block moduli (Zassenhaus's
-  sum-and-intersection), and the subcode test, by one elimination of
-  [G2; G1] modulo the block moduli; neither forms an entry of degree N,
+  sum-and-intersection), and the subcode and trivial-intersection tests,
+  which read the reduced GPM of C1 + C2 off one elimination of [G2; G1]
+  modulo the block moduli; none forms an entry of degree N or factors
+  x^N - 1,
 * the paper's auxiliary quasi-cyclic pair (Q, P) of an intersection, of
   co-index N = lcm(t_i * m_i), t_i the order of lam_i, which only the
   reported intersections and hulls read,
-* trivial-intersection and Galois LCD tests via ranks modulo the
+* trivial-intersection evidence and Galois LCD tests via ranks modulo the
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
   whose modulus p_j divides, so a factor dividing no block modulus costs
@@ -323,6 +325,11 @@ def _cofactor_product(left: PolyMatrix, right: PolyMatrix, profile: MTProfile) -
     return PolyMatrix._trusted(f, [[Poly._trusted(f, e) if e else zero for e in row] for row in acc])
 
 
+def _dim_of(gpm_rows, n: int) -> int:
+    """n - sum deg G_ii, the dimension of the code of a reduced GPM."""
+    return n - sum(row[i].degree for i, row in enumerate(gpm_rows))
+
+
 class MTCode:
     """A multi-twisted code, canonically held as its reduced GPM."""
 
@@ -385,8 +392,7 @@ class MTCode:
     def dim(self) -> int:
         """n - sum deg G_ii: deg det A for A @ G = diag(x^m_i - lam_i), read
         off the triangular GPM."""
-        gpm = self.gpm.rows
-        return self.n - sum(gpm[i][i].degree for i in range(self.profile.ell))
+        return _dim_of(self.gpm.rows, self.n)
 
     @property
     def n(self) -> int:
@@ -485,14 +491,26 @@ class MTCode:
 
     # -- containment and intersections -----------------------------------
 
+    def _sum_gpm_rows(self, other: "MTCode") -> tuple:
+        """The reduced GPM rows of C1 + C2, for a code of the same profile:
+        the first ell rows of the normal form of [G2; G1], eliminated
+        modulo the block moduli, so no entry reaches the degree of its
+        modulus and no companion is formed."""
+        stack = PolyMatrix._trusted(self.field, other.gpm.rows + self.gpm.rows)
+        return hnf(stack, self.profile.moduli, transform=False).h.rows[: self.profile.ell]
+
     def is_subcode_of(self, other: "MTCode") -> bool:
         """Whether this module lies in the other's.  The reduced GPM is
-        unique per module, so exactly when the normal form of [G2; G1],
-        eliminated modulo the block moduli, is G2 itself: no entry reaches
-        the degree of its modulus, and no companion is needed."""
+        unique per module, so a code of larger dimension is not a subcode,
+        one of equal dimension is exactly when the two GPMs are equal, and
+        otherwise exactly when the reduced GPM of C1 + C2 is G2 itself."""
         self._require_same_profile(other)
-        stack = PolyMatrix._trusted(self.field, other.gpm.rows + self.gpm.rows)
-        return hnf(stack, self.profile.moduli, transform=False).h.rows[: self.profile.ell] == other.gpm.rows
+        k1, k2 = self.dim, other.dim
+        if k1 > k2:
+            return False
+        if k1 == k2:
+            return self.gpm == other.gpm
+        return self._sum_gpm_rows(other) == other.gpm.rows
 
     def intersect(self, other: "MTCode") -> "MTCode":
         """C1 cap C2 by Zassenhaus's sum-and-intersection (H. Cohen, *A
@@ -557,10 +575,22 @@ class MTCode:
         return self.galois_intersection_details(self, kappa)
 
     def trivially_intersects(self, other: "MTCode") -> bool:
-        return self.trivial_intersection_evidence(other).verdict
+        """Whether C1 cap C2 = {0}, that is dim(C1 + C2) = dim C1 + dim C2.
+
+        Past dim C1 + dim C2 > n the answer is False with no elimination;
+        otherwise dim(C1 + C2) is read off the reduced GPM of the sum
+        (`_sum_gpm_rows`).  Neither step factors x^N - 1, so the verdict
+        costs the same whatever the period N.  The paper's factor-by-factor
+        evidence is `trivial_intersection_evidence`."""
+        self._require_same_profile(other)
+        k = self.dim + other.dim
+        if k > self.n:
+            return False
+        return _dim_of(self._sum_gpm_rows(other), self.n) == k
 
     def trivial_intersection_evidence(self, other: "MTCode") -> "LayerTable":
-        """Factor-by-factor dimension count for dim(C1 cap C2) = 0.
+        """The paper's factor-by-factor dimension count for
+        dim(C1 cap C2) = 0, whose verdict equals `trivially_intersects`.
 
         The auxiliary quasi-cyclic code Q generated by
         A1^T @ diag((x^N-1)/(x^m_i-lam_i)) @ G2^T has dim(Q) = dim(C2) -

@@ -11,7 +11,7 @@ import random
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
 from mtcodes import cli, oracle
 from mtcodes.errors import DomainError
-from mtcodes.mtcode import _cofactor_product, reciprocal_columns
+from mtcodes.mtcode import _cofactor_product, _dim_of, reciprocal_columns
 from mtcodes.pmat import _with_companion
 
 
@@ -403,6 +403,16 @@ def check_meet_routes(code1: MTCode, code2: MTCode) -> None:
         assert a.is_subcode_of(b) == _cofactor_product(a.gpm, b.companion, a.profile).is_zero()
 
 
+def check_trivial_intersection_routes(code1: MTCode, code2: MTCode, trivial: bool) -> None:
+    """In both orders: `trivially_intersects` (the dimension of C1 + C2)
+    equals the paper's layer-table verdict and the given codeword-set
+    verdict, and dim(C1 cap C2) = k1 + k2 - dim(C1 + C2) holds for
+    `intersect`."""
+    for a, b in ((code1, code2), (code2, code1)):
+        assert a.trivially_intersects(b) == a.trivial_intersection_evidence(b).verdict == trivial
+        assert a.intersect(b).dim == a.dim + b.dim - _dim_of(a._sum_gpm_rows(b), a.n)
+
+
 def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     """One sweep case: every structured operation against brute force."""
     code1, code2 = sweep_pair(rng, idx)
@@ -426,6 +436,7 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     inter = code1.intersect(code2)
     assert oracle.same_code(inter.to_linear(), both)
     check_meet_routes(code1, code2)
+    check_trivial_intersection_routes(code1, code2, both == {(0,) * code1.n})
 
     # Galois dual / hull / dual-profile shifts
     kappa = rng.randrange(f.e)
@@ -468,10 +479,10 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     if chk.holds is not None:
         assert chk.holds == (oracle.reverse_words(w1) == w1)
 
-    # layer-table triviality test agrees with the set computation, and each
-    # factor's type with the degree-N product
+    # each factor's type in the layer table (whose verdict
+    # check_trivial_intersection_routes compared above) against the
+    # degree-N product
     table = code1.trivial_intersection_evidence(code2)
-    assert table.verdict == (both == {(0,) * code1.n})
     want = reference_layer_types(code1.companion.transpose(), code2.gpm.transpose(), prof)
     assert layer_types(table) == want
 
@@ -528,7 +539,7 @@ def check_small_dim_pair(rng: random.Random, f: Field) -> None:
     both = w1 & w2
     assert oracle.same_code(code1.intersect(code2).to_linear(), both)
     check_meet_routes(code1, code2)
-    assert code1.trivially_intersects(code2) == (both == {(0,) * code1.n})
+    check_trivial_intersection_routes(code1, code2, both == {(0,) * code1.n})
     assert code1.is_subcode_of(code2) == (w1 <= w2)
     assert code1.min_distance() == oracle.min_distance_of_words(w1)
     assert oracle.same_code(code1.reversed_code().to_linear(), oracle.reverse_words(w1))

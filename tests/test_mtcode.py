@@ -5,6 +5,7 @@ cross-checked against the enumeration oracle in tests/test_oracle_cross.py);
 they are frozen here so any drift in the reduction pipeline is caught exactly.
 """
 
+import functools
 import math
 import random
 import time
@@ -28,6 +29,7 @@ from mtcodes.upoly import _divisor_row, is_irreducible
 from helpers import (
     SWEEP_FIELDS,
     cofactor_diag,
+    check_trivial_intersection_routes,
     cofactor_product_reference,
     f4,
     f9_mod221,
@@ -687,9 +689,12 @@ def test_meet_and_subcode_never_form_the_cofactor_product(monkeypatch, prof):
     monkeypatch.setattr(pmat_mod, "_echelon", spy)
     meet = first.intersect(second)
     assert len(stacks) == 1 and len(stacks[0][2]) == 2 * prof.ell
+    pairs = [(first, second), (meet, first), (meet, second)]
     first.is_subcode_of(second)
     assert meet.is_subcode_of(first) and meet.is_subcode_of(second)
-    assert len(stacks) == 4 and all(len(moduli) == prof.ell for _, _, moduli, _ in stacks[1:])
+    # a subcode test eliminates only when dim C1 < dim C2
+    assert len(stacks) == 1 + sum(a.dim < b.dim for a, b in pairs) > 1
+    assert all(len(moduli) == prof.ell for _, _, moduli, _ in stacks[1:])
     assert products == []
     for handed, rows, moduli, pivots in stacks:
         degrees = [d.degree for d in moduli]
@@ -718,6 +723,123 @@ def test_long_period_meet_and_subcode_within_deadline():
     lin1, lin2 = first.to_linear(), second.to_linear()
     assert meet.to_linear() == lin1.intersect(lin2)
     assert subcodes == [all(lin2.contains_word(w) for w in lin1.gen), True, True]
+
+
+def _support_codes(prof: MTProfile) -> dict:
+    """Codes of one generator row, 1 + x on the named blocks and 0 on the
+    rest, with the full code and the sum of the first two: "first" (blocks
+    0 and 1) and "third" (block 2) have disjoint supports, and "lone"
+    (block 0) lies in neither."""
+    f = prof.field
+    one_plus_x, zero = Poly(f, [1, 1]), Poly.zero(f)
+
+    def on(*blocks):
+        return MTCode(prof, [[one_plus_x if i in blocks else zero for i in range(prof.ell)]])
+
+    codes = {"first": on(0, 1), "third": on(2), "lone": on(0), "full": MTCode.full(prof)}
+    codes["sum"] = MTCode(prof, codes["first"].gpm.rows + codes["third"].gpm.rows)
+    return codes
+
+
+@pytest.mark.parametrize("base", [MIXED_F3, LONG_PERIOD], ids=["mixed", "long-period"])
+def test_trivially_intersects_never_factors(monkeypatch, base):
+    """The verdict is dim(C1 + C2) = dim C1 + dim C2: no factor of
+    x^N - 1 and no chain-ring type, on N = 24 and on N = 720720, where
+    factoring takes minutes.  One elimination when dim C1 + dim C2 <= n,
+    none past that bound."""
+    import mtcodes.mtcode as mtcode_mod
+
+    prof = MTProfile(base.field, base.blocks, base.shifts)  # fresh caches
+    codes = _support_codes(prof)
+    factors = _count_calls(monkeypatch, mtcode_mod, "factor")
+    chains = _count_calls(monkeypatch, mtcode_mod, "_chain_type")
+    eliminations = _count_calls(monkeypatch, mtcode_mod, "hnf")
+    pairs = [("first", "third"), ("lone", "first"), ("lone", "sum"), ("first", "full"), ("full", "sum")]
+    verdicts, eliminated = [], []
+    for x, y in pairs:
+        a, b = codes[x], codes[y]
+        before = len(eliminations)
+        verdicts.append(a.trivially_intersects(b))
+        eliminated.append(len(eliminations) - before)
+        assert eliminated[-1] == (a.dim + b.dim <= prof.n)
+    assert factors == [] and chains == []
+    assert "factorization" not in prof.__dict__
+    assert verdicts == [True, False, False, False, False]
+    assert set(eliminated) == {0, 1}
+    for (x, y), verdict in zip(pairs, verdicts):
+        assert verdict == (codes[x].to_linear().intersect(codes[y].to_linear()).k == 0)
+
+
+def test_trivial_intersection_at_and_below_the_dimension_bound():
+    """Zero and full codes, an LCD code and a non-LCD code each with its
+    Euclidean dual (k1 + k2 = n), a code meeting itself with 2k <= n, and
+    criterion 5's trivial Galois pair: the sum's verdict, the paper's
+    table and the meet agree in both orders."""
+    prof = MIXED_F3
+    assert prof.dual_profile() == prof
+    zero, full = MTCode.zero(prof), MTCode.full(prof)
+    cases = [(zero, zero, True), (zero, full, True), (full, full, False)]
+    rng, duals = random.Random(29), {}
+    while len(duals) < 2:
+        code = random_mt_code(rng, prof)
+        if 0 < code.dim < prof.n:
+            duals.setdefault(code.property_check("lcd", 0).holds, code)
+    assert set(duals) == {True, False}
+    for lcd, code in duals.items():
+        assert code.dim + code.dual().dim == prof.n
+        cases.append((code, code.dual(), lcd))
+    small = _support_codes(prof)["lone"]
+    assert 0 < 2 * small.dim <= prof.n
+    cases += [(small, small, False), (small, zero, True), (small, full, False)]
+    cases.append((c1().galois_dual(1), c2(), True))
+    for a, b, trivial in cases:
+        check_trivial_intersection_routes(a, b, trivial)
+
+
+SUM_FIELDS = (field(2), F3, f4(), field(3, 2), field(257), field(17, 2), field(2, 9))
+
+
+@functools.cache
+def _shifts_of_small_order(f: Field) -> tuple[int, ...]:
+    """The nonzero elements whose order divides 84, so N stays below 1008."""
+    return tuple(r for r in range(1, f.q) if f.pow(r, 84) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_verdict_agrees_with_the_table_and_the_meet(data):
+    """Over table, prime and digit-loop fields: each code has 1-2 random
+    polynomial rows, each entry a multiple of a random divisor of its
+    block modulus, so dimensions range from 0 to n.  The sum's verdict
+    in both orders, the paper's layer table and dim(C1 cap C2) = 0 agree,
+    dim(C1 cap C2) = k1 + k2 - dim(C1 + C2), and the sum's rows are the
+    reduced GPM of the stacked generators."""
+    f = data.draw(st.sampled_from(SUM_FIELDS), label="field")
+    ell = data.draw(st.integers(1, 3), label="ell")
+    blocks = tuple(data.draw(st.integers(1, 4), label="block") for _ in range(ell))
+    shifts = tuple(data.draw(st.sampled_from(_shifts_of_small_order(f)), label="shift") for _ in range(ell))
+    prof = MTProfile(f, blocks, shifts)
+    primes = [[] for _ in blocks]
+    for (p, _), active in zip(prof.factorization, prof.factor_valuations):
+        for i, v in active:
+            primes[i] += [p] * v
+    coeff = st.integers(0, f.q - 1)
+
+    def entry(label, m, ps):
+        e = Poly(f, data.draw(st.lists(coeff, max_size=m), label=label))
+        for p, keep in zip(ps, data.draw(st.lists(st.booleans(), min_size=len(ps), max_size=len(ps)))):
+            if keep:
+                e = e * p
+        return e
+
+    def rows(label):
+        count = data.draw(st.integers(1, 2), label=f"{label} rows")
+        return [[entry(label, m, ps) for m, ps in zip(blocks, primes)] for _ in range(count)]
+
+    rows1, rows2 = rows("C1"), rows("C2")
+    a, b = MTCode(prof, rows1), MTCode(prof, rows2)
+    check_trivial_intersection_routes(a, b, a.intersect(b).dim == 0)
+    assert a._sum_gpm_rows(b) == MTCode(prof, rows1 + rows2).gpm.rows
 
 
 def test_derived_profiles_share_one_factoring(monkeypatch, cold_factor_memo):
