@@ -501,15 +501,9 @@ class MTCode:
 
     def is_subcode_of(self, other: "MTCode") -> bool:
         """Whether this module lies in the other's.  The reduced GPM is
-        unique per module, so a code of larger dimension is not a subcode,
-        one of equal dimension is exactly when the two GPMs are equal, and
-        otherwise exactly when the reduced GPM of C1 + C2 is G2 itself."""
+        unique per module, so exactly when the reduced GPM of C1 + C2
+        (`_sum_gpm_rows`) is G2 itself."""
         self._require_same_profile(other)
-        k1, k2 = self.dim, other.dim
-        if k1 > k2:
-            return False
-        if k1 == k2:
-            return self.gpm == other.gpm
         return self._sum_gpm_rows(other) == other.gpm.rows
 
     def intersect(self, other: "MTCode") -> "MTCode":
