@@ -116,7 +116,7 @@ def parse_matrix_block(field: Field, lines, start: int) -> tuple[Matrix, int]:
         raise ParseError("matrix dimensions must be integers", lineno) from None
     if n_rows < 1 or n_cols < 1:
         raise ParseError("matrix dimensions must be positive", lineno)
-    rows = []
+    rows, parsed = [], {}  # each distinct cell text is parsed once
     for i in range(n_rows):
         if start + 1 + i >= len(lines):
             raise ParseError(f"matrix needs {n_rows} rows, found {i}", lineno)
@@ -124,10 +124,16 @@ def parse_matrix_block(field: Field, lines, start: int) -> tuple[Matrix, int]:
         cells = rtext.split()
         if len(cells) != n_cols:
             raise ParseError(f"expected {n_cols} entries, found {len(cells)}", rline)
-        try:
-            rows.append(tuple(field.parse_element(c) for c in cells))
-        except ParseError as exc:
-            raise ParseError(str(exc), rline) from None
+        row = []
+        for c in cells:
+            e = parsed.get(c)
+            if e is None:
+                try:
+                    e = parsed[c] = field.parse_element(c)
+                except ParseError as exc:
+                    raise ParseError(str(exc), rline) from None
+            row.append(e)
+        rows.append(tuple(row))
     return tuple(rows), start + 1 + n_rows
 
 

@@ -26,7 +26,9 @@ module works through G and A:
 * trivial-intersection evidence and Galois LCD tests via ranks modulo the
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
-  whose modulus p_j divides, so a factor dividing no block modulus costs
+  whose modulus p_j divides, read off the order of p_j's roots (recorded
+  as x^N - 1 is factored) with a remainder only for a shift of order
+  above 2, so a factor dividing no block modulus costs
   no elimination, and a factor with one such block reads its type from
   three valuations (the matrix is an outer product); only a factor with
   two or more eliminates, on residues modulo x^m_i - lam_i weighted by
@@ -58,7 +60,8 @@ from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import PolyMatrix, _back_substitute, _chain_type, _gpm_pair, _size_log_q, hnf
 from .record import Record
 from .upoly import (
-    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _power, _reduce, factor, reciprocal_poly,
+    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _monic_factors, _power, _reduce, factor,
+    reciprocal_poly,
 )
 
 ADVISOR_BUDGET = 4096
@@ -120,27 +123,26 @@ class MTProfile(Record):
         return factor(self.annihilator())
 
     @cached_property
-    def factor_divisors(self) -> tuple:
-        """A `_divisor_row` per factor of x^N - 1, in `factorization`
-        order: the division data every remainder by that factor reuses
-        (`factor_valuations`, `_layer_table`)."""
-        return tuple(_divisor_row(self.field, p.coeffs) for p, _ in self.factorization)
-
-    @cached_property
     def factor_valuations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per factor p_j^f_j of x^N - 1, in `factorization` order: the
         pairs (i, v) for the blocks whose modulus p_j divides (the active
         blocks), v = v_p_j(x^m_i - lam_i) >= 1.
 
-        One remainder per (block, factor) decides activity (`_min_valuation`
-        with cap 1), and v follows from m_i alone: with c the characteristic
-        and m_i = m' * c^s, c not dividing m', x^m_i - lam_i is the c^s-th
+        The roots of p_j have order d_j, recorded as x^N - 1 is factored
+        (p_j divides Phi_d_j), and p_j divides x^m_i - lam_i exactly when a
+        root alpha has alpha^m_i = lam_i.  alpha^m_i has order
+        d_j / gcd(d_j, m_i): where that is not t_i, the order of lam_i, the
+        block is inactive, and where it is t_i <= 2 the block is active, as
+        lam_i is then the only element of order t_i.  Only a block with
+        t_i > 2 of matching order takes a remainder (`_min_valuation` with
+        cap 1).  v follows from m_i alone: with c the characteristic and
+        m_i = m' * c^s, c not dividing m', x^m_i - lam_i is the c^s-th
         power of the square-free x^m' - lam_i^(1/c^s), so v = c^s.  The
         cofactor c_i = (x^N - 1) / (x^m_i - lam_i) has valuation f_j - v,
         and the cofactor of every inactive block is a multiple of p_j^f_j,
         since p_j^f_j divides x^N - 1 and is coprime to that block's
         modulus."""
-        char = self.field.p
+        fld, char = self.field, self.field.p
         mults = []
         for m in self.blocks:
             v = 1
@@ -148,9 +150,30 @@ class MTProfile(Record):
                 m //= char
                 v *= char
             mults.append(v)
+        out = []
+        for (p, _), d in zip(self.factorization, _monic_factors(fld, self.period)[1]):
+            active, div = [], None
+            for i, (m, t, v) in enumerate(zip(self.blocks, self.orders, mults)):
+                if d // math.gcd(d, m) != t:
+                    continue
+                if t > 2:
+                    div = div or _divisor_row(fld, p.coeffs)
+                    if not _min_valuation((self.moduli[i],), div, 1):
+                        continue
+                active.append((i, v))
+            out.append(tuple(active))
+        return tuple(out)
+
+    @cached_property
+    def factor_divisors(self) -> tuple:
+        """Per factor of x^N - 1, in `factorization` order: its
+        `_divisor_row` when it has exactly one active block
+        (`factor_valuations`), None otherwise.  `_layer_table` reads the
+        outer-product type of such a factor by dividing by it, so every
+        table of the profile reuses the row."""
         return tuple(
-            tuple((i, v) for i, (d, v) in enumerate(zip(self.moduli, mults)) if _min_valuation((d,), div, 1))
-            for div in self.factor_divisors
+            _divisor_row(self.field, p.coeffs) if len(active) == 1 else None
+            for (p, _), active in zip(self.factorization, self.factor_valuations)
         )
 
     @cached_property

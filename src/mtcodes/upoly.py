@@ -32,10 +32,11 @@ coset coefficients come from a generator seeded with ``FACTOR_SEED``
 for each x^N - 1; the factor list is sorted, and a monic irreducible
 factorization is unique, so the list does not depend on the seed, which
 any report that includes a factorization still records.  ``factor`` keeps
-the monic factor list of each x^N - 1 per (field, N), for at most
-``_FACTOR_MEMO_SIZE`` of them, so a process factors each period once: a
-profile, its dual, Galois dual and reversal all share N, and so do the
-codes of one document.
+the monic factor list of each x^N - 1 per (field, N), with the order d
+of each factor's roots beside it, for at most ``_FACTOR_MEMO_SIZE`` of
+them, so a process factors each period once: a profile, its dual,
+Galois dual and reversal all share N, and so do the codes of one
+document.
 """
 
 from __future__ import annotations
@@ -485,9 +486,10 @@ def _spread(g: Poly, l: int) -> Poly:
     return Poly._trusted(g.field, out)
 
 
-def _binomial_factors(fld: Field, n: int) -> list[tuple[Poly, int]]:
-    """Irreducible factors of x^n - 1 with multiplicities, unsorted:
-    x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s.  The Phi_d
+def _binomial_factors(fld: Field, n: int) -> list[tuple[Poly, int, int]]:
+    """Irreducible factors of x^n - 1 as (factor, multiplicity, root order),
+    unsorted: x^n - 1 = prod over d | n' of Phi_d^(p^s) for n = n' * p^s,
+    and the roots of every factor of Phi_d have order d.  The Phi_d
     are built and cut in ascending order of d, each from those of its
     divisors (`_cyclotomic_pieces`); pieces still above ord_d(q) go to
     `_coset_split`, whose random coset sums are seeded by FACTOR_SEED.
@@ -518,7 +520,7 @@ def _binomial_factors(fld: Field, n: int) -> list[tuple[Poly, int]]:
                 f"Phi_{d} over GF({fld.q}) split into degrees {sorted(degrees)}, "
                 f"not {phi.degree // deg} factors of degree ord_{d}(q) = {deg}"
             )
-        found.extend((g, mult) for g in irreducibles)
+        found.extend((g, mult, d) for g in irreducibles)
     return found
 
 
@@ -619,12 +621,12 @@ def factor(f: Poly) -> Factorization:
     n = _binomial_degree(f)
     if n is None:
         raise ValueError("factor takes only c * (x^N - 1) with N >= 1")
-    return Factorization(f.field, f.lead, _monic_factors(f.field, n))
+    return Factorization(f.field, f.lead, _monic_factors(f.field, n)[0])
 
 
 @lru_cache(maxsize=_FACTOR_MEMO_SIZE)
-def _monic_factors(fld: Field, n: int) -> tuple[tuple[Poly, int], ...]:
-    """The sorted factors of x^n - 1 with multiplicities, memoized."""
-    found = _binomial_factors(fld, n)
-    found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return tuple(found)
+def _monic_factors(fld: Field, n: int) -> tuple[tuple[tuple[Poly, int], ...], tuple[int, ...]]:
+    """The sorted factors of x^n - 1 with multiplicities, and the order of
+    each factor's roots in the same order, memoized."""
+    found = sorted(_binomial_factors(fld, n), key=lambda g: (g[0].degree, g[0].coeffs))
+    return tuple((g, m) for g, m, _ in found), tuple(d for _, _, d in found)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtcodes import LinearCode, field, oracle
-from mtcodes.errors import BudgetError
-from mtcodes.lincode import _meet, frobenius_rows, mat_mul, mat_rank, rref
+from mtcodes.errors import BudgetError, ParseError
+from mtcodes.lincode import _meet, frobenius_rows, mat_mul, mat_rank, parse_matrix_block, rref
 
 from helpers import f4, random_linear_code, reference_min_distance, words
 
@@ -31,6 +31,23 @@ def all_words(code):
                 v = [f.add(a, f.mul(c, b)) for a, b in zip(v, row)]
         out.add(tuple(v))
     return out
+
+
+def test_matrix_block_parses_repeated_cells_and_reports_a_bad_one():
+    """Each distinct cell is parsed once per block, so a cell repeated
+    across rows reads as the field parses it, and a bad cell after
+    repeated good ones keeps the field's message and its own line."""
+    f = f4()
+    text = ["matrix 3 3", "1 w w", "w 1+w w^2", "w 1 2", "1 1 1"]
+    lines = list(zip(text, range(4, 9)))
+    good, end = parse_matrix_block(f, lines[:3] + lines[4:], 0)
+    assert end == 4
+    assert good == tuple(tuple(f.parse_element(c) for c in row.split()) for row in text[1:3] + text[4:])
+    with pytest.raises(ParseError) as bad:
+        parse_matrix_block(f, lines, 0)
+    with pytest.raises(ParseError) as direct:
+        f.parse_element("2")
+    assert bad.value.line == 7 and str(bad.value) == f"line 7: {direct.value}"
 
 
 def test_rref_canonical():

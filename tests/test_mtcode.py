@@ -860,6 +860,50 @@ def test_factor_valuations_match_divmod():
         assert prof.factor_valuations == reference_factor_valuations(prof)
 
 
+ACTIVITY_FIELDS = (field(2), F3, f4(), field(3, 2), field(2, 4), field(17, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factor_valuations_from_root_orders_match_divmod(data):
+    """Activity read off each factor's root order, against divmod: shifts
+    of every order in table and table-free fields (order 3 in GF(4), 4 and
+    8 in GF(9), 5 and 15 in GF(16), up to 288 in GF(17^2), each decided by
+    a remainder), and block lengths divisible by the characteristic, so
+    that x^N - 1 has repeated factors."""
+    f = data.draw(st.sampled_from(ACTIVITY_FIELDS), label="field")
+    c = f.p
+    ell = data.draw(st.integers(1, 3), label="ell")
+    lengths = sorted({1, 2, 3, 4, 5, 6, c, 2 * c, c * c})
+    blocks = tuple(data.draw(st.sampled_from(lengths), label="block") for _ in range(ell))
+    shifts = tuple(data.draw(st.integers(1, f.q - 1), label="shift") for _ in range(ell))
+    prof = MTProfile(f, blocks, shifts)
+    assume(prof.period <= 1200)
+    assert prof.factor_valuations == reference_factor_valuations(prof)
+
+
+@pytest.mark.parametrize(
+    "base", [MIXED_F3, MTProfile(field(5), (8, 12), (1, 4))], ids=["mixed", "gf5"]
+)
+def test_factor_valuations_divide_nothing_for_shifts_of_order_at_most_2(monkeypatch, base):
+    """With every shift of order 1 or 2, a factor's root order alone
+    decides which block moduli it divides: building the activity table
+    divides nothing.  Only the factors with one active block get a
+    divisor row."""
+    import mtcodes.mtcode as mtcode_mod
+
+    prof = MTProfile(base.field, base.blocks, base.shifts)  # fresh caches
+    assert max(prof.orders) <= 2
+    valuations = _count_calls(monkeypatch, mtcode_mod, "_min_valuation")
+    quotients = _count_calls(monkeypatch, mtcode_mod, "_exact_quotient")
+    active = prof.factor_valuations
+    assert valuations == [] and quotients == []
+    assert active == reference_factor_valuations(prof)
+    assert {len(a) for a in active} == {0, 1, 2}
+    for (p, _), a, div in zip(prof.factorization, active, prof.factor_divisors):
+        assert div == (_divisor_row(p.field, p.coeffs) if len(a) == 1 else None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_min_valuation_matches_repeated_divmod(data):

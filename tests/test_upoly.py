@@ -1,5 +1,6 @@
 """Univariate polynomial arithmetic, text forms, gcds, and factorization."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtcodes import Poly, PolyMatrix, factor, field, reciprocal_poly
+from mtcodes.gf import _prime_factors
 from mtcodes.upoly import (
     FACTOR_SEED,
     NEG_INF,
@@ -433,6 +435,37 @@ def certify_binomial(f, n, fac, rabin=True):
     if rabin:
         assert all(is_irreducible(g) for g, _ in fac)
     assert fac.unit == 1 and fac.expand() == Poly.binomial(f, n, 1)
+
+
+ROOT_ORDER_CASES = [
+    (field(2), 24), (field(2), 105), (F3, 24), (F3, 104), (f4(), 96), (f4(), 105), (field(5), 100),
+    (f9_mod221(), 140), (field(2, 4), 60), (field(257), 514), (field(17, 2), 51),
+]
+
+
+@pytest.mark.parametrize("f, n", ROOT_ORDER_CASES, ids=[f"q{f.q}-N{n}" for f, n in ROOT_ORDER_CASES])
+def test_factor_records_each_root_order(f, n):
+    """The order d recorded for each factor p of x^n - 1 is that of its
+    roots: d divides n', p divides x^d - 1 and no x^(d/l) - 1 for a prime
+    l | d.  Phi_d has phi(d) / ord_d(q) factors, each recorded once, and
+    the factor list is still the certified one `factor` returns."""
+    import mtcodes.upoly as upoly
+
+    fac = factor(Poly.binomial(f, n, 1))
+    factors, orders = upoly._monic_factors(f, n)
+    assert factors is fac.factors and len(orders) == len(factors)
+    n_prime = n
+    while n_prime % f.p == 0:
+        n_prime //= f.p
+    for (p, _), d in zip(factors, orders):
+        assert n_prime % d == 0
+        assert (Poly.binomial(f, d, 1) % p).is_zero()
+        assert not any((Poly.binomial(f, d // l, 1) % p).is_zero() for l in _prime_factors(d))
+    for d in range(1, n_prime + 1):
+        if n_prime % d == 0:
+            phi = sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+            assert orders.count(d) == phi // min(t for t in range(1, d + 1) if f.q**t % d == 1 % d)
+    certify_binomial(f, n, fac)
 
 
 # N = 88 and up have two or more distinct primes other than p, so some of
