@@ -158,6 +158,15 @@ class LinearCode:
         self.gen, self._pivots = rref(field, work)
 
     @staticmethod
+    def _from_rref(field: Field, length: int, rows, pivots) -> "LinearCode":
+        """The code whose generator rows, tuples of field elements, are
+        already in RREF with the given pivot columns: no rref."""
+        code = object.__new__(LinearCode)
+        code.field, code.n = field, length
+        code.gen, code._pivots = tuple(rows), tuple(pivots)
+        return code
+
+    @staticmethod
     def zero(field: Field, length: int) -> "LinearCode":
         return LinearCode(field, length)
 

@@ -9,8 +9,12 @@ F_q[x]-submodule containing diag(x^m_i - lam_i).
 
 Every such module is generated by the ell rows of a square generator
 polynomial matrix (GPM) G, and there is a unique companion A with
-A @ G = diag(x^m_i - lam_i): the identical equation.  Everything in this
-module works through G and A:
+A @ G = diag(x^m_i - lam_i): the identical equation.  A code stores only
+its reduced GPM; A is back-substituted from it when first read.  The
+scalar generator is built from G, and G read off a scalar generator, by
+one twisted-shift recurrence on the systematic rows (`_systematic_rows`,
+`_gpm_of_systematic`), with no Gaussian or Hermite elimination.
+Everything else in this module works through G and A:
 
 * duals and Galois duals (via the reciprocal transform of A),
 * reversed codes, whose GPM and companion are read off the dual's pair,
@@ -60,8 +64,8 @@ from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import PolyMatrix, _back_substitute, _chain_type, _gpm_pair, _size_log_q, hnf
 from .record import Record
 from .upoly import (
-    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _monic_factors, _power, _reduce, factor,
-    reciprocal_poly,
+    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _long_divide, _monic_factors, _power, _reduce,
+    _remainder, _trim, factor, reciprocal_poly,
 )
 
 ADVISOR_BUDGET = 4096
@@ -257,16 +261,6 @@ class MTProfile(Record):
             out.extend((f.mul(s, block[-1]),) + block[:-1])
         return tuple(out)
 
-    def polys_from_vector(self, vec) -> list[Poly]:
-        return [Poly(self.field, block) for block in self.split_blocks(vec)]
-
-    def vector_from_polys(self, polys) -> tuple[int, ...]:
-        out = []
-        for p, m, modulus in zip(polys, self.blocks, self.moduli):
-            p = p % modulus
-            out.extend(p.coeff(i) for i in range(m))
-        return tuple(out)
-
     def describe(self) -> str:
         f = self.field
         shifts = ", ".join(f.format_element(s) for s in self.shifts)
@@ -281,18 +275,22 @@ def reciprocal_columns(mat: PolyMatrix, profile: MTProfile) -> PolyMatrix:
     a degree-m_j window.  The reduction changes each entry by a multiple of
     its block modulus, which downstream congruences absorb (the transform of
     that multiple is a multiple of x^m_j - lam_j^-1, and every use either
-    multiplies by the matching cofactor or stacks the dual moduli).
+    multiplies by the matching cofactor or stacks the dual moduli).  Only an
+    entry of degree m_j or more is divided, by its block modulus prepared
+    once per call.
     """
-    moduli = profile.moduli
+    fld, blocks, divs = profile.field, profile.blocks, {}
     rows = []
     for row in mat.rows:
-        rows.append(
-            [
-                reciprocal_poly(e % moduli[j], profile.blocks[j])
-                for j, e in enumerate(row)
-            ]
-        )
-    return PolyMatrix._trusted(mat.field, rows)
+        out = []
+        for j, e in enumerate(row):
+            if len(e.coeffs) > blocks[j]:
+                if j not in divs:
+                    divs[j] = _divisor_row(fld, profile.moduli[j].coeffs)
+                e = _remainder(e, divs[j])
+            out.append(reciprocal_poly(e, blocks[j]))
+        rows.append(out)
+    return PolyMatrix._trusted(fld, rows)
 
 
 def _antitranspose(mat: PolyMatrix) -> PolyMatrix:
@@ -353,6 +351,170 @@ def _dim_of(gpm_rows, n: int) -> int:
     return n - sum(row[i].degree for i, row in enumerate(gpm_rows))
 
 
+def _spans(profile: MTProfile) -> list[tuple[int, int, int]]:
+    """(start, m_i, lam_i) of each block of a codeword."""
+    starts = itertools.accumulate(profile.blocks[:-1], initial=0)
+    return list(zip(starts, profile.blocks, profile.shifts))
+
+
+def _next_row(fld: Field, row, spans, i: int, t, firsts) -> list[int]:
+    """T(row) minus its wraps, for a systematic row of block i (zero
+    before it): each block k >= i rotates one place, and the entry
+    lam_k * row[k, m_k - 1] that T sets at position 0 is cleared with
+    firsts[k], the term list of the systematic row with pivot (k, 0), when
+    block k has pivots (t[k] > 0).  For an MT code this is the next
+    systematic row of block i, zero after the last."""
+    mul, neg = fld.mul, fld.neg
+    out, wraps = list(row[: spans[i][0]]), []
+    for k in range(i, len(spans)):
+        s, m, lam = spans[k]
+        blk = row[s : s + m]
+        c = blk[-1]
+        if c:
+            c = mul(lam, c)
+            if t[k]:
+                wraps.append((k, c))
+        out.append(c)
+        out.extend(blk[:-1])
+    for k, c in wraps:
+        fld.add_scaled(out, 0, neg(c), firsts[k])
+    return out
+
+
+def _nonzero_terms(row) -> list[tuple[int, int]]:
+    return [(j, e) for j, e in enumerate(row) if e]
+
+
+def _systematic_rows(profile: MTProfile, gpm_rows) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The RREF generator of the code of a reduced GPM and its pivot
+    columns, with no elimination: systematic encoding of cyclic codes
+    (MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 7
+    §8) carried to the GPM basis of quasi-cyclic codes (Lally &
+    Fitzpatrick, 2001).
+
+    The words x^j g_i, j < t_i = m_i - deg G_ii, are a basis in echelon
+    form: x^j g_i is zero before block i and starts at position j of it,
+    as G_ii(0) != 0.  So the pivots are the positions (i, j), j < t_i, and
+    the systematic row r_(i,j) is the codeword that is 1 at (i, j) and 0
+    at every other pivot.  Blocks are built last to first.  r_(i,0) is
+    a g_i for a = G_ii^-1 mod x^t_i (a power series inverse, which forms
+    a G_ii, block i of a g_i, on the way: 1 at position 0, then t_i - 1
+    zeros, and no wrap as deg a G_ii < m_i), with the pivot entries of
+    later blocks cleared by their rows.  T moves every pivot entry of
+    r_(i,j) one place along, so T(r_(i,j)) - sum_k lam_k c_k r_(k,0), c_k
+    its entry at (k, m_k - 1), is r_(i,j+1): one shift and at most ell
+    row updates per row."""
+    fld, n, ell = profile.field, profile.n, profile.ell
+    spans = _spans(profile)
+    t = [m - row[i].degree for i, (row, m) in enumerate(zip(gpm_rows, profile.blocks))]
+    mod_divs = [_divisor_row(fld, d.coeffs) for d in profile.moduli]
+    rows: list[list] = [[] for _ in range(ell)]
+    terms: list[list] = [[] for _ in range(ell)]
+    firsts: list = [None] * ell
+    for i in reversed(range(ell)):
+        if not t[i]:
+            continue
+        s, m, _ = spans[i]
+        g = gpm_rows[i]
+        diag = g[i].coeffs
+        inv0, diag_terms = fld.inv(diag[0]), _nonzero_terms(diag)
+        a, acc = [], [0] * m
+        for k in range(t[i]):
+            c = fld.mul(inv0, fld.neg(acc[k])) if k else inv0
+            a.append(c)
+            fld.add_scaled(acc, k, c, diag_terms)
+        vec = [0] * n
+        vec[s : s + m] = acc
+        for j in range(i + 1, ell):
+            if g[j]:
+                prod: list[int] = []
+                _add_product(fld, prod, a, g[j].coeffs)
+                _reduce(fld, prod, mod_divs[j])
+                vec[spans[j][0] : spans[j][0] + len(prod)] = prod
+        for j in range(i + 1, ell):
+            for p in range(t[j]):
+                c = vec[spans[j][0] + p]
+                if c:
+                    fld.add_scaled(vec, 0, fld.neg(c), terms[j][p])
+        firsts[i] = _nonzero_terms(vec)
+        rows[i].append(vec)
+        for _ in range(1, t[i]):
+            vec = _next_row(fld, vec, spans, i, t, firsts)
+            rows[i].append(vec)
+        if any(t[:i]):  # earlier blocks clear their first rows with these
+            terms[i] = [firsts[i]] + [_nonzero_terms(r) for r in rows[i][1:]]
+    pivots = [spans[i][0] + j for i in range(ell) for j in range(t[i])]
+    return [tuple(r) for block in rows for r in block], pivots
+
+
+def _gpm_of_systematic(profile: MTProfile, gen, pivots) -> PolyMatrix | None:
+    """The reduced GPM of the linear code with RREF generator gen and
+    pivot columns pivots, or None when the code is not invariant under the
+    twisted shift T; `_systematic_rows` run backwards.
+
+    An MT code's pivots form a prefix 0, ..., t_i - 1 of each block i, and
+    a code with such pivots is T-invariant exactly when each row's T(r)
+    is the next row of its block (zero after the last) plus its wraps: a
+    word of the code is the sum of its pivot entries times their rows, and
+    T(r) is 1 at the pivot after r's own and lam_k c_k at each (k, 0), c_k
+    r's entry at (k, m_k - 1).  G_ii has degree m_i - t_i, and the last
+    row r_(i, t_i - 1) is x^(t_i - 1) h in block i with deg h = m_i - t_i,
+    so T^-(t_i - 1) of it, made monic, holds G_ii in block i; its entries
+    in later blocks are reduced modulo G_jj, left to right, by the rows
+    already built.  A block with no pivots has G_ii = x^m_i - lam_i and
+    nothing else in its row."""
+    fld, ell = profile.field, profile.ell
+    spans = _spans(profile)
+    t, firsts, at = [0] * ell, [None] * ell, 0
+    for r, c in enumerate(pivots):
+        while c >= spans[at][0] + spans[at][1]:
+            at += 1
+        if c != spans[at][0] + t[at]:
+            return None
+        if not t[at]:
+            firsts[at] = _nonzero_terms(gen[r])
+        t[at] += 1
+    r, zero_row = 0, (0,) * profile.n
+    for i in range(ell):
+        for j in range(t[i]):
+            after = gen[r + 1] if j + 1 < t[i] else zero_row
+            if tuple(_next_row(fld, gen[r], spans, i, t, firsts)) != after:
+                return None
+            r += 1
+    zero = Poly.zero(fld)
+    mod_divs = [_divisor_row(fld, d.coeffs) for d in profile.moduli]
+    gpm: list = [None] * ell
+    ends = list(itertools.accumulate(t))
+    for i in reversed(range(ell)):
+        if not t[i]:
+            gpm[i] = [zero] * i + [profile.moduli[i]] + [zero] * (ell - i - 1)
+            continue
+        row, back = gen[ends[i] - 1], t[i] - 1
+        s, m, _ = spans[i]
+        h = list(row[s + back : s + m])
+        _trim(h)
+        inv = fld.inv(h[-1])
+        entries = [[fld.mul(inv, x) for x in h]]
+        for s, m, lam in spans[i + 1 :]:
+            wraps, b = divmod(back, m)
+            c = fld.mul(inv, fld.pow(lam, -wraps))
+            cw = fld.mul(c, fld.inv(lam))
+            blk = row[s : s + m]
+            entries.append([fld.mul(c, x) for x in blk[b:]] + [fld.mul(cw, x) for x in blk[:b]])
+        for j in range(i + 1, ell):
+            e, above = entries[j - i], gpm[j]
+            _trim(e)
+            if len(e) >= len(above[j].coeffs):
+                nq = [fld.neg(x) for x in _long_divide(fld, e, _divisor_row(fld, above[j].coeffs))]
+                _trim(e)
+                for k in range(j + 1, ell):
+                    if above[k]:
+                        _add_product(fld, entries[k - i], nq, above[k].coeffs)
+                        _reduce(fld, entries[k - i], mod_divs[k])
+        gpm[i] = [zero] * i + [Poly._trusted(fld, e) for e in entries]
+    return PolyMatrix._trusted(fld, gpm)
+
+
 class MTCode:
     """A multi-twisted code, canonically held as its reduced GPM."""
 
@@ -367,20 +529,30 @@ class MTCode:
             row_list = [list(r) for r in rows]
         top = PolyMatrix(profile.field, row_list)
         try:
-            self.gpm, self.companion = _gpm_pair(top, profile.moduli)
+            res = hnf(top, profile.moduli, transform=False)
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
+        self.gpm = PolyMatrix._trusted(profile.field, res.h.rows[: profile.ell])
         self._linear: LinearCode | None = None
         self._dual: MTCode | None = None
 
     @staticmethod
-    def _from_pair(profile: MTProfile, gpm: PolyMatrix, companion: PolyMatrix) -> "MTCode":
-        """The code whose reduced GPM is already known, with its companion:
-        no elimination."""
+    def _from_pair(profile: MTProfile, gpm: PolyMatrix, companion: PolyMatrix | None = None) -> "MTCode":
+        """The code whose reduced GPM is already known, and its companion
+        when that is known too: no elimination."""
         code = object.__new__(MTCode)
-        code.profile, code.gpm, code.companion = profile, gpm, companion
+        code.profile, code.gpm = profile, gpm
+        if companion is not None:
+            code.companion = companion
         code._linear = code._dual = None
         return code
+
+    @cached_property
+    def companion(self) -> PolyMatrix:
+        """The A with A @ G = diag(x^m_i - lam_i), by back-substitution on
+        the triangular GPM when first read."""
+        fld = self.field
+        return PolyMatrix._trusted(fld, _back_substitute(fld, self.gpm.rows, self.profile.moduli))
 
     # -- constructors ------------------------------------------------------
 
@@ -395,13 +567,14 @@ class MTCode:
     @staticmethod
     def from_linear(profile: MTProfile, code: LinearCode) -> "MTCode":
         """Adopt a linear code as multi-twisted; it must be shift-invariant.
-        Its rows generate the smallest MT code that holds it, so the two are
-        equal exactly when their dimensions are."""
+        The GPM is read off the code's RREF (`_gpm_of_systematic`), with no
+        elimination, and the given code becomes the scalar form."""
         if code.field != profile.field or code.n != profile.n:
             raise DomainError("code length does not match the profile")
-        mt = MTCode(profile, [profile.polys_from_vector(row) for row in code.gen])
-        if mt.dim != code.k:
+        gpm = _gpm_of_systematic(profile, code.gen, code._pivots)
+        if gpm is None:
             raise DomainError("code is not invariant under the profile's twisted shift")
+        mt = MTCode._from_pair(profile, gpm)
         mt._linear = code
         return mt
 
@@ -435,27 +608,17 @@ class MTCode:
         return f"MTCode([{self.n},{self.dim}] {self.profile.describe()})"
 
     def to_linear(self) -> LinearCode:
-        """Expand the GPM rows under the shift action to a scalar generator.
-
-        The words x^j * g_i for 0 <= j < m_i - deg G_ii are a basis: G is
-        upper triangular, so a vanishing combination vanishes column by
-        column, and there are dim of them.
-        """
+        """The scalar code, its RREF generator built from the GPM by the
+        twisted-shift recurrence of `_systematic_rows`, with no rref."""
         if self._linear is None:
-            prof = self.profile
-            rows = []
-            for i, prow in enumerate(self.gpm.rows):
-                vec = prof.vector_from_polys(prow)
-                for _ in range(prof.blocks[i] - prow[i].degree):
-                    rows.append(vec)
-                    vec = prof.apply_shift(vec)
-            self._linear = LinearCode(self.field, prof.n, rows)
+            rows, pivots = _systematic_rows(self.profile, self.gpm.rows)
+            self._linear = LinearCode._from_rref(self.field, self.n, rows, pivots)
         return self._linear
 
     def min_distance(self, budget: int | None = None) -> float:
         """LinearCode.min_distance of to_linear(), Brouwer-Zimmermann on
         its information sets, with the q^k budget checked before the
-        expansion."""
+        scalar generator is built."""
         if self.dim:
             check_enum_budget(self.field.q, self.dim, budget)
         return self.to_linear().min_distance(budget)
@@ -483,17 +646,13 @@ class MTCode:
 
         sigma^k acts on coefficients as a ring automorphism, so sigma^k(G)
         is still upper triangular, monic on the diagonal and reduced above
-        it, and sigma^k(A) @ sigma^k(G) = diag(x^m_i - sigma^k(lam_i^-1)):
-        the reduced GPM and companion of the Galois dual profile, with no
-        second elimination."""
+        it: the reduced GPM of the Galois dual profile, with no second
+        elimination."""
         check_kappa(self.field, kappa)
         base = self.dual()
         if kappa == 0:
             return base
-        k = self.field.e - kappa
-        return MTCode._from_pair(
-            self.profile.galois_dual_profile(kappa), base.gpm.frobenius(k), base.companion.frobenius(k)
-        )
+        return MTCode._from_pair(self.profile.galois_dual_profile(kappa), base.gpm.frobenius(self.field.e - kappa))
 
     # -- reversal ------------------------------------------------------------
 
@@ -541,17 +700,14 @@ class MTCode:
         x^m_k - lam_k as the stack is eliminated, and no entry reaches the
         degree of its modulus.  C1 + C2 and C1 cap C2 both contain D, so
         each half holds ell pivots, and the right halves of rows ell to
-        2 ell - 1 are the reduced GPM; the companion follows by
-        back-substitution.  `intersection_details` keeps the paper's
-        quasi-cyclic route for the (Q, P) pair that reports print."""
+        2 ell - 1 are the reduced GPM.  `intersection_details` keeps the
+        paper's quasi-cyclic route for the (Q, P) pair that reports print."""
         self._require_same_profile(other)
         prof, fld, ell = self.profile, self.field, self.profile.ell
         zeros = (Poly.zero(fld),) * ell
         stack = [row + row for row in self.gpm.rows] + [row + zeros for row in other.gpm.rows]
         rows = hnf(PolyMatrix._trusted(fld, stack), prof.moduli * 2, transform=False).h.rows
-        gpm = [row[ell:] for row in rows[ell : 2 * ell]]
-        companion = _back_substitute(fld, gpm, prof.moduli)
-        return MTCode._from_pair(prof, PolyMatrix._trusted(fld, gpm), PolyMatrix._trusted(fld, companion))
+        return MTCode._from_pair(prof, PolyMatrix._trusted(fld, [row[ell:] for row in rows[ell : 2 * ell]]))
 
     def intersection_details(self, other: "MTCode") -> "GpmIntersection":
         """C1 cap C2 with the paper's auxiliary quasi-cyclic pair (Q, P):
@@ -744,7 +900,9 @@ class LayerTable(Record):
 
     @property
     def total(self) -> int:
-        return sum(layer.weighted for layer in self.layers)
+        """The sum of the layers' weights; a layer of type (0, ..., 0)
+        weighs 0 and is skipped."""
+        return sum(layer.weighted for layer in self.layers if any(layer.type_vector))
 
     @property
     def verdict(self) -> bool:

@@ -11,13 +11,13 @@ rows.
 
 The degree of the determinant is read off the HNF diagonal (the
 determinant itself is never needed).  The twisted-code layer gets a GPM
-and its companion A, with A * G = diag(x^m_i - lam_i), from one
-transform-free elimination (`_gpm_pair`): the stack [top;
-diag(x^m_i - lam_i)] is reduced modulo those moduli as it is eliminated,
-so degrees stay below the block lengths, and A follows from the
-triangular G by back-substitution, whose exact divisions certify that the
-module contains the diagonal rows.  Every division goes through the
-coefficient-list kernel of `upoly`.
+from one transform-free elimination: the stack [top; diag(x^m_i - lam_i)]
+is reduced modulo those moduli as it is eliminated, so degrees stay below
+the block lengths.  Its companion A, with A * G = diag(x^m_i - lam_i),
+follows from the triangular G by back-substitution (`_back_substitute`),
+whose exact divisions certify that the module contains the diagonal rows;
+`_gpm_pair` does both.  Every division goes through the coefficient-list
+kernel of `upoly`.
 
 The type of a row span over the chain ring GF(q)[x]/<p^f>, p irreducible,
 comes from one elimination (`_chain_type`, on rows of coefficient lists):
@@ -408,23 +408,14 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
     return out
 
 
-def _with_companion(res: HnfResult, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
-    """The GPM G, the first rows of a generating stack's HNF, and its
-    companion A with A @ G = diag(diag_polys), by back-substitution."""
-    ell = len(diag_polys)
-    if res.rank < ell:
-        raise ValueError(_NOT_DIAGONAL)
-    field = res.h.field
-    gpm = res.h.rows[:ell]
-    return PolyMatrix._trusted(field, gpm), PolyMatrix._trusted(field, _back_substitute(field, gpm, diag_polys))
-
-
 def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
-    """The reduced GPM G of the stack [top; diag(diag_polys)] and its
-    companion A, from one elimination reduced modulo the block moduli and
-    no transform."""
-    diag_polys = list(diag_polys)
-    return _with_companion(hnf(top, diag_polys, transform=False), diag_polys)
+    """The reduced GPM G of the stack [top; diag(diag_polys)], the first
+    rows of one elimination reduced modulo diag_polys with no transform,
+    and its companion A with A @ G = diag(diag_polys), by
+    back-substitution."""
+    diag_polys, field = list(diag_polys), top.field
+    gpm = hnf(top, diag_polys, transform=False).h.rows[: len(diag_polys)]
+    return PolyMatrix._trusted(field, gpm), PolyMatrix._trusted(field, _back_substitute(field, gpm, diag_polys))
 
 
 # ---------------------------------------------------------------------------

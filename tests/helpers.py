@@ -11,8 +11,9 @@ import random
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
 from mtcodes import cli, oracle
 from mtcodes.errors import DomainError
+from mtcodes.lincode import rref
 from mtcodes.mtcode import _cofactor_product, _dim_of, reciprocal_columns
-from mtcodes.pmat import _with_companion
+from mtcodes.pmat import _NOT_DIAGONAL, _back_substitute
 
 
 SMALL_FIELDS = ((2, 1), (3, 1), (4, 2), (5, 1), (9, 2))
@@ -78,6 +79,18 @@ def backward_identity(f: Field, n: int) -> PolyMatrix:
     return PolyMatrix(f, [[one if i + j == n - 1 else zero for j in range(n)] for i in range(n)])
 
 
+def gpm_with_companion(res, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
+    """The GPM G, the first rows of a generating stack's HNF result res,
+    and its companion A with A @ G = diag(diag_polys), by
+    back-substitution; ValueError when the HNF has fewer than ell pivots."""
+    ell = len(diag_polys)
+    if res.rank < ell:
+        raise ValueError(_NOT_DIAGONAL)
+    field = res.h.field
+    gpm = res.h.rows[:ell]
+    return PolyMatrix(field, gpm), PolyMatrix(field, _back_substitute(field, gpm, diag_polys))
+
+
 def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
     """Reference GPM of a generating stack, by the library's HNF and
     back-substitution.
@@ -95,7 +108,7 @@ def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
     top, moduli = stack, None
     if ell and all(diag_polys) and stack.rows[-ell:] == PolyMatrix.diagonal(diag_polys).rows:
         top, moduli = PolyMatrix(stack.field, stack.rows[:-ell]), diag_polys
-    return _with_companion(hnf(top, moduli, transform=False), diag_polys)[0]
+    return gpm_with_companion(hnf(top, moduli, transform=False), diag_polys)[0]
 
 
 def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
@@ -111,7 +124,7 @@ def solve_identical(gpm: PolyMatrix, diag_polys) -> PolyMatrix:
     if r != ell or c != ell:
         raise ValueError("generator polynomial matrix must be square")
     res = hnf(gpm)
-    a = _with_companion(res, diag_polys)[1] @ res.transform
+    a = gpm_with_companion(res, diag_polys)[1] @ res.transform
     if (a @ gpm) != PolyMatrix.diagonal(diag_polys):
         raise AssertionError("companion solve failed the multiply-back check")
     return a
@@ -392,6 +405,34 @@ def check_equation_identities(code: MTCode) -> None:
     assert dprof.shifts == tuple(prof.field.inv(s) for s in prof.shifts)
 
 
+def expansion_rows(code: MTCode) -> list[tuple[int, ...]]:
+    """Reference scalar basis of an MT code: the words x^j g_i for
+    j < m_i - deg G_ii, each GPM row reduced modulo the block moduli and
+    shifted by `MTProfile.apply_shift`."""
+    prof = code.profile
+    rows = []
+    for i, prow in enumerate(code.gpm.rows):
+        vec = tuple(
+            (e % d).coeff(j) for e, m, d in zip(prow, prof.blocks, prof.moduli) for j in range(m)
+        )
+        for _ in range(prof.blocks[i] - prow[i].degree):
+            rows.append(vec)
+            vec = prof.apply_shift(vec)
+    return rows
+
+
+def check_systematic_routes(code: MTCode) -> None:
+    """Both directions of the twisted-shift recurrence: `to_linear` gives
+    the rref of the expansion rows, pivots included, and `from_linear` of
+    that generator, solved afresh by `LinearCode`, gives the code's GPM and
+    companion back, the companion also checked by `solve_identical`."""
+    lin = code.to_linear()
+    assert (lin.gen, lin._pivots) == rref(code.field, expansion_rows(code))
+    again = MTCode.from_linear(code.profile, LinearCode(code.field, code.n, lin.gen))
+    assert again.gpm == code.gpm
+    assert again.companion == code.companion == solve_identical(code.gpm, code.profile.moduli)
+
+
 def check_meet_routes(code1: MTCode, code2: MTCode) -> None:
     """In both orders: `intersect` (one elimination modulo the block
     moduli) gives the GPM and companion of the paper's quasi-cyclic route,
@@ -422,6 +463,8 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     check_equation_identities(code1)
     check_equation_identities(code2)
     assert prof.factor_valuations == reference_factor_valuations(prof)
+    check_systematic_routes(code1)
+    check_systematic_routes(code2)
 
     lin1, lin2 = code1.to_linear(), code2.to_linear()
     w1 = oracle.enumerate_code(lin1)
@@ -530,6 +573,8 @@ def check_small_dim_pair(rng: random.Random, f: Field) -> None:
     check_equation_identities(code1)
     check_equation_identities(code2)
     assert prof.factor_valuations == reference_factor_valuations(prof)
+    check_systematic_routes(code1)
+    check_systematic_routes(code2)
 
     lin1, lin2 = code1.to_linear(), code2.to_linear()
     w1, w2 = oracle.enumerate_code(lin1), oracle.enumerate_code(lin2)

@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mtcodes.pmat as pmat_mod
@@ -28,6 +28,7 @@ from mtcodes.upoly import _divisor_row, is_irreducible
 
 from helpers import (
     SWEEP_FIELDS,
+    check_systematic_routes,
     cofactor_diag,
     check_trivial_intersection_routes,
     cofactor_product_reference,
@@ -175,23 +176,26 @@ def test_round_trip_through_linear():
 
 
 def test_from_linear_adopts_the_code_without_solving(monkeypatch):
-    # the dimension of the MT closure decides: no membership solve and no
-    # second RREF, and the given code becomes the scalar form
+    # the twisted-shift recurrence on the given RREF decides: no membership
+    # solve, no second RREF and no HNF, and the given code becomes the
+    # scalar form
     import mtcodes.lincode as lincode
+    import mtcodes.mtcode as mtcode_mod
 
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(lincode, "rref", counted("rref", lincode.rref))
     monkeypatch.setattr(LinearCode, "contains_word", counted("contains_word", LinearCode.contains_word))
+    monkeypatch.setattr(mtcode_mod, "hnf", counted("hnf", mtcode_mod.hnf))
     for code in (c1(), c2(), c3(), c4(), c5(), c6()):
         source = MTCode(code.profile, code.gpm)
-        lin = source.to_linear()
+        lin = LinearCode(code.field, code.n, source.to_linear().gen)
         assert "rref" in calls  # the counter sees the rref inside LinearCode
         del calls[:]
         adopted = MTCode.from_linear(code.profile, lin)
@@ -226,6 +230,121 @@ def test_from_linear_accepts_exactly_the_invariant_codes():
             assert source is None or mt == source
             # expand the adopted GPM afresh: it must generate the given code
             assert MTCode(prof, mt.gpm).to_linear() == lin
+
+
+# GF(2), GF(3), GF(4), GF(9), GF(257), GF(17^2) and GF(2^9): table fields,
+# integer arithmetic mod p, and log-table extension fields above 256.
+SYSTEMATIC_FIELDS = (field(2), field(3), field(2, 2), field(3, 2), field(257), field(17, 2), field(2, 9))
+
+# (field index, blocks, shifts, rows of coefficient lists) for the cases the
+# twisted-shift recurrence must get right; see test_systematic_edge_cases.
+SYSTEMATIC_EDGE_CASES = (
+    # t_1 = 0: no row reaches block 1, so G_11 = x^4 - 2 and no pivots
+    (1, (3, 4), (1, 2), (((1, 1), ()),)),
+    # t_0 = m_0: G_00 = 1, so the last pivot of block 0 is its last position
+    (2, (2, 3), (1, 2), (((1,), (1, 2)),)),
+    # G_00 = x - 1 over GF(257): block 0 is shifted back 7 >= 3 m_1 places,
+    # three wraps through lam_1 = 3, of order 256
+    (4, (9, 2), (1, 3), (((256, 1), (5, 7)),)),
+    # over GF(2) the shift back of 6 wraps block 1 three times, then G_11
+    # = 1 + x reduces what lands there
+    (0, (8, 2), (1, 1), (((1, 1), (1,)), ((), (1, 1)))),
+    # shifts w and w^2 of order 3 in GF(4), and of order 3 in GF(9)
+    (2, (3, 3, 2), (2, 3, 2), (((1, 1), (0, 1), (1,)), ((), (1, 0, 1), (3,)))),
+    (3, (4, 4), (3, 3), (((2, 1), (1, 2, 0, 1)),)),
+)
+
+
+def systematic_code(spec) -> MTCode:
+    fi, blocks, shifts, rows = spec
+    f = SYSTEMATIC_FIELDS[fi]
+    prof = MTProfile(f, blocks, shifts)
+    return MTCode(prof, [[Poly(f, cs) for cs in row] for row in rows])
+
+
+@st.composite
+def systematic_specs(draw):
+    """Random profiles and rows whose cells are 0, 1, short random
+    polynomials, or x^(m/d) - mu for d > 1 dividing m and mu^d = lam, a
+    proper divisor of the block modulus, so 0 < t_i < m_i comes up too."""
+    fi = draw(st.integers(0, len(SYSTEMATIC_FIELDS) - 1))
+    f = SYSTEMATIC_FIELDS[fi]
+    ell = draw(st.integers(1, 3))
+    blocks = tuple(draw(st.integers(1, 9)) for _ in range(ell))
+    shifts = tuple(draw(st.integers(1, f.q - 1)) for _ in range(ell))
+    columns = []
+    for m, lam in zip(blocks, shifts):
+        divisors = [
+            (f.neg(mu),) + (0,) * (m // d - 1) + (1,)
+            for d in range(2, m + 1) if m % d == 0
+            for mu in range(1, f.q) if f.pow(mu, d) == lam
+        ]
+        columns.append(st.one_of(
+            st.just(()), st.just((1,)), st.lists(st.integers(0, f.q - 1), min_size=1, max_size=4).map(tuple),
+            *([st.sampled_from(divisors)] if divisors else []),
+        ))
+    rows = draw(st.lists(st.tuples(*columns), max_size=3))
+    return fi, blocks, shifts, tuple(rows)
+
+
+def test_systematic_edge_cases():
+    """The edge cases above hold what their comments say."""
+    seen = set()
+    for spec in SYSTEMATIC_EDGE_CASES:
+        code = systematic_code(spec)
+        prof = code.profile
+        t = [m - row[i].degree for i, (row, m) in enumerate(zip(code.gpm.rows, prof.blocks))]
+        for i, (ti, m) in enumerate(zip(t, prof.blocks)):
+            seen.add("t = 0" if ti == 0 else "t = m" if ti == m else "0 < t < m")
+            if any(ti - 1 >= 2 * mj and code.gpm.rows[i][j] for j, mj in enumerate(prof.blocks[i + 1 :], i + 1)):
+                seen.add("wraps")
+        if any(o > 2 for o in prof.orders):
+            seen.add("order > 2")
+    assert seen == {"t = 0", "t = m", "0 < t < m", "wraps", "order > 2"}
+
+
+def with_edge_cases(test):
+    for spec in SYSTEMATIC_EDGE_CASES:
+        test = example(spec)(test)
+    return test
+
+
+@with_edge_cases
+@given(systematic_specs())
+@settings(max_examples=300, deadline=None)
+def test_systematic_rows_are_the_rref_of_the_expansion(spec):
+    """`to_linear` builds the rref of the expansion rows x^j g_i with no
+    elimination, and `from_linear` reads the GPM and companion back off
+    it (`check_systematic_routes`)."""
+    check_systematic_routes(systematic_code(spec))
+
+
+@given(systematic_specs(), st.integers(0, 3), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_from_linear_rejects_exactly_the_non_invariant_codes(spec, how, rng):
+    """An MT code's systematic rows, kept (how 0), less one row (1), with
+    one entry changed (2), or random rows (3), are adopted exactly when
+    every twisted shift of a generator row lies in the code."""
+    code = systematic_code(spec)
+    prof, f = code.profile, code.field
+    gen = [list(r) for r in code.to_linear().gen]
+    if how == 1 and gen:
+        del gen[rng.randrange(len(gen))]
+    elif how == 2 and gen:
+        gen[rng.randrange(len(gen))][rng.randrange(prof.n)] = rng.randrange(f.q)
+    elif how == 3:
+        gen = [[rng.randrange(f.q) for _ in range(prof.n)] for _ in range(rng.randint(1, 3))]
+    lin = LinearCode(f, prof.n, gen)
+    invariant = all(lin.contains_word(prof.apply_shift(r)) for r in lin.gen)
+    try:
+        mt = MTCode.from_linear(prof, lin)
+    except DomainError as exc:
+        assert not invariant
+        assert str(exc) == "code is not invariant under the profile's twisted shift"
+    else:
+        assert invariant
+        assert mt.to_linear() is lin
+        check_systematic_routes(mt)
 
 
 # -- duals -------------------------------------------------------------------
@@ -1152,7 +1271,7 @@ def test_dim_reads_the_gpm_diagonal():
 
 
 def test_to_linear_expands_dim_rows(monkeypatch):
-    import mtcodes.mtcode as mtcode_mod
+    import mtcodes.lincode as lincode_mod
 
     f = field(257)
     prof = MTProfile(f, (7, 8, 9), (3, 3, 3))
@@ -1163,16 +1282,18 @@ def test_to_linear_expands_dim_rows(monkeypatch):
     ]
     code = MTCode(prof, rows)
     fed = []
-    real = mtcode_mod.LinearCode
+    real = lincode_mod.rref
 
-    def spy(field_, n, gen):
-        fed.append(len(gen))
-        return real(field_, n, gen)
+    def spy(field_, rows_):
+        fed.append(len(rows_))
+        return real(field_, rows_)
 
-    monkeypatch.setattr(mtcode_mod, "LinearCode", spy)
+    monkeypatch.setattr(lincode_mod, "rref", spy)
     lin = code.to_linear()
     assert (code.n, code.dim) == (24, 15)
-    assert fed == [code.dim] and lin.k == code.dim
+    # the systematic rows are built in RREF: no rref, and exactly dim rows
+    assert fed == [] and len(lin.gen) == lin.k == code.dim
+    assert lin._pivots == tuple(range(6)) + tuple(range(15, 24))
 
 
 def test_c6_distance_enumerates_rounds_up_to_the_stopping_bound(monkeypatch):

@@ -184,17 +184,30 @@ def reference_gpm_pair(stack, moduli):
 
 def recorded_gpm_stacks(monkeypatch, build):
     """Every (stack, moduli, G, A) the code layer reduces while build()
-    runs: constructions, duals and intersections' quasi-cyclic stacks."""
-    seen = []
-    real = mtcode_mod._gpm_pair
+    runs: intersections' quasi-cyclic stacks, as `_gpm_pair` returns them,
+    and the stack of every `MTCode` construction (constructions, duals,
+    the codes read off P^T G2), with the code's GPM and its companion,
+    which is back-substituted when first read, here after build()."""
+    seen, built = [], []
+    real_pair, real_init = mtcode_mod._gpm_pair, mtcode_mod.MTCode.__init__
 
-    def spy(top, moduli):
-        out = real(top, moduli)
+    def pair_spy(top, moduli):
+        out = real_pair(top, moduli)
         seen.append((PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)), list(moduli)) + out)
         return out
 
-    monkeypatch.setattr(mtcode_mod, "_gpm_pair", spy)
+    def init_spy(self, profile, rows=()):
+        real_init(self, profile, rows)
+        top = rows.rows if isinstance(rows, PolyMatrix) else rows
+        built.append((PolyMatrix(profile.field, [list(r) for r in top]), self))
+
+    monkeypatch.setattr(mtcode_mod, "_gpm_pair", pair_spy)
+    monkeypatch.setattr(mtcode_mod.MTCode, "__init__", init_spy)
     build()
+    monkeypatch.undo()
+    for top, code in built:
+        moduli = list(code.profile.moduli)
+        seen.append((PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)), moduli, code.gpm, code.companion))
     return seen
 
 
