@@ -12,8 +12,10 @@ polynomial matrix (GPM) G, and there is a unique companion A with
 A @ G = diag(x^m_i - lam_i): the identical equation.  A code stores only
 its reduced GPM; A is back-substituted from it when first read.  The
 scalar generator is built from G, and G read off a scalar generator, by
-one twisted-shift recurrence on the systematic rows (`_systematic_rows`,
-`_gpm_of_systematic`), with no Gaussian or Hermite elimination.
+one twisted-shift recurrence on the systematic rows: each block's rows
+come back from its last row by T^-1 (`_systematic_rows`,
+`_gpm_of_systematic`), with no Gaussian or Hermite elimination, and every
+power of T on a codeword is `_twist`.
 Everything else in this module works through G and A:
 
 * duals and Galois duals (via the reciprocal transform of A),
@@ -240,27 +242,6 @@ class MTProfile(Record):
             tuple(f.inv(s) for s in reversed(self.shifts)),
         )
 
-    # -- coordinate plumbing -----------------------------------------------
-
-    def split_blocks(self, vec) -> list[tuple[int, ...]]:
-        vec = tuple(vec)
-        if len(vec) != self.n:
-            raise ValueError("vector length does not match the profile")
-        out = []
-        at = 0
-        for m in self.blocks:
-            out.append(vec[at : at + m])
-            at += m
-        return out
-
-    def apply_shift(self, vec) -> tuple[int, ...]:
-        """The twisted shift T: rotate each block, scaling the wrap-around."""
-        f = self.field
-        out = []
-        for s, block in zip(self.shifts, self.split_blocks(vec)):
-            out.extend((f.mul(s, block[-1]),) + block[:-1])
-        return tuple(out)
-
     def describe(self) -> str:
         f = self.field
         shifts = ", ".join(f.format_element(s) for s in self.shifts)
@@ -351,33 +332,45 @@ def _dim_of(gpm_rows, n: int) -> int:
     return n - sum(row[i].degree for i, row in enumerate(gpm_rows))
 
 
-def _spans(profile: MTProfile) -> list[tuple[int, int, int]]:
+def _spans(blocks, shifts) -> list[tuple[int, int, int]]:
     """(start, m_i, lam_i) of each block of a codeword."""
-    starts = itertools.accumulate(profile.blocks[:-1], initial=0)
-    return list(zip(starts, profile.blocks, profile.shifts))
+    starts = itertools.accumulate(blocks[:-1], initial=0)
+    return list(zip(starts, blocks, shifts))
 
 
-def _next_row(fld: Field, row, spans, i: int, t, firsts) -> list[int]:
-    """T(row) minus its wraps, for a systematic row of block i (zero
-    before it): each block k >= i rotates one place, and the entry
-    lam_k * row[k, m_k - 1] that T sets at position 0 is cleared with
-    firsts[k], the term list of the systematic row with pivot (k, 0), when
-    block k has pivots (t[k] > 0).  For an MT code this is the next
-    systematic row of block i, zero after the last."""
-    mul, neg = fld.mul, fld.neg
-    out, wraps = list(row[: spans[i][0]]), []
+def _twist(fld: Field, row, spans, s: int, c: int = 1) -> list[int]:
+    """c * T^s(row) for any integer s: in each block the entry at position
+    p moves to (p + s) mod m and is scaled by lam^floor((p + s) / m), which
+    is x^s times the block's residue modulo x^m - lam.  An all-zero block
+    and a scaling by 1 cost no multiplication."""
+    mul, out = fld.mul, []
+    for at, m, lam in spans:
+        w, r = divmod(s, m)
+        cut, end = at + m - r, at + m
+        if c == lam == 1 or not any(row[at:end]):
+            out += row[cut:end]
+            out += row[at:cut]
+            continue
+        lo = c if w == 0 or lam == 1 else mul(c, fld.pow(lam, w))
+        hi = lo if lam == 1 else mul(lo, lam)
+        for k, part in ((hi, row[cut:end]), (lo, row[at:cut])):
+            out.extend(part if k == 1 else [mul(k, x) for x in part])
+    return out
+
+
+def _prev_row(fld: Field, row, spans, i: int, t, lasts) -> list[int]:
+    """T^-1(row) with its entry at each last pivot (k, t[k] - 1) cleared
+    by lasts[k], the term list of that block's last systematic row, for a
+    systematic row of block i (zero before it, so blocks k < i stay zero).
+    T^-1 moves every other pivot entry of a systematic row one place back,
+    so for an MT code this is the row before it in block i, and zero for
+    the first."""
+    out = _twist(fld, row, spans, -1)
     for k in range(i, len(spans)):
-        s, m, lam = spans[k]
-        blk = row[s : s + m]
-        c = blk[-1]
-        if c:
-            c = mul(lam, c)
-            if t[k]:
-                wraps.append((k, c))
-        out.append(c)
-        out.extend(blk[:-1])
-    for k, c in wraps:
-        fld.add_scaled(out, 0, neg(c), firsts[k])
+        if t[k]:
+            c = out[spans[k][0] + t[k] - 1]
+            if c:
+                fld.add_scaled(out, 0, fld.neg(c), lasts[k])
     return out
 
 
@@ -396,53 +389,38 @@ def _systematic_rows(profile: MTProfile, gpm_rows) -> tuple[list[tuple[int, ...]
     form: x^j g_i is zero before block i and starts at position j of it,
     as G_ii(0) != 0.  So the pivots are the positions (i, j), j < t_i, and
     the systematic row r_(i,j) is the codeword that is 1 at (i, j) and 0
-    at every other pivot.  Blocks are built last to first.  r_(i,0) is
-    a g_i for a = G_ii^-1 mod x^t_i (a power series inverse, which forms
-    a G_ii, block i of a g_i, on the way: 1 at position 0, then t_i - 1
-    zeros, and no wrap as deg a G_ii < m_i), with the pivot entries of
-    later blocks cleared by their rows.  T moves every pivot entry of
-    r_(i,j) one place along, so T(r_(i,j)) - sum_k lam_k c_k r_(k,0), c_k
-    its entry at (k, m_k - 1), is r_(i,j+1): one shift and at most ell
-    row updates per row."""
+    at every other pivot.  Blocks are built last to first, each from its
+    last row: r_(i,t_i-1) is G_ii(0)^-1 T^(t_i-1)(g_i), whose block i
+    does not wrap as deg x^(t_i-1) G_ii = m_i - 1, with the pivot entries
+    of later blocks cleared by their rows.  Each row before it is
+    `_prev_row` of the next: one shift back and at most ell row updates
+    per row."""
     fld, n, ell = profile.field, profile.n, profile.ell
-    spans = _spans(profile)
+    spans = _spans(profile.blocks, profile.shifts)
     t = [m - row[i].degree for i, (row, m) in enumerate(zip(gpm_rows, profile.blocks))]
-    mod_divs = [_divisor_row(fld, d.coeffs) for d in profile.moduli]
     rows: list[list] = [[] for _ in range(ell)]
     terms: list[list] = [[] for _ in range(ell)]
-    firsts: list = [None] * ell
+    lasts: list = [None] * ell
     for i in reversed(range(ell)):
         if not t[i]:
             continue
-        s, m, _ = spans[i]
-        g = gpm_rows[i]
-        diag = g[i].coeffs
-        inv0, diag_terms = fld.inv(diag[0]), _nonzero_terms(diag)
-        a, acc = [], [0] * m
-        for k in range(t[i]):
-            c = fld.mul(inv0, fld.neg(acc[k])) if k else inv0
-            a.append(c)
-            fld.add_scaled(acc, k, c, diag_terms)
-        vec = [0] * n
-        vec[s : s + m] = acc
-        for j in range(i + 1, ell):
-            if g[j]:
-                prod: list[int] = []
-                _add_product(fld, prod, a, g[j].coeffs)
-                _reduce(fld, prod, mod_divs[j])
-                vec[spans[j][0] : spans[j][0] + len(prod)] = prod
+        g = [0] * n
+        for (s, _, _), e in zip(spans[i:], gpm_rows[i][i:]):
+            g[s : s + len(e.coeffs)] = e.coeffs
+        vec = _twist(fld, g, spans, t[i] - 1, fld.inv(gpm_rows[i][i].coeffs[0]))
         for j in range(i + 1, ell):
             for p in range(t[j]):
                 c = vec[spans[j][0] + p]
                 if c:
                     fld.add_scaled(vec, 0, fld.neg(c), terms[j][p])
-        firsts[i] = _nonzero_terms(vec)
-        rows[i].append(vec)
+        lasts[i] = _nonzero_terms(vec)
+        block = [vec]
         for _ in range(1, t[i]):
-            vec = _next_row(fld, vec, spans, i, t, firsts)
-            rows[i].append(vec)
-        if any(t[:i]):  # earlier blocks clear their first rows with these
-            terms[i] = [firsts[i]] + [_nonzero_terms(r) for r in rows[i][1:]]
+            vec = _prev_row(fld, vec, spans, i, t, lasts)
+            block.append(vec)
+        rows[i] = block[::-1]
+        if any(t[:i]):  # earlier blocks clear their last rows with these
+            terms[i] = [_nonzero_terms(r) for r in rows[i][:-1]] + [lasts[i]]
     pivots = [spans[i][0] + j for i in range(ell) for j in range(t[i])]
     return [tuple(r) for block in rows for r in block], pivots
 
@@ -453,54 +431,46 @@ def _gpm_of_systematic(profile: MTProfile, gen, pivots) -> PolyMatrix | None:
     twisted shift T; `_systematic_rows` run backwards.
 
     An MT code's pivots form a prefix 0, ..., t_i - 1 of each block i, and
-    a code with such pivots is T-invariant exactly when each row's T(r)
-    is the next row of its block (zero after the last) plus its wraps: a
+    a code with such pivots is T-invariant exactly when each row's
+    `_prev_row` is the row before it in its block (zero for the first): a
     word of the code is the sum of its pivot entries times their rows, and
-    T(r) is 1 at the pivot after r's own and lam_k c_k at each (k, 0), c_k
-    r's entry at (k, m_k - 1).  G_ii has degree m_i - t_i, and the last
-    row r_(i, t_i - 1) is x^(t_i - 1) h in block i with deg h = m_i - t_i,
-    so T^-(t_i - 1) of it, made monic, holds G_ii in block i; its entries
-    in later blocks are reduced modulo G_jj, left to right, by the rows
-    already built.  A block with no pivots has G_ii = x^m_i - lam_i and
-    nothing else in its row."""
+    T^-1(C) lies in C exactly when T(C) does, T being invertible and C
+    finite.  G_ii has degree m_i - t_i, and the last row r_(i, t_i - 1) is
+    x^(t_i - 1) h in block i with deg h = m_i - t_i, so T^-(t_i - 1) of
+    it, made monic, holds G_ii in block i; its entries in later blocks are
+    reduced modulo G_jj, left to right, by the rows already built.  A
+    block with no pivots has G_ii = x^m_i - lam_i and nothing else in its
+    row."""
     fld, ell = profile.field, profile.ell
-    spans = _spans(profile)
-    t, firsts, at = [0] * ell, [None] * ell, 0
-    for r, c in enumerate(pivots):
+    spans = _spans(profile.blocks, profile.shifts)
+    t, at = [0] * ell, 0
+    for c in pivots:
         while c >= spans[at][0] + spans[at][1]:
             at += 1
         if c != spans[at][0] + t[at]:
             return None
-        if not t[at]:
-            firsts[at] = _nonzero_terms(gen[r])
         t[at] += 1
+    ends = list(itertools.accumulate(t))
+    lasts = [_nonzero_terms(gen[e - 1]) if k else None for e, k in zip(ends, t)]
     r, zero_row = 0, (0,) * profile.n
     for i in range(ell):
         for j in range(t[i]):
-            after = gen[r + 1] if j + 1 < t[i] else zero_row
-            if tuple(_next_row(fld, gen[r], spans, i, t, firsts)) != after:
+            before = gen[r - 1] if j else zero_row
+            if tuple(_prev_row(fld, gen[r], spans, i, t, lasts)) != before:
                 return None
             r += 1
     zero = Poly.zero(fld)
     mod_divs = [_divisor_row(fld, d.coeffs) for d in profile.moduli]
     gpm: list = [None] * ell
-    ends = list(itertools.accumulate(t))
     for i in reversed(range(ell)):
         if not t[i]:
             gpm[i] = [zero] * i + [profile.moduli[i]] + [zero] * (ell - i - 1)
             continue
-        row, back = gen[ends[i] - 1], t[i] - 1
-        s, m, _ = spans[i]
-        h = list(row[s + back : s + m])
-        _trim(h)
-        inv = fld.inv(h[-1])
-        entries = [[fld.mul(inv, x) for x in h]]
-        for s, m, lam in spans[i + 1 :]:
-            wraps, b = divmod(back, m)
-            c = fld.mul(inv, fld.pow(lam, -wraps))
-            cw = fld.mul(c, fld.inv(lam))
-            blk = row[s : s + m]
-            entries.append([fld.mul(c, x) for x in blk[b:]] + [fld.mul(cw, x) for x in blk[:b]])
+        row = gen[ends[i] - 1]
+        lead = row[spans[i][0] + spans[i][1] - 1]
+        back = _twist(fld, row, spans, 1 - t[i], fld.inv(lead))
+        entries = [back[s : s + m] for s, m, _ in spans[i:]]
+        _trim(entries[0])
         for j in range(i + 1, ell):
             e, above = entries[j - i], gpm[j]
             _trim(e)
@@ -717,9 +687,6 @@ class MTCode:
         top = _cofactor_product(self.companion.transpose(), other.gpm.transpose(), self.profile)
         return _qc_intersection(top, self.profile, other)
 
-    def galois_intersect(self, other: "MTCode", kappa: int = 0) -> "MTCode":
-        return self.galois_intersection_details(other, kappa).code
-
     def galois_intersection_details(self, other: "MTCode", kappa: int = 0) -> "GpmIntersection":
         """Details of self^(perp kappa) intersect other.
 
@@ -837,14 +804,7 @@ class MTCode:
 
     def _check_reversible(self) -> "PropertyCheck":
         prof = self.profile
-        f = self.field
-        ell = prof.ell
-        palindromic = all(
-            prof.blocks[i] == prof.blocks[ell - 1 - i]
-            and prof.shifts[i] == f.inv(prof.shifts[ell - 1 - i])
-            for i in range(ell)
-        )
-        if not palindromic:
+        if prof.reversed_profile() != prof:
             return PropertyCheck(
                 "reversible",
                 None,
@@ -854,7 +814,7 @@ class MTCode:
                 None,
                 None,
             )
-        left = PolyMatrix._trusted(f, [row[::-1] for row in reciprocal_columns(self.gpm, prof).rows])
+        left = PolyMatrix._trusted(self.field, [row[::-1] for row in reciprocal_columns(self.gpm, prof).rows])
         residue = _cofactor_product(left, self.companion, prof)
         return PropertyCheck("reversible", None, residue.is_zero(), None, residue, None)
 
@@ -1071,8 +1031,8 @@ def advise_intersection_structure(
 
     admitted = []
     for gamma in candidates:
-        prof = MTProfile(f, blocks, gamma)
-        if all(inter.contains_word(prof.apply_shift(row)) for row in inter.gen):
+        spans = _spans(blocks, gamma)
+        if all(inter.contains_word(_twist(f, row, spans, 1)) for row in inter.gen):
             admitted.append(tuple(gamma))
 
     # Projection of the intersection onto each block.

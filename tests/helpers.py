@@ -408,7 +408,7 @@ def check_equation_identities(code: MTCode) -> None:
 def expansion_rows(code: MTCode) -> list[tuple[int, ...]]:
     """Reference scalar basis of an MT code: the words x^j g_i for
     j < m_i - deg G_ii, each GPM row reduced modulo the block moduli and
-    shifted by `MTProfile.apply_shift`."""
+    shifted by the oracle's own `twisted_shift`."""
     prof = code.profile
     rows = []
     for i, prow in enumerate(code.gpm.rows):
@@ -417,7 +417,7 @@ def expansion_rows(code: MTCode) -> list[tuple[int, ...]]:
         )
         for _ in range(prof.blocks[i] - prow[i].degree):
             rows.append(vec)
-            vec = prof.apply_shift(vec)
+            vec = oracle.twisted_shift(prof.field, prof.blocks, prof.shifts, vec)
     return rows
 
 

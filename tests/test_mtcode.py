@@ -21,6 +21,8 @@ from mtcodes.mtcode import (
     _cofactor_product,
     _min_valuation,
     _outer_product_type,
+    _spans,
+    _twist,
     advise_intersection_structure,
     reciprocal_columns,
 )
@@ -335,7 +337,7 @@ def test_from_linear_rejects_exactly_the_non_invariant_codes(spec, how, rng):
     elif how == 3:
         gen = [[rng.randrange(f.q) for _ in range(prof.n)] for _ in range(rng.randint(1, 3))]
     lin = LinearCode(f, prof.n, gen)
-    invariant = all(lin.contains_word(prof.apply_shift(r)) for r in lin.gen)
+    invariant = all(lin.contains_word(oracle.twisted_shift(f, prof.blocks, prof.shifts, r)) for r in lin.gen)
     try:
         mt = MTCode.from_linear(prof, lin)
     except DomainError as exc:
@@ -345,6 +347,56 @@ def test_from_linear_rejects_exactly_the_non_invariant_codes(spec, how, rng):
         assert invariant
         assert mt.to_linear() is lin
         check_systematic_routes(mt)
+
+
+# Fields with shift constants of order above 2 (3 in GF(4), up to 288 in
+# GF(17^2)), so a wrap scales by more than +-1.
+TWIST_FIELDS = (f4(), field(3, 2), field(257), field(17, 2))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_twist_is_a_power_of_the_oracle_shift(data):
+    """`_twist(r, s)` is s applications of the oracle's own twisted shift
+    for 0 <= s <= 3 max m, times c when scaled, and `_twist(_, -s)` undoes
+    it; zero blocks and the shift 1 come up too."""
+    f = data.draw(st.sampled_from(TWIST_FIELDS), label="field")
+    high = [a for a in range(2, f.q) if f.mult_order(a) > 2]
+    blocks = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="blocks"))
+    shifts = (data.draw(st.sampled_from(high), label="first shift"),) + tuple(
+        data.draw(st.integers(1, f.q - 1), label="shift") for _ in blocks[1:]
+    )
+    row = []
+    for m in blocks:
+        row += data.draw(st.one_of(st.just([0] * m), st.lists(st.integers(0, f.q - 1), min_size=m, max_size=m)))
+    c = data.draw(st.integers(1, f.q - 1), label="c")
+    spans = _spans(blocks, shifts)
+    want = tuple(row)
+    for s in range(3 * max(blocks) + 1):
+        got = _twist(f, row, spans, s)
+        assert tuple(got) == want
+        assert _twist(f, got, spans, -s) == row
+        assert _twist(f, row, spans, s, c) == [f.mul(c, x) for x in want]
+        want = oracle.twisted_shift(f, blocks, shifts, want)
+
+
+def test_to_linear_forms_no_polynomial_product(monkeypatch):
+    """Each block's systematic rows are shifts of its last row, so
+    `to_linear` forms no product even where the GPM has nonzero entries
+    off the diagonal, and still gives the rref of the expansion rows."""
+    import mtcodes.mtcode as mtcode_mod
+
+    f = f4()
+    prof = MTProfile(f, (4, 4, 2), (1, 1, 1))
+    rows = [["1 + x", "1", "w"], ["0", "1 + x", "1"], ["0", "0", "1 + x"]]
+    code = MTCode(prof, [[poly(f, e) for e in row] for row in rows])
+    gpm = code.gpm.rows
+    assert all(gpm[i][i].degree < m for i, m in enumerate(prof.blocks))
+    assert all(gpm[i][j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    products = _count_calls(monkeypatch, mtcode_mod, "_add_product")
+    code.to_linear()
+    assert products == []
+    check_systematic_routes(code)
 
 
 # -- duals -------------------------------------------------------------------
