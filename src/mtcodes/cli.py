@@ -727,6 +727,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader closed stdout early; send the rest, and the flush at
         # exit, to devnull so that no second error is raised.

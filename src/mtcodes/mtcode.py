@@ -148,6 +148,13 @@ class MTProfile(Record):
         and the cofactor of every inactive block is a multiple of p_j^f_j,
         since p_j^f_j divides x^N - 1 and is coprime to that block's
         modulus."""
+        return tuple(active for active, _ in self._factor_activity)
+
+    @cached_property
+    def _factor_activity(self) -> tuple:
+        """Per factor, in `factorization` order: its pairs (i, v) of
+        `factor_valuations`, and its `_divisor_row`, built once when a
+        remainder needs it or it has exactly one active block, else None."""
         fld, char = self.field, self.field.p
         mults = []
         for m in self.blocks:
@@ -167,7 +174,9 @@ class MTProfile(Record):
                     if not _min_valuation((self.moduli[i],), div, 1):
                         continue
                 active.append((i, v))
-            out.append(tuple(active))
+            if len(active) == 1 and div is None:
+                div = _divisor_row(fld, p.coeffs)
+            out.append((tuple(active), div))
         return tuple(out)
 
     @cached_property
@@ -176,11 +185,9 @@ class MTProfile(Record):
         `_divisor_row` when it has exactly one active block
         (`factor_valuations`), None otherwise.  `_layer_table` reads the
         outer-product type of such a factor by dividing by it, so every
-        table of the profile reuses the row."""
-        return tuple(
-            _divisor_row(self.field, p.coeffs) if len(active) == 1 else None
-            for (p, _), active in zip(self.factorization, self.factor_valuations)
-        )
+        table of the profile reuses the row, the one `factor_valuations`
+        took any remainder with."""
+        return tuple(div if len(active) == 1 else None for active, div in self._factor_activity)
 
     @cached_property
     def factor_weights(self) -> tuple:
@@ -207,11 +214,11 @@ class MTProfile(Record):
         """
         fld = self.field
         out = []
-        for (p, f), active in zip(self.factorization, self.factor_valuations):
+        for (p, f), (active, row) in zip(self.factorization, self._factor_activity):
             if len(active) < 2:
                 out.append(None)
                 continue
-            div = _divisor_row(fld, _power(p, f).coeffs)
+            div = row if f == 1 and row is not None else _divisor_row(fld, _power(p, f).coeffs)
             n_red = self.period // f
             weights = []
             for i, v in active:

@@ -12,7 +12,8 @@ any order.
 Every product and division in the package, in `Poly`, the matrix
 eliminations and the layer tables, runs on one kernel over coefficient
 lists: `_add_product`, `_divisor_row`, `_long_divide`, `_reduce` and
-`_exact_quotient`.  It is the one place that reads a divisor row.
+`_exact_quotient`.  It is the one place that reads a divisor row; the
+Euclid steps of `_gcd` build none.
 
 Factorization covers exactly c * (x^N - 1), the only polynomials the
 codes factor.  With N = N' * p^s, x^N - 1 is the product of Phi_d^(p^s)
@@ -22,7 +23,13 @@ Phi_(d/l) for a prime l | d.  For d | q - 1 the factors are the
 x - omega^k directly.  Otherwise Phi_d is cut by the factors already
 found for every Phi_(d/l): x -> x^l maps the roots of Phi_d onto those
 of Phi_(d/l), so each factor g of Phi_(d/l) gives the piece
-gcd(Phi_d, g(x^l)).  Pieces still above degree ord_d(q) are split by
+gcd(Phi_d, g(x^l)).  No gcd whose answer is known is formed: (a) when
+l | d/l, Phi_d(x) = Phi_(d/l)(x^l) and the g(x^l) are the pieces as they
+stand; (b) a piece of degree ord_d(q) is irreducible and is not cut
+again; (c) a piece's refinement against the g(x^l) stops once its parts'
+degrees add up to its own; and (d) each gcd is one Euclid on coefficient
+lists (`_gcd`), shared with `poly_gcd`, Rabin's test and the coset split.
+Pieces still above degree ord_d(q) are split by
 sums over the q-cyclotomic cosets of Z/d, which Frobenius fixes modulo
 x^d - 1: each such sum is an element of GF(q) in every irreducible
 component, so one power below q (or a trace to GF(2)) splits it.  Each
@@ -200,11 +207,6 @@ class Poly:
         if not r.is_zero():
             raise ValueError("division is not exact")
         return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero() or self.lead == 1:
-            return self
-        return self.scale(self.field.inv(self.lead))
 
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
         """self^n modulo mod, by squaring; mod's reduction row is built
@@ -419,9 +421,33 @@ def reciprocal_poly(f: Poly, m: int) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly._trusted(a.field, _gcd(a.field, a.coeffs, b.coeffs))
+
+
+def _gcd(f: Field, a, b) -> list[int]:
+    """The monic gcd of two coefficient sequences free of trailing zeros,
+    as a new list ([] for gcd(0, 0)).  Every gcd in the package runs here.
+    Each Euclid step reduces a modulo b in place: while a reaches deg b,
+    a -= c * x^s * b with c = lead(a) / lead(b), one `Field.add_scaled`
+    over the nonzero terms of b below its leading one, and a's leading
+    term, which that cancels, is dropped unread."""
+    a, b = list(a), list(b)
+    mul, neg, inv, add_scaled = f.mul, f.neg, f.inv, f.add_scaled
+    while b:
+        db = len(b) - 1
+        if len(a) > db:
+            inv_lead = inv(b[-1])
+            row = [(j, bj) for j, bj in enumerate(b[:-1]) if bj]
+            while len(a) > db:
+                c = a.pop()
+                if c:
+                    add_scaled(a, len(a) - db, neg(c if inv_lead == 1 else mul(c, inv_lead)), row)
+            _trim(a)
+        a, b = b, a
+    if a and a[-1] != 1:
+        c = inv(a[-1])
+        a = [mul(c, ai) for ai in a]
+    return a
 
 
 class Factorization(Record):
@@ -511,7 +537,7 @@ def _binomial_factors(fld: Field, n: int) -> list[tuple[Poly, int, int]]:
         phi = cyclo[d] = _cyclotomic(fld, d, cyclo)
         irreducibles = split[d] = [
             irr
-            for piece in _cyclotomic_pieces(phi, d, split)
+            for piece in _cyclotomic_pieces(phi, d, deg, split)
             for irr in (_coset_split(piece, d, deg, rng) if piece.degree > deg else [piece])
         ]
         degrees = [g.degree for g in irreducibles]
@@ -535,17 +561,25 @@ def _cyclotomic(fld: Field, d: int, cyclo: dict[int, Poly]) -> Poly:
     return lifted if r % l == 0 else lifted.exact_div(cyclo[r])
 
 
-def _cyclotomic_pieces(phi: Poly, d: int, split: dict[int, list[Poly]]) -> list[Poly]:
+def _cyclotomic_pieces(phi: Poly, d: int, deg: int, split: dict[int, list[Poly]]) -> list[Poly]:
     """Phi_d cut into coprime monic pieces, each a product of irreducibles
-    of degree ord_d(q), from the factors of Phi_(d/l), l prime, already in
-    `split`.
+    of degree deg = ord_d(q), from the factors of Phi_(d/l), l prime,
+    already in `split`.
 
     When d | q - 1 the primitive d-th roots of unity lie in GF(q), and the
     pieces are the x - omega^k for an omega of order d, k in (Z/d)^*.
     Otherwise, for each prime l | d, x -> x^l maps the roots of Phi_d onto
     those of Phi_(d/l), so the g(x^l), one per factor g of Phi_(d/l), have
-    disjoint root sets and each piece P is refined into its nonconstant
-    gcd(P, g(x^l))."""
+    disjoint root sets, and the pieces are the nonconstant
+    gcd(P, g(x^l)) over all of them.  No gcd whose answer is known is
+    formed:
+
+    (a) when l | d/l for some prime l, Phi_d(x) = Phi_(d/l)(x^l), so the
+        g(x^l) themselves are the pieces for that l;
+    (b) a piece of degree deg is irreducible and no later prime cuts it;
+    (c) the parts gcd(P, g(x^l)) of P are coprime and multiply to P, so
+        P's refinement stops once their degrees add up to deg P;
+    (d) each gcd is one `_gcd` on coefficient lists."""
     fld = phi.field
     if (fld.q - 1) % d == 0:
         omega = next(
@@ -554,10 +588,32 @@ def _cyclotomic_pieces(phi: Poly, d: int, split: dict[int, list[Poly]]) -> list[
         return [
             Poly._trusted(fld, [fld.neg(fld.pow(omega, k)), 1]) for k in range(1, d + 1) if math.gcd(k, d) == 1
         ]
-    pieces = [phi]
-    for l in _prime_factors(d):
-        spread = [_spread(g, l) for g in split[d // l]]
-        pieces = [h for piece in pieces for h in (poly_gcd(piece, g) for g in spread) if h.degree > 0]
+    primes = _prime_factors(d)
+    lifted = [l for l in primes if d // l % l == 0]
+    if lifted:
+        l = max(lifted, key=lambda l: len(split[d // l]))
+        pieces = [_spread(g, l) for g in split[d // l]]
+        primes = [r for r in primes if r != l]
+    else:
+        pieces = [phi]
+    for l in primes:
+        if all(piece.degree == deg for piece in pieces):
+            break
+        spread = [_spread(g, l).coeffs for g in split[d // l]]
+        refined = []
+        for piece in pieces:
+            left = piece.degree
+            if left == deg:
+                refined.append(piece)
+                continue
+            for g in spread:
+                h = _gcd(fld, piece.coeffs, g)
+                if len(h) > 1:
+                    refined.append(Poly._trusted(fld, h))
+                    left -= len(h) - 1
+                    if not left:
+                        break
+        pieces = refined
     return pieces
 
 

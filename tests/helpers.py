@@ -11,6 +11,7 @@ import random
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, field, hnf
 from mtcodes import cli, oracle
 from mtcodes.errors import DomainError
+from mtcodes.gf import _prime_factors
 from mtcodes.lincode import rref
 from mtcodes.mtcode import _cofactor_product, _dim_of, reciprocal_columns
 from mtcodes.pmat import _NOT_DIAGONAL, _back_substitute
@@ -153,6 +154,27 @@ def reference_layer_types(left: PolyMatrix, right: PolyMatrix, prof: MTProfile) 
     for every factor of x^N - 1: what `_layer_table` must report."""
     full = left @ cofactor_diag(prof) @ right
     return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
+
+
+def reference_cyclotomic_pieces(phi: Poly, d: int, split: dict) -> list[Poly]:
+    """Phi_d cut into its coprime pieces with every gcd formed: the linear
+    x - a for the a in GF(q) of order d when d | q - 1, else Phi_d refined
+    against g(x^l) for every prime l | d and every factor g of Phi_(d/l)
+    in `split`, each gcd by Euclid on `Poly` remainders."""
+    fld = phi.field
+    if (fld.q - 1) % d == 0:
+        return [Poly(fld, [fld.neg(a), 1]) for a in range(1, fld.q) if fld.mult_order(a) == d]
+
+    def gcd(a: Poly, b: Poly) -> Poly:
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.scale(fld.inv(a.lead))
+
+    pieces = [phi]
+    for l in _prime_factors(d):
+        spread = [Poly(fld, [0 if i % l else g.coeff(i // l) for i in range(l * g.degree + 1)]) for g in split[d // l]]
+        pieces = [h for piece in pieces for h in (gcd(piece, g) for g in spread) if h.degree > 0]
+    return pieces
 
 
 def reference_factor_valuations(prof: MTProfile) -> tuple[tuple[tuple[int, int], ...], ...]:

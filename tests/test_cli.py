@@ -486,6 +486,21 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, blocks):
     assert b"Exception ignored" not in err
 
 
+def test_memory_error_exits_1_with_one_error_line(monkeypatch, capsys):
+    """A command that runs out of memory gives exit 1 and one `error:` line
+    on stderr, with no traceback."""
+    from mtcodes import cli
+
+    def exhausted(args, budget):
+        print("partial report")
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "info", (exhausted, *cli.COMMANDS["info"][1:]))
+    assert main(["info", F4_DOC]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+
+
 # -- dual and reverse ----------------------------------------------------
 
 def test_dual_galois(capsys):

@@ -1075,6 +1075,27 @@ def test_factor_valuations_divide_nothing_for_shifts_of_order_at_most_2(monkeypa
         assert div == (_divisor_row(p.field, p.coeffs) if len(a) == 1 else None)
 
 
+def test_each_factor_row_is_built_once_per_profile(monkeypatch):
+    """GF(7), blocks 2 3, shifts 2 1 (N = 6): 2 has order 3, so each factor
+    with roots of order 3 or 6 takes a remainder by x^2 - 2.  x - 3 then
+    has one active block and x - 4 two, with f = 1, so the row that
+    decided activity is also the layer tables' divisor and the weights'
+    p^f: no factor's `_divisor_row` is built twice."""
+    import mtcodes.mtcode as mtcode_mod
+
+    prof = MTProfile(field(7), (2, 3), (2, 1))
+    rows = _count_calls(monkeypatch, mtcode_mod, "_divisor_row")
+    active, divisors, weights = prof.factor_valuations, prof.factor_divisors, prof.factor_weights
+    assert active == reference_factor_valuations(prof)
+    by_factor = {p.coeffs: a for (p, _), a in zip(prof.factorization, active)}
+    assert by_factor[(4, 1)] == ((0, 1),) and by_factor[(3, 1)] == ((0, 1), (1, 1))
+    built = [tuple(cs) for _, cs in rows]
+    assert len(built) == len(set(built)) and {(4, 1), (3, 1)} <= set(built)
+    for (p, f), a, div, w in zip(prof.factorization, active, divisors, weights):
+        assert div == (_divisor_row(p.field, p.coeffs) if len(a) == 1 else None)
+        assert (w is None) == (len(a) < 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_min_valuation_matches_repeated_divmod(data):

@@ -21,7 +21,7 @@ from mtcodes.upoly import (
     poly_gcd,
 )
 
-from helpers import f4, f9_mod221, poly
+from helpers import f4, f9_mod221, poly, reference_cyclotomic_pieces
 
 
 F3 = field(3)
@@ -106,18 +106,28 @@ def test_exact_div_rejects_remainder():
 
 
 @given(st.integers(0, 10**6))
-@settings(max_examples=100)
+@settings(max_examples=200)
 def test_gcd_properties(seed):
+    """Over table, prime and digit-loop fields, with a common factor
+    planted in half the cases: the gcd is monic, divides both, and equals
+    Euclid by `Poly` remainders made monic."""
     rng = random.Random(seed)
-    f = [F3, f4()][seed % 2]
+    f = [F3, f4(), field(3, 2), field(257), field(17, 2), field(2, 9)][seed % 6]
     a = rand_poly(rng, f, 6)
     b = rand_poly(rng, f, 6)
+    if seed // 6 % 2:
+        c = rand_poly(rng, f, 4)
+        a, b = a * c, b * c
     g = poly_gcd(a, b)
     if a.is_zero() and b.is_zero():
         assert g.is_zero()
         return
     assert g.lead == 1  # monic
     assert (a % g).is_zero() and (b % g).is_zero()
+    ref_a, ref_b = a, b
+    while not ref_b.is_zero():
+        ref_a, ref_b = ref_b, ref_a % ref_b
+    assert g == ref_a.scale(f.inv(ref_a.lead))
 
 
 def test_frobenius_and_pth_power():
@@ -546,6 +556,76 @@ def test_factor_binomial_splits_at_random_only_what_lifting_leaves(monkeypatch, 
     target = Poly.binomial(f9_mod221(), 140, 1)
     fac = factor(target)
     assert 0 < sum(received) <= 4 + 6
+    assert fac.expand() == target
+
+
+# Per field: prime powers, N with l^2 | N, squarefree N of two and three
+# primes, N divisible by the characteristic, a prime N and twice it, then
+# the field's layer-tables periods and 140.
+REFINEMENT_CASES = [
+    (field(2), (32, 27, 49, 45, 63, 15, 105, 231, 24, 73, 146, 140)),
+    (F3, (27, 16, 49, 36, 100, 35, 165, 12, 13, 26, 104, 264, 140)),
+    (f4(), (32, 49, 45, 63, 21, 165, 20, 31, 62, 105, 210, 140)),
+    (field(3, 2), (25, 49, 72, 35, 231, 30, 73, 146, 80, 150, 140)),
+    (field(2, 4), (27, 49, 45, 63, 35, 231, 24, 29, 58, 105, 130, 140)),
+    (field(5), (27, 36, 21, 30, 31, 62, 96, 220, 140)),
+    (field(257), (16, 27, 125, 72, 35, 105, 514, 101, 202, 64, 140)),
+    (field(17, 2), (9, 25, 49, 72, 35, 105, 51, 23, 46, 140)),
+    (field(2, 9), (27, 49, 45, 63, 105, 12, 73, 146, 140)),
+]
+
+
+@pytest.mark.parametrize("f, ns", REFINEMENT_CASES, ids=[f"q{f.q}" for f, _ in REFINEMENT_CASES])
+def test_cyclotomic_pieces_match_the_all_primes_refinement(f, ns, monkeypatch, cold_factor_memo):
+    """The pieces of every Phi_d, as sets, and the sorted factor list equal
+    those of the refinement that forms every gcd(P, g(x^l)), with no
+    lifted pieces and no early stop; the list passes the certificate."""
+    import mtcodes.upoly as upoly
+
+    pieces = upoly._cyclotomic_pieces
+
+    def compared(phi, d, deg, split):
+        out = pieces(phi, d, deg, split)
+        ref = reference_cyclotomic_pieces(phi, d, split)
+        assert len(out) == len(set(out)) and set(out) == set(ref), (f.q, d)
+        return out
+
+    def reference(phi, d, deg, split):
+        return reference_cyclotomic_pieces(phi, d, split)
+
+    for n in ns:
+        monkeypatch.setattr(upoly, "_cyclotomic_pieces", compared)
+        fac = factor(Poly.binomial(f, n, 1))
+        upoly._monic_factors.cache_clear()
+        monkeypatch.setattr(upoly, "_cyclotomic_pieces", reference)
+        assert factor(Poly.binomial(f, n, 1)).factors == fac.factors, (f.q, n)
+        upoly._monic_factors.cache_clear()
+        certify_binomial(f, n, fac, rabin=max(g.degree for g, _ in fac) <= 12)
+
+
+def test_cyclotomic_pieces_form_no_gcd_with_an_irreducible_piece(monkeypatch, cold_factor_memo):
+    """Over GF(9), x^140 - 1: no gcd touches a piece already of degree
+    ord_d(q), which is irreducible; the refinement that forms every gcd
+    makes 102 there."""
+    import mtcodes.upoly as upoly
+
+    pieces, gcd = upoly._cyclotomic_pieces, upoly._gcd
+    current, touched = {}, []
+
+    def tracked(phi, d, deg, split):
+        current.update(d=d, deg=deg)
+        return pieces(phi, d, deg, split)
+
+    def spied(fld, a, b):
+        touched.append((current["d"], len(a) - 1, current["deg"]))
+        return gcd(fld, a, b)
+
+    monkeypatch.setattr(upoly, "_cyclotomic_pieces", tracked)
+    monkeypatch.setattr(upoly, "_gcd", spied)
+    target = Poly.binomial(f9_mod221(), 140, 1)
+    fac = factor(target)
+    assert [t for t in touched if t[1] <= t[2]] == []
+    assert 0 < len(touched) < 102
     assert fac.expand() == target
 
 
