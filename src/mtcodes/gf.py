@@ -221,6 +221,8 @@ class Field:
         # every element's order divides; set by the first `mult_order`.
         self._unit_primes: list[int] | None = None
         self._baby_steps: dict[int, tuple[int, dict[int, int], int]] = {}
+        # sigma^k as a list per k, for dense tables; built on first use.
+        self._frobenius_lists: dict[int, list[int]] = {}
         # The representation is the set of tables that are not None; with
         # none, arithmetic runs on ints (e = 1) or base-p digits (e > 1).
         self._add_table: list[list[int]] | None = None
@@ -465,7 +467,19 @@ class Field:
     def frobenius(self, a: int, k: int = 1) -> int:
         """sigma^k(a) = a^(p^k); k is reduced mod e."""
         k %= self.e
-        return self.pow(a, self.p**k)
+        if not k:
+            return a
+        if self._mul_table is None:
+            return self.pow(a, self.p**k)
+        sigma = self._frobenius_lists.get(k)
+        if sigma is None:
+            mul, sigma = self._mul_table, list(range(self.q))
+            for _ in range(k):
+                base = sigma
+                for _ in range(self.p - 1):
+                    sigma = [mul[s][b] for s, b in zip(sigma, base)]
+            self._frobenius_lists[k] = sigma
+        return sigma[a]
 
     def mult_order(self, a: int) -> int:
         """Least t >= 1 with a^t = 1; error on 0.

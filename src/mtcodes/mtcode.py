@@ -36,9 +36,11 @@ Everything else in this module works through G and A:
   as x^N - 1 is factored) with a remainder only for a shift of order
   above 2, so a factor dividing no block modulus costs
   no elimination, and a factor with one such block reads its type from
-  three valuations (the matrix is an outer product); only a factor with
-  two or more eliminates, on residues modulo x^m_i - lam_i weighted by
-  the cofactors c_i = (x^N - 1)/(x^m_i - lam_i) taken modulo p_j^f_j in
+  that block's two contents, gcd(x^m_i - lam_i, L[:, i]) and
+  gcd(x^m_i - lam_i, R[i, :]), formed once per table and block (the
+  matrix is an outer product); only a factor with two or more
+  eliminates, on residues modulo x^m_i - lam_i weighted by the
+  cofactors c_i = (x^N - 1)/(x^m_i - lam_i) taken modulo p_j^f_j in
   closed form (`MTProfile.factor_weights`), so no entry reaches degree N,
 * Galois self-orthogonality, dual-containment and reversibility tests as
   exact polynomial congruences modulo x^N - 1.
@@ -66,8 +68,8 @@ from .lincode import LinearCode, check_enum_budget, check_kappa
 from .pmat import PolyMatrix, _back_substitute, _chain_type, _gpm_pair, _size_log_q, hnf
 from .record import Record
 from .upoly import (
-    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _long_divide, _monic_factors, _power, _reduce,
-    _remainder, _trim, factor, reciprocal_poly,
+    Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _gcd, _long_divide, _monic_factors, _power,
+    _reduce, _remainder, _trim, factor, reciprocal_poly,
 )
 
 ADVISOR_BUDGET = 4096
@@ -140,8 +142,9 @@ class MTProfile(Record):
         d_j / gcd(d_j, m_i): where that is not t_i, the order of lam_i, the
         block is inactive, and where it is t_i <= 2 the block is active, as
         lam_i is then the only element of order t_i.  Only a block with
-        t_i > 2 of matching order takes a remainder (`_min_valuation` with
-        cap 1).  v follows from m_i alone: with c the characteristic and
+        t_i > 2 of matching order takes a remainder, x^(m_i mod d_j) modulo
+        p_j compared with lam_i, one per factor and distinct block length.
+        v follows from m_i alone: with c the characteristic and
         m_i = m' * c^s, c not dividing m', x^m_i - lam_i is the c^s-th
         power of the square-free x^m' - lam_i^(1/c^s), so v = c^s.  The
         cofactor c_i = (x^N - 1) / (x^m_i - lam_i) has valuation f_j - v,
@@ -165,13 +168,15 @@ class MTProfile(Record):
             mults.append(v)
         out = []
         for (p, _), d in zip(self.factorization, _monic_factors(fld, self.period)[1]):
-            active, div = [], None
+            active, div, powers = [], None, {}
             for i, (m, t, v) in enumerate(zip(self.blocks, self.orders, mults)):
                 if d // math.gcd(d, m) != t:
                     continue
                 if t > 2:
-                    div = div or _divisor_row(fld, p.coeffs)
-                    if not _min_valuation((self.moduli[i],), div, 1):
+                    if m not in powers:
+                        div = div or _divisor_row(fld, p.coeffs)
+                        powers[m] = _reduce(fld, [0] * (m % d) + [1], div)
+                    if powers[m] != [self.shifts[i]]:
                         continue
                 active.append((i, v))
             if len(active) == 1 and div is None:
@@ -184,10 +189,19 @@ class MTProfile(Record):
         """Per factor of x^N - 1, in `factorization` order: its
         `_divisor_row` when it has exactly one active block
         (`factor_valuations`), None otherwise.  `_layer_table` reads the
-        outer-product type of such a factor by dividing by it, so every
+        valuations of its block's contents by dividing by it, so every
         table of the profile reuses the row, the one `factor_valuations`
         took any remainder with."""
         return tuple(div if len(active) == 1 else None for active, div in self._factor_activity)
+
+    @cached_property
+    def inactive_layers(self) -> tuple:
+        """Per factor, the layer of type (0, ..., 0) that every table of the
+        profile shares when it divides no block modulus, else None."""
+        return tuple(
+            None if active else FactorLayer(p, f, (0,) * f)
+            for (p, f), active in zip(self.factorization, self.factor_valuations)
+        )
 
     @cached_property
     def factor_weights(self) -> tuple:
@@ -883,10 +897,11 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     Modulo p_j^f_j only the blocks whose modulus p_j divides contribute
     (`MTProfile.factor_valuations`):
 
-    * a factor dividing no block modulus has type (0, ..., 0);
+    * a factor dividing no block modulus has type (0, ..., 0), its layer
+      shared by the profile's tables (`MTProfile.inactive_layers`);
     * with one active block i the matrix is the outer product
-      left[:, i] * c_i * right[i, :], whose type `_outer_product_type`
-      reads from valuations, with no product and no elimination;
+      left[:, i] * c_i * right[i, :], whose type `_single_block_type`
+      reads off the block's `_content`s, formed once per table;
     * with two or more, `_chain_type` eliminates the matrix of
       sum_i w_i * r_i modulo p_j^f_j (`_weighted_residues`), where
       w_i = c_i mod p_j^f_j (`MTProfile.factor_weights`) and
@@ -895,22 +910,27 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
       c_i * left[a][i] * right[i][b] by a multiple of x^N - 1, so no entry
       of degree N is formed or reduced.
     """
-    layers, residues = [], {}
-    for (p_j, f_j), div, active, weights in zip(
-        profile.factorization, profile.factor_divisors, profile.factor_valuations, profile.factor_weights
+    fld = profile.field
+    layers, residues, contents = [], {}, {}
+    for (p_j, f_j), div, active, weights, zero in zip(
+        profile.factorization, profile.factor_divisors, profile.factor_valuations, profile.factor_weights,
+        profile.inactive_layers,
     ):
+        if zero is not None:
+            layers.append(zero)
+            continue
         if len(active) > 1:
             for i, _ in active:
                 if i not in residues:
                     residues[i] = _block_residues(left, right, profile, i)
-            matrix = _weighted_residues(residues, weights, profile.field)
+            matrix = _weighted_residues(residues, weights, fld)
             type_vector = _chain_type(matrix, p_j, f_j).type_vector
-        elif active:
-            ((i, v),) = active
-            column = [row[i] for row in left.rows]
-            type_vector = _outer_product_type(column, right.rows[i], f_j - v, div, f_j)
         else:
-            type_vector = (0,) * f_j
+            ((i, v),) = active
+            if i not in contents:
+                m = profile.moduli[i].coeffs
+                contents[i] = _content(fld, m, [row[i] for row in left.rows]), _content(fld, m, right.rows[i])
+            type_vector = _single_block_type(fld, contents[i], v, div, f_j)
         layers.append(FactorLayer(p_j, f_j, type_vector))
     return LayerTable(tuple(layers), target)
 
@@ -932,37 +952,34 @@ def _weighted_residues(residues, weights, fld: Field) -> list:
     return [[entry(a, b) for b in range(len(row))] for a, row in enumerate(residues[pairs[0][0]])]
 
 
-def _outer_product_type(u, v, h: int, div, f: int) -> tuple[int, ...]:
-    """Type over GF(q)[x]/<p^f> of the row span of c * u v^T, for
-    v_p(c) = h <= f, p given by its `_divisor_row` div.
-
-    The rows c * u_a * v span p^(h + a) * v, a = min_a v_p(u_a), and
-    v = p^b * v' with b = min_b v_p(v_b) and v' holding a unit, so the span
-    is p^(h + a + b) times a free module of rank one: type e_(h + a + b)
-    when that is below f, and (0, ..., 0) otherwise.
-    """
-    h += _min_valuation(u, div, f - h)
-    h += _min_valuation(v, div, f - h)
-    return tuple(int(k == h) for k in range(f))
-
-
-def _min_valuation(entries, div, cap: int) -> int:
-    """min(cap, v_p(e) over the entries), p given by its `_divisor_row`.
-    An entry is divided by p again only while the quotient is exact: one
-    division per entry when cap is 1, and none once the minimum is 0."""
+def _content(fld: Field, modulus, entries) -> list[int]:
+    """The monic gcd of a block modulus x^m - lam and the entries, as a
+    coefficient list: one `_gcd` chain that stops at 1."""
+    g = list(modulus)
     for e in entries:
-        if not cap:
+        if len(g) == 1:
             break
-        cs, v = e.coeffs, 0
-        if not cs:
-            continue
-        while v < cap:
-            cs = _exact_quotient(e.field, cs, div)
+        if e.coeffs:
+            g = _gcd(fld, g, e.coeffs)
+    return g
+
+
+def _single_block_type(fld: Field, contents, v: int, div, f: int) -> tuple[int, ...]:
+    """Type over GF(q)[x]/<p^f> (div: p's `_divisor_row`) of the row span
+    of c * u w^T, from the `_content`s gcd(M, u) and gcd(M, w) of an M
+    with v_p(M) = v <= f = v + v_p(c).  The span is p^h times a free
+    module of rank one, h = f - v + a + b for a = min(v, v_p(u)) and
+    b = min(v - a, v_p(w)): type e_h when h < f, else (0, ..., 0).  As
+    v_p(gcd(M, u)) = min(v, v_p(u)), only a content other than 1 is
+    divided."""
+    h = f - v
+    for cs in contents:
+        while h < f and len(cs) > div[0]:
+            cs = _exact_quotient(fld, cs, div)
             if cs is None:
                 break
-            v += 1
-        cap = v
-    return cap
+            h += 1
+    return tuple(int(k == h) for k in range(f))
 
 
 class PropertyCheck(Record):

@@ -467,36 +467,38 @@ def _chain_type(rows, p: Poly, f: int) -> ChainType:
     which it does not modify.
 
     Layer h sweeps the columns modulo p^(f-h): in each column a row whose
-    entry u is a unit (not divisible by p) is set aside, counting towards
-    r_h, and every other row becomes u * row - a * pivot_row, a its entry in
-    that column.  As u is a unit this keeps the row span, and so the type,
-    without inverting u.  Clearing never brings a unit back into a swept
-    column, so what remains is divisible by p, and its quotients, kept
-    from the unit tests, are the next layer's rows.  A layer with no unit
-    costs one division by p per entry; p^(f-h) is formed and prepared as a
-    `_divisor_row` only for a layer that sets a row aside.  Zero rows are
-    dropped, and the sweep stops when no row is left.
+    entry u is a unit (not divisible by p; in the last layer, nonzero) is
+    set aside, counting towards r_h, and every other row with a nonzero
+    entry a there, a multiple of p too, becomes u * row - a * pivot_row.
+    As u is a unit this keeps the row span, and so the type, without
+    inverting u.  Clearing never brings a unit back into a swept column,
+    so what remains is divided by p once, into the next layer's rows.
+    p^(f-h) is formed and prepared as a `_divisor_row` only for a layer
+    that sets a row aside.  Zero rows are dropped, and the sweep stops
+    when no row is left.
     """
     fld = p.field
     div_p = _divisor_row(fld, p.coeffs)
     n_cols = len(rows[0]) if rows else 0
-    div = _divisor_row(fld, _power(p, f).coeffs)
+    div = _divisor_row(fld, _power(p, f).coeffs) if f > 1 else div_p
     rows = [[_reduce(fld, list(e), div) for e in row] for row in rows]
     type_vector = []
     for h in range(f):
         rows = [row for row in rows if any(row)]
         if not rows:
             break
-        peeled = [[_exact_quotient(fld, e, div_p) for e in row] for row in rows]
+        last = h == f - 1
         r_h = 0
         for c in range(n_cols):
-            at = next((i for i, row in enumerate(peeled) if row[c] is None), None)
+            at = next(
+                (i for i, row in enumerate(rows) if row[c] and (last or _exact_quotient(fld, row[c], div_p) is None)),
+                None,
+            )
             if at is None:
                 continue
             if h and not r_h:
                 div = _divisor_row(fld, _power(p, f - h).coeffs)
             pivot_row = rows.pop(at)
-            del peeled[at]
             u = pivot_row[c]
             for i, row in enumerate(rows):
                 a = row[c]
@@ -507,9 +509,10 @@ def _chain_type(rows, p: Poly, f: int) -> ChainType:
                         _add_product(fld, e, u, x)
                         _add_product(fld, e, na, y)
                         new.append(_reduce(fld, e, div))
-                    rows[i], peeled[i] = new, [_exact_quotient(fld, e, div_p) for e in new]
+                    rows[i] = new
             r_h += 1
         type_vector.append(r_h)
-        rows = peeled
+        if not last:
+            rows = [[_exact_quotient(fld, e, div_p) for e in row] for row in rows]
     type_vector += [0] * (f - len(type_vector))
     return ChainType(p, f, tuple(type_vector))

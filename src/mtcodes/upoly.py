@@ -316,6 +316,10 @@ def _long_divide(f: Field, rem: list[int], div) -> list[int]:
     degree db, leaving the remainder's db low coefficients in rem; return
     the quotient's coefficients (rem must have at least db + 1)."""
     db, inv_lead, row = div
+    if not db:
+        quot = rem[:] if inv_lead == 1 else [f.mul(c, inv_lead) for c in rem]
+        rem.clear()
+        return quot
     quot = [0] * (len(rem) - db)
     mul, add_scaled = f.mul, f.add_scaled
     for k in range(len(rem) - 1, db - 1, -1):
@@ -627,7 +631,8 @@ def _coset_split(piece: Poly, d: int, deg: int, rng: random.Random) -> list[Poly
     a piece P, and uniformly so for random c_C.  Then gcd(P, b^((q-1)/2) - 1),
     or for even q the gcd with the trace of b to GF(2), splits P with
     probability about 1/2; the parts are split again until each has
-    degree deg."""
+    degree deg.  Every factor of x^d - 1 has degree dividing deg, so a
+    part of any other degree would never split down: AssertionError."""
     fld = piece.field
     q = fld.q
     cosets, seen = [], set()
@@ -646,6 +651,8 @@ def _coset_split(piece: Poly, d: int, deg: int, rng: random.Random) -> list[Poly
         if p.degree == deg:
             out.append(p)
             continue
+        if p.degree % deg:
+            raise AssertionError(f"Phi_{d} over GF({q}): a part of degree {p.degree}")
         coeffs = [0] * d
         for coset in cosets:
             c = rng.randrange(q)

@@ -15,6 +15,7 @@ from mtcodes.gf import _prime_factors
 from mtcodes.lincode import rref
 from mtcodes.mtcode import _cofactor_product, _dim_of, reciprocal_columns
 from mtcodes.pmat import _NOT_DIAGONAL, _back_substitute
+from mtcodes.upoly import _add_product, _divisor_row, _exact_quotient, _power, _reduce
 
 
 SMALL_FIELDS = ((2, 1), (3, 1), (4, 2), (5, 1), (9, 2))
@@ -154,6 +155,48 @@ def reference_layer_types(left: PolyMatrix, right: PolyMatrix, prof: MTProfile) 
     for every factor of x^N - 1: what `_layer_table` must report."""
     full = left @ cofactor_diag(prof) @ right
     return [chain_type(full, p, f).type_vector for p, f in prof.factorization]
+
+
+def reference_chain_type(rows, p: Poly, f: int) -> tuple[int, ...]:
+    """The type vector of the row span of ``rows`` (coefficient lists) over
+    GF(q)[x]/<p^f> by the peeled sweep: every row is divided by p up front
+    in each layer, and again in full after each update, and a column's
+    pivot is the first row whose quotient is missing (a unit entry)."""
+    fld = p.field
+    div_p = _divisor_row(fld, p.coeffs)
+    n_cols = len(rows[0]) if rows else 0
+    div = _divisor_row(fld, _power(p, f).coeffs)
+    rows = [[_reduce(fld, list(e), div) for e in row] for row in rows]
+    type_vector = []
+    for h in range(f):
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            break
+        peeled = [[_exact_quotient(fld, e, div_p) for e in row] for row in rows]
+        r_h = 0
+        for c in range(n_cols):
+            at = next((i for i, row in enumerate(peeled) if row[c] is None), None)
+            if at is None:
+                continue
+            if h and not r_h:
+                div = _divisor_row(fld, _power(p, f - h).coeffs)
+            pivot_row = rows.pop(at)
+            del peeled[at]
+            u = pivot_row[c]
+            for i, row in enumerate(rows):
+                a = row[c]
+                if a:
+                    na, new = [fld.neg(x) for x in a], []
+                    for x, y in zip(row, pivot_row):
+                        e: list[int] = []
+                        _add_product(fld, e, u, x)
+                        _add_product(fld, e, na, y)
+                        new.append(_reduce(fld, e, div))
+                    rows[i], peeled[i] = new, [_exact_quotient(fld, e, div_p) for e in new]
+            r_h += 1
+        type_vector.append(r_h)
+        rows = peeled
+    return tuple(type_vector + [0] * (f - len(type_vector)))
 
 
 def reference_cyclotomic_pieces(phi: Poly, d: int, split: dict) -> list[Poly]:

@@ -50,6 +50,26 @@ def test_frobenius_is_automorphism(f):
         assert f.frobenius(a, f.e) == a
 
 
+TABLE_FIELDS = [
+    (p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 9) if p**e <= gf._TABLE_LIMIT
+] + [(251, 1)]
+
+
+@pytest.mark.parametrize("p, e", TABLE_FIELDS, ids=[f"q{p**e}" for p, e in TABLE_FIELDS])
+def test_frobenius_lists_match_powers(p, e):
+    """For every extension field with dense tables (q <= 256), and the
+    prime fields up to 13 and 251, sigma^k read from its list equals
+    a^(p^k) by square-and-multiply, for every element and every k from 0
+    to 2e (k is reduced mod e); the lists are built on first use, not with
+    the field."""
+    f = Field(p, e)
+    assert f._mul_table is not None and f._frobenius_lists == {}
+    for k in range(2 * e + 1):
+        assert [f.frobenius(a, k) for a in range(f.q)] == [f.pow(a, p**k) for a in range(f.q)]
+    assert [f.frobenius(a) for a in range(f.q)] == [f.pow(a, p) for a in range(f.q)]
+    assert sorted(f._frobenius_lists) == list(range(1, e))
+
+
 def test_f4_multiplication_table():
     f = field(2, 2)
     w = 2

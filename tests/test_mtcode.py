@@ -19,8 +19,8 @@ from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chai
 from mtcodes.errors import BudgetError, DomainError
 from mtcodes.mtcode import (
     _cofactor_product,
-    _min_valuation,
-    _outer_product_type,
+    _content,
+    _single_block_type,
     _spans,
     _twist,
     advise_intersection_structure,
@@ -1059,16 +1059,16 @@ def test_factor_valuations_from_root_orders_match_divmod(data):
 def test_factor_valuations_divide_nothing_for_shifts_of_order_at_most_2(monkeypatch, base):
     """With every shift of order 1 or 2, a factor's root order alone
     decides which block moduli it divides: building the activity table
-    divides nothing.  Only the factors with one active block get a
-    divisor row."""
+    takes no remainder and divides nothing.  Only the factors with one
+    active block get a divisor row."""
     import mtcodes.mtcode as mtcode_mod
 
     prof = MTProfile(base.field, base.blocks, base.shifts)  # fresh caches
     assert max(prof.orders) <= 2
-    valuations = _count_calls(monkeypatch, mtcode_mod, "_min_valuation")
+    remainders = _count_calls(monkeypatch, mtcode_mod, "_reduce")
     quotients = _count_calls(monkeypatch, mtcode_mod, "_exact_quotient")
     active = prof.factor_valuations
-    assert valuations == [] and quotients == []
+    assert remainders == [] and quotients == []
     assert active == reference_factor_valuations(prof)
     assert {len(a) for a in active} == {0, 1, 2}
     for (p, _), a, div in zip(prof.factorization, active, prof.factor_divisors):
@@ -1080,12 +1080,16 @@ def test_each_factor_row_is_built_once_per_profile(monkeypatch):
     with roots of order 3 or 6 takes a remainder by x^2 - 2.  x - 3 then
     has one active block and x - 4 two, with f = 1, so the row that
     decided activity is also the layer tables' divisor and the weights'
-    p^f: no factor's `_divisor_row` is built twice."""
+    p^f: no factor's `_divisor_row` is built twice.  Activity takes at
+    most one remainder per factor and distinct block length."""
     import mtcodes.mtcode as mtcode_mod
 
     prof = MTProfile(field(7), (2, 3), (2, 1))
     rows = _count_calls(monkeypatch, mtcode_mod, "_divisor_row")
-    active, divisors, weights = prof.factor_valuations, prof.factor_divisors, prof.factor_weights
+    remainders = _count_remainders(monkeypatch, mtcode_mod)
+    active = prof.factor_valuations
+    assert remainders and all(n == 1 for n in remainders.values())
+    divisors, weights = prof.factor_divisors, prof.factor_weights
     assert active == reference_factor_valuations(prof)
     by_factor = {p.coeffs: a for (p, _), a in zip(prof.factorization, active)}
     assert by_factor[(4, 1)] == ((0, 1),) and by_factor[(3, 1)] == ((0, 1), (1, 1))
@@ -1096,12 +1100,44 @@ def test_each_factor_row_is_built_once_per_profile(monkeypatch):
         assert (w is None) == (len(a) < 2)
 
 
+def _count_remainders(monkeypatch, owner):
+    """Count the calls to owner._reduce per divisor, keyed by the divisor's
+    degree and nonzero terms below its leading one."""
+    counts = {}
+    real = owner._reduce
+
+    def counting(f, cs, div):
+        key = (div[0], tuple(div[2]))
+        counts[key] = counts.get(key, 0) + 1
+        return real(f, cs, div)
+
+    monkeypatch.setattr(owner, "_reduce", counting)
+    return counts
+
+
+def test_activity_takes_one_remainder_per_factor_and_block_length(monkeypatch):
+    """GF(7), blocks 2 2 3, shifts 2 4 1 (N = 6): 2 and 4 have order 3, so
+    each factor with roots of order 3 or 6 decides both length-2 blocks
+    from the one remainder x^2 mod p, compared with 2 and with 4."""
+    import mtcodes.mtcode as mtcode_mod
+
+    prof = MTProfile(field(7), (2, 2, 3), (2, 4, 1))
+    assert prof.orders[:2] == (3, 3)
+    remainders = _count_remainders(monkeypatch, mtcode_mod)
+    active = prof.factor_valuations
+    assert active == reference_factor_valuations(prof)
+    assert len(remainders) == 4 and all(n == 1 for n in remainders.values())
+    assert sum(len(a) for a in active) == 7
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_min_valuation_matches_repeated_divmod(data):
-    """`_min_valuation` (prepared remainders) against min(cap, v_p(e)) by
-    repeated divmod, for any divisor p of degree 1-3: zero entries,
-    multiples of p^k up to past the cap, and every cap from 0 to 4."""
+def test_content_valuation_matches_repeated_divmod(data):
+    """The valuation a = min(cap, v_p(e) over the entries) read off their
+    content gcd(M, entries), M = w * p^cap with v_p(w) = 0: with the
+    content 1 on the other side and f = cap + 1, `_single_block_type` is
+    e_(1 + a).  Against repeated divmod, for any divisor p of degree 1-3:
+    zero entries, multiples of p^k up to past the cap, every cap 0-4."""
     f = data.draw(st.sampled_from([field(2), F3, f4(), field(3, 2), field(257), field(17, 2)]), label="field")
     coeff = st.integers(0, f.q - 1)
     lead = st.integers(1, f.q - 1)
@@ -1123,7 +1159,14 @@ def test_min_valuation_matches_repeated_divmod(data):
             v += 1
         return v
 
-    assert _min_valuation(entries, _divisor_row(p.field, p.coeffs), cap) == min([cap] + [reference(e) for e in entries])
+    unit = Poly(f, data.draw(st.lists(coeff, max_size=3), label="w") + [data.draw(lead)])
+    assume(not (unit % p).is_zero())
+    modulus = unit * _power(p, cap)
+    g = _content(f, modulus.coeffs, entries)
+    want = min([cap] + [reference(e) for e in entries])
+    mult = cap + 1  # one layer above the cap, so h = 1 + a is always below f
+    got = _single_block_type(f, (g, [1]), cap, _divisor_row(p.field, p.coeffs), mult)
+    assert got == tuple(int(k == 1 + want) for k in range(mult))
 
 
 # -- cofactors modulo p^f in closed form ---------------------------------------
@@ -1265,12 +1308,17 @@ def test_single_block_factors_need_no_cofactor_or_elimination(monkeypatch):
 
 
 def _check_outer_product(f: Field, p: Poly, mult: int, u, v, c: Poly) -> None:
-    """`_outer_product_type` against chain_type of the explicit product
-    u_a * c * v_b modulo p^mult."""
+    """`_single_block_type` of the contents of u and v with a modulus M of
+    valuation mult - h, h = min(v_p(c), mult), against chain_type of the
+    explicit product u_a * c * v_b modulo p^mult."""
     power = _power(p, mult)
     full = PolyMatrix(f, [[(a * c * b) % power for b in v] for a in u])
     h = min(_multiplicity(c, p), mult) if c else mult
-    assert _outer_product_type(u, v, h, _divisor_row(p.field, p.coeffs), mult) == chain_type(full, p, mult).type_vector
+    unit = next(w for w in (Poly(f, [a, 1]) for a in range(f.q)) if not (w % p).is_zero())
+    modulus = (unit * _power(p, mult - h)).coeffs
+    contents = (_content(f, modulus, u), _content(f, modulus, v))
+    got = _single_block_type(f, contents, mult - h, _divisor_row(p.field, p.coeffs), mult)
+    assert got == chain_type(full, p, mult).type_vector
 
 
 @settings(max_examples=200, deadline=None)
@@ -1498,3 +1546,58 @@ def test_congruences_divide_by_no_degree_n_polynomial(monkeypatch):
     first.property_check("self_orthogonal", 0)
     assert divisors
     assert prof.period not in divisors
+
+
+# -- LCD and trivial intersection by two routes, beyond the oracle ------------
+
+CROSS_FIELDS = (field(2, 4), field(5, 2), field(257), field(17, 2), field(2, 9))
+
+
+def _cross_route_codes(rng: random.Random, f: Field):
+    """(code, kappa) pairs over f: random codes with 0 < k < n whose shifts
+    meet the kappa-Galois precondition, and codes <(x - a, 0)> with a of
+    order at least 3 in a block x^m - 1, a^m = 1, which are not LCD for
+    kappa = 0 (their hull is the code of x^m - 1 over x - a^-1)."""
+    out = []
+    while len(out) < 12:
+        kappa = rng.randrange(f.e)
+        shifts = [s for s in range(1, f.q) if f.frobenius(f.inv(s), f.e - kappa) == s]
+        ell = rng.randint(1, 3)
+        prof = MTProfile(f, [rng.randint(1, 12) for _ in range(ell)], [rng.choice(shifts) for _ in range(ell)])
+        if prof.period > 400:
+            continue
+        code = random_mt_code(rng, prof, max_rows=ell)
+        if 0 < code.dim < code.n:
+            out.append((code, kappa))
+    a = next(a for a in range(2, f.q) if 3 <= f.mult_order(a) <= 9)
+    m = f.mult_order(a)
+    prof = MTProfile(f, (m, rng.randint(1, 4)), (1, 1))
+    out.append((MTCode(prof, [[Poly(f, [f.neg(a), 1]), Poly.zero(f)]]), 0))
+    return out
+
+
+def test_lcd_and_trivial_intersection_routes_agree_beyond_the_oracle():
+    """Over GF(16), GF(25), GF(257), GF(17^2) and GF(2^9), too large to
+    enumerate: the layer table's kappa-LCD verdict equals
+    C.trivially_intersects(C.galois_dual(kappa)), and the verdict of
+    `trivial_intersection_evidence` equals `trivially_intersects`, for
+    the pair (C, its Galois dual) and for C with another code of its
+    profile, one sharing C's first row half the time."""
+    rng = random.Random(17)
+    lcd, pairs = [], []
+    for f in CROSS_FIELDS:
+        for code, kappa in _cross_route_codes(rng, f):
+            prof = code.profile
+            dual = code.galois_dual(kappa)
+            holds = code.property_check("lcd", kappa).holds
+            assert holds == code.trivially_intersects(dual), (f.q, prof, kappa)
+            assert code.trivial_intersection_evidence(dual).verdict == holds
+            other = random_mt_code(rng, prof, max_rows=1)
+            if rng.random() < 0.5:
+                other = MTCode(prof, [code.gpm.rows[0], *other.gpm.rows[:1]])
+            trivial = code.trivially_intersects(other)
+            assert code.trivial_intersection_evidence(other).verdict == trivial, (f.q, prof)
+            lcd.append(holds)
+            pairs.append(trivial)
+    assert lcd.count(False) >= 10 and lcd.count(True) >= 30
+    assert pairs.count(False) >= 10 and pairs.count(True) >= 10

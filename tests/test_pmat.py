@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mtcodes.mtcode as mtcode_mod
 from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod
-from mtcodes.pmat import _gpm_pair
+from mtcodes.pmat import _chain_type, _gpm_pair
 from mtcodes.upoly import NEG_INF, is_irreducible
 
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     pmat,
     poly,
     reduce_to_gpm,
+    reference_chain_type,
     small_dim_pair,
     solve_identical,
     sweep_pair,
@@ -369,6 +370,45 @@ def test_chain_type_examples():
     empty = chain_type(PolyMatrix.zeros(f, 1, 2), p, 2)
     assert empty.type_vector == (0, 0)
     assert empty.size_log_q == 0
+    # (1, 0) and (p, 0) span one free row.  The pivot (1, 0) must clear
+    # the entry p, though it is no unit: left in place, (p, 0) would be
+    # divided into the next layer and counted there, as (1, 1).
+    for mult in (2, 3):
+        assert chain_type(pmat(f, [["1", "0"], ["1 + x", "0"]]), p, mult).type_vector == (1,) + (0,) * (mult - 1)
+
+
+CHAIN_MODULI = (
+    (field(2), ("1 + x", "1 + x + x^2", "1 + x + x^3")),
+    (F3, ("2 + x", "1 + x^2", "1 + 2*x + x^3")),
+    (f4(), ("w + x", "w + x + x^2")),
+    (field(5), ("3 + x", "2 + x^2")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chain_type_matches_the_peeled_sweep(data):
+    """`_chain_type` against the sweep that divides every row by p after
+    each update (`reference_chain_type`), over GF(2), GF(3), GF(4) and
+    GF(5) with f <= 4.  Entries are u * p^k with k up to past f, so some
+    columns are nonzero and p-divisible with no unit in them."""
+    fld, texts = data.draw(st.sampled_from(CHAIN_MODULI), label="field")
+    p = poly(fld, data.draw(st.sampled_from(texts), label="p"))
+    mult = data.draw(st.integers(1, 4), label="f")
+    n_cols = data.draw(st.integers(1, 4), label="columns")
+    coeff = st.integers(0, fld.q - 1)
+    # A column's floor: every entry in it carries at least that power of p.
+    floors = [data.draw(st.integers(0, mult), label="floor") for _ in range(n_cols)]
+
+    def entry(c):
+        base = Poly(fld, data.draw(st.lists(coeff, max_size=3), label="u"))
+        power = Poly.one(fld)
+        for _ in range(data.draw(st.integers(floors[c], mult + 1), label="k")):
+            power = power * p
+        return (base * power).coeffs
+
+    rows = [[entry(c) for c in range(n_cols)] for _ in range(data.draw(st.integers(1, 4), label="rows"))]
+    assert _chain_type(rows, p, mult).type_vector == reference_chain_type(rows, p, mult)
 
 
 def row_span_size(m, modulus):

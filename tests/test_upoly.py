@@ -1,14 +1,17 @@
 """Univariate polynomial arithmetic, text forms, gcds, and factorization."""
 
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtcodes.upoly as upoly_mod
 from mtcodes import Poly, PolyMatrix, factor, field, reciprocal_poly
-from mtcodes.gf import _prime_factors
+from mtcodes.gf import Field, _prime_factors
 from mtcodes.upoly import (
     FACTOR_SEED,
     NEG_INF,
@@ -646,6 +649,68 @@ def test_factor_binomial_certifies_degrees(fault, monkeypatch, cold_factor_memo)
     monkeypatch.setattr(upoly, "_coset_split", faulty)
     with pytest.raises(AssertionError, match="Phi_5 over GF"):
         factor(Poly.binomial(f9_mod221(), 140, 1))
+
+
+@pytest.mark.parametrize("f", [field(5), f4(), field(257), field(17, 2), field(2, 9)], ids=lambda f: f"q{f.q}")
+def test_long_divide_by_a_constant_scales_without_a_loop(f, monkeypatch):
+    """A degree-0 divisor c leaves no remainder, and the quotient is the
+    dividend times c^-1, formed with no `Field.add_scaled` call."""
+    rng = random.Random(f.q)
+    calls = []
+    real = f.add_scaled
+    monkeypatch.setattr(f, "add_scaled", lambda *args: calls.append(args) or real(*args))
+    for c in (1, rng.randrange(2, f.q)):
+        cs = [rng.randrange(f.q) for _ in range(6)] + [rng.randrange(1, f.q)]
+        rem = list(cs)
+        quot = upoly_mod._long_divide(f, rem, _divisor_row(f, [c]))
+        assert rem == [] and calls == []
+        assert [f.mul(c, a) for a in quot] == cs
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Turn a block that outlasts ``seconds`` into TimeoutError, so that a
+    hang fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_coset_split_refuses_a_piece_with_a_factor_of_another_phi():
+    """Phi_9 * Phi_3 over GF(2) has degree 8, not a multiple of
+    ord_9(2) = 6: Phi_3 can never be split down to degree 6, and the split
+    raises at once instead of looping."""
+    f = field(2)
+    piece = Poly.binomial(f, 9, 1).exact_div(Poly.binomial(f, 1, 1))  # Phi_9 * Phi_3
+    with _time_limit(10), pytest.raises(AssertionError, match="Phi_9 over GF.2.: a part of degree 8"):
+        upoly_mod._coset_split(piece, 9, 6, random.Random(0))
+
+
+@pytest.mark.parametrize("q, n", [(2, 21), (4, 15), (9, 140), (3, 20), (5, 21)])
+def test_factor_with_pieces_holding_another_phi_fails_promptly(q, n, monkeypatch, cold_factor_memo):
+    """Pieces cut as g(x^l) for a prime l that does not divide d/l, g a
+    factor of Phi_(d/l), also hold roots of Phi_(d/l).  Factoring with such
+    pieces raises AssertionError within seconds; it used to loop for ever
+    in the coset split."""
+    pieces = upoly_mod._cyclotomic_pieces
+
+    def faulty(phi, d, deg, split):
+        primes = [l for l in _prime_factors(d) if d // l % l]
+        if not primes or (phi.field.q - 1) % d == 0:
+            return pieces(phi, d, deg, split)
+        return [upoly_mod._spread(g, primes[-1]) for g in split[d // primes[-1]]]
+
+    monkeypatch.setattr(upoly_mod, "_cyclotomic_pieces", faulty)
+    with _time_limit(10), pytest.raises(AssertionError, match="Phi_"):
+        factor(Poly.binomial(Field.of_order(q), n, 1))
 
 
 PRIME_PERIODS = [(field(257), 211), (field(2, 4), 227), (field(5), 229), (field(17, 2), 103)]
