@@ -28,7 +28,7 @@ Everything else in this module works through G and A:
   x^N - 1,
 * the paper's auxiliary quasi-cyclic pair (Q, P) of an intersection, of
   co-index N = lcm(t_i * m_i), t_i the order of lam_i, which only the
-  reported intersections and hulls read,
+  reported intersections and hulls read, off the same elimination,
 * trivial-intersection evidence and Galois LCD tests via ranks modulo the
   irreducible factors of x^N - 1, with a chain-ring layer analysis when
   x^N - 1 is not square-free; a factor p_j^f_j sees only the blocks
@@ -45,10 +45,9 @@ Everything else in this module works through G and A:
 * Galois self-orthogonality, dual-containment and reversibility tests as
   exact polynomial congruences modulo x^N - 1.
 
-Those congruences and the auxiliary quasi-cyclic stacks read
-L @ diag(c_i) @ R modulo x^N - 1, and `_cofactor_product` builds it block
-by block from residues modulo x^m_i - lam_i, with no degree-N product and
-no division by x^N - 1.
+Those congruences read L @ diag(c_i) @ R modulo x^N - 1, and
+`_cofactor_product` builds it block by block from residues modulo
+x^m_i - lam_i, with no degree-N product and no division by x^N - 1.
 
 Binary operations other than the structure advisor require identical
 profiles; unequal shift vectors generically force trivial blocks and can
@@ -65,11 +64,11 @@ from functools import cached_property, reduce
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
-from .pmat import PolyMatrix, _back_substitute, _chain_type, _gpm_pair, _size_log_q, hnf
+from .pmat import PolyMatrix, _back_substitute, _chain_type, _size_log_q, hnf
 from .record import Record
 from .upoly import (
     Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _gcd, _long_divide, _monic_factors, _power,
-    _reduce, _remainder, _trim, factor, reciprocal_poly,
+    _reduce, _remainder, _trim, factor, poly_gcd, reciprocal_poly,
 )
 
 ADVISOR_BUDGET = 4096
@@ -680,39 +679,26 @@ class MTCode:
         return self._sum_gpm_rows(other) == other.gpm.rows
 
     def intersect(self, other: "MTCode") -> "MTCode":
-        """C1 cap C2 by Zassenhaus's sum-and-intersection (H. Cohen, *A
-        Course in Computational Algebraic Number Theory*, 2.4): one
-        elimination of the stack [[G1, G1], [G2, 0]].
-
-        Its rows with zero left half are [0 | a1 G1] for a1 G1 = -a2 G2,
-        exactly the module of C1 cap C2.  That module holds
-        A1 [G1 | G1] - A2 [G2 | 0] = [0 | D] and A2 [G2 | 0] = [D | 0] for
-        D = diag(x^m_i - lam_i), so columns k and ell + k are reduced modulo
-        x^m_k - lam_k as the stack is eliminated, and no entry reaches the
-        degree of its modulus.  C1 + C2 and C1 cap C2 both contain D, so
-        each half holds ell pivots, and the right halves of rows ell to
-        2 ell - 1 are the reduced GPM.  `intersection_details` keeps the
-        paper's quasi-cyclic route for the (Q, P) pair that reports print."""
+        """C1 cap C2 by `_zassenhaus` on [[G1, G1], [G2, 0]]: its rows with
+        zero left half are [0 | a1 G1] for a1 G1 = -a2 G2, the module of
+        C1 cap C2, which holds A1 [G1 | G1] - A2 [G2 | 0] = [0 | D] for
+        D = diag(x^m_i - lam_i), so its right columns are reduced modulo the
+        block moduli too."""
         self._require_same_profile(other)
-        prof, fld, ell = self.profile, self.field, self.profile.ell
-        zeros = (Poly.zero(fld),) * ell
-        stack = [row + row for row in self.gpm.rows] + [row + zeros for row in other.gpm.rows]
-        rows = hnf(PolyMatrix._trusted(fld, stack), prof.moduli * 2, transform=False).h.rows
-        return MTCode._from_pair(prof, PolyMatrix._trusted(fld, [row[ell:] for row in rows[ell : 2 * ell]]))
+        rows = _zassenhaus(self.profile, self.gpm.rows, self.gpm.rows, other.gpm.rows, self.profile.moduli)
+        return MTCode._from_pair(self.profile, PolyMatrix._trusted(self.field, rows))
 
     def intersection_details(self, other: "MTCode") -> "GpmIntersection":
-        """C1 cap C2 with the paper's auxiliary quasi-cyclic pair (Q, P):
-        Q the GPM of A1^T diag(c_i) G2^T modulo x^N - 1, and the code read
-        off P^T @ G2."""
+        """C1 cap C2 and the paper's quasi-cyclic pair (`_qc_intersection`)."""
         self._require_same_profile(other)
-        top = _cofactor_product(self.companion.transpose(), other.gpm.transpose(), self.profile)
-        return _qc_intersection(top, self.profile, other)
+        return _qc_intersection(self.gpm.rows, other)
 
     def galois_intersection_details(self, other: "MTCode", kappa: int = 0) -> "GpmIntersection":
         """Details of self^(perp kappa) intersect other.
 
         Requires compatible shifts: sigma^(e-kappa)(lam_i^-1) = delta_i.
-        """
+        self^(perp kappa) is generated by sigma^(e-kappa) of the dual's top
+        rows and other's block moduli."""
         check_kappa(self.field, kappa)
         f = self.field
         if self.profile.blocks != other.profile.blocks or f != other.field:
@@ -723,14 +709,8 @@ class MTCode:
                 "shift constants are not Galois-dual compatible: "
                 f"expected ({', '.join(f.format_element(s) for s in want)})"
             )
-        # The twisted-shift orders agree (inversion and Frobenius preserve
-        # multiplicative order), so both profiles share one period.
-        if self.profile.period != other.profile.period:
-            raise AssertionError("profile periods diverged")
-        k = f.e - kappa
-        left = reciprocal_columns(self.gpm, self.profile).frobenius(k)
-        top = _cofactor_product(left, other.gpm.transpose(), other.profile)
-        return _qc_intersection(top, other.profile, other)
+        top = reciprocal_columns(self.companion.transpose(), self.profile).frobenius(f.e - kappa)
+        return _qc_intersection(top.rows, other)
 
     def galois_hull_details(self, kappa: int = 0) -> "GpmIntersection":
         return self.galois_intersection_details(self, kappa)
@@ -852,12 +832,39 @@ class GpmIntersection(Record):
     qc_companion: PolyMatrix
 
 
-def _qc_intersection(top: PolyMatrix, profile: MTProfile, second: MTCode) -> GpmIntersection:
-    ann = profile.annihilator()
-    qc_moduli = [ann] * profile.ell
-    q, p = _gpm_pair(top, qc_moduli)
-    code = MTCode(profile, p.transpose() @ second.gpm)
-    return GpmIntersection(code, q, p)
+def _zassenhaus(profile: MTProfile, top_left, top_right, bottom, right_moduli) -> list:
+    """Zassenhaus's sum-and-intersection (H. Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4): the right halves of rows
+    ell to 2 ell - 1 of the normal form of [[top_left | top_right],
+    [bottom | 0]], its left columns reduced modulo the block moduli and its
+    right ones modulo right_moduli as it is eliminated.  Its rows with zero
+    left half are [0 | a @ top_right] for the a with a @ top_left in the
+    module of bottom and the block moduli; where the module of those rows
+    holds diag(right_moduli), they are its reduced GPM, and no entry
+    reaches the degree of its modulus."""
+    fld, ell = profile.field, profile.ell
+    zeros = (Poly.zero(fld),) * len(right_moduli)
+    stack = [left + right for left, right in zip(top_left, top_right)] + [row + zeros for row in bottom]
+    rows = hnf(PolyMatrix._trusted(fld, stack), profile.moduli + tuple(right_moduli), transform=False).h.rows
+    return [row[ell:] for row in rows[ell : 2 * ell]]
+
+
+def _qc_intersection(first_rows, second: MTCode) -> GpmIntersection:
+    """C1 cap C2 and the paper's pair (Q, P), C1 the module of first_rows
+    and second's block moduli: Q the reduced GPM of
+    [A1^T diag(c_i) G2^T; (x^N - 1) I], c_i = (x^N - 1)/(x^m_i - lam_i),
+    and P = (x^N - 1) Q^-1.  As G1 diag(c) A1 = (x^N - 1) I, a @ G2 lies in
+    C1 iff Q a^T = 0 modulo x^N - 1, so P^T generates
+    K = {a : a @ G2 in C1}, which holds L e_k for L the lcm of the block
+    moduli.  `_zassenhaus` of [[G2 | J], [C1 | 0]], J the backward
+    identity, gives the reduced GPM of K @ J, P^T being lower triangular,
+    and, as in `MTCode.reversed_code`, P is its antitranspose."""
+    prof, fld, ell = second.profile, second.field, second.profile.ell
+    lcm = reduce(lambda a, b: a * b.exact_div(poly_gcd(a, b)), prof.moduli)
+    back = PolyMatrix.identity(fld, ell).rows[::-1]
+    p = _antitranspose(PolyMatrix._trusted(fld, _zassenhaus(prof, second.gpm.rows, back, first_rows, [lcm] * ell)))
+    q = PolyMatrix._trusted(fld, _back_substitute(fld, p.rows, [prof.annihilator()] * ell))
+    return GpmIntersection(MTCode(prof, p.transpose() @ second.gpm), q, p)
 
 
 class FactorLayer(Record):

@@ -15,9 +15,8 @@ from one transform-free elimination: the stack [top; diag(x^m_i - lam_i)]
 is reduced modulo those moduli as it is eliminated, so degrees stay below
 the block lengths.  Its companion A, with A * G = diag(x^m_i - lam_i),
 follows from the triangular G by back-substitution (`_back_substitute`),
-whose exact divisions certify that the module contains the diagonal rows;
-`_gpm_pair` does both.  Every division goes through the coefficient-list
-kernel of `upoly`.
+whose exact divisions certify that the module contains the diagonal rows.
+Every division goes through the coefficient-list kernel of `upoly`.
 
 The type of a row span over the chain ring GF(q)[x]/<p^f>, p irreducible,
 comes from one elimination (`_chain_type`, on rows of coefficient lists):
@@ -406,16 +405,6 @@ def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
             row[j] = Poly._trusted(field, quot)
         out.append(row)
     return out
-
-
-def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
-    """The reduced GPM G of the stack [top; diag(diag_polys)], the first
-    rows of one elimination reduced modulo diag_polys with no transform,
-    and its companion A with A @ G = diag(diag_polys), by
-    back-substitution."""
-    diag_polys, field = list(diag_polys), top.field
-    gpm = hnf(top, diag_polys, transform=False).h.rows[: len(diag_polys)]
-    return PolyMatrix._trusted(field, gpm), PolyMatrix._trusted(field, _back_substitute(field, gpm, diag_polys))
 
 
 # ---------------------------------------------------------------------------

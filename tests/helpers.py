@@ -13,7 +13,7 @@ from mtcodes import cli, oracle
 from mtcodes.errors import DomainError
 from mtcodes.gf import _prime_factors
 from mtcodes.lincode import rref
-from mtcodes.mtcode import _cofactor_product, _dim_of, reciprocal_columns
+from mtcodes.mtcode import GpmIntersection, _cofactor_product, _dim_of, reciprocal_columns
 from mtcodes.pmat import _NOT_DIAGONAL, _back_substitute
 from mtcodes.upoly import _add_product, _divisor_row, _exact_quotient, _power, _reduce
 
@@ -91,6 +91,30 @@ def gpm_with_companion(res, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
     field = res.h.field
     gpm = res.h.rows[:ell]
     return PolyMatrix(field, gpm), PolyMatrix(field, _back_substitute(field, gpm, diag_polys))
+
+
+def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
+    """The reduced GPM G of the stack [top; diag(diag_polys)], the first
+    rows of one elimination reduced modulo diag_polys with no transform,
+    and its companion A with A @ G = diag(diag_polys), by
+    back-substitution."""
+    diag_polys = list(diag_polys)
+    return gpm_with_companion(hnf(top, diag_polys, transform=False), diag_polys)
+
+
+def paper_intersection_details(code1: MTCode, code2: MTCode, kappa: int | None = None) -> GpmIntersection:
+    """The paper's route to C1 cap C2 (to the kappa-Galois dual of C1 met
+    with C2 when kappa is given) and its auxiliary quasi-cyclic pair:
+    Q the reduced GPM of [A1^T diag(c_i) G2^T; (x^N - 1) I] (for the Galois
+    dual, sigma^(e - kappa)(G1(1/x) diag(x^m_i)) in place of A1^T), P its
+    companion, and the code of the rows P^T @ G2."""
+    prof = code2.profile
+    if kappa is None:
+        left = code1.companion.transpose()
+    else:
+        left = reciprocal_columns(code1.gpm, code1.profile).frobenius(code1.field.e - kappa)
+    q, p = _gpm_pair(_cofactor_product(left, code2.gpm.transpose(), prof), [prof.annihilator()] * prof.ell)
+    return GpmIntersection(MTCode(prof, p.transpose() @ code2.gpm), q, p)
 
 
 def reduce_to_gpm(stack: PolyMatrix, diag_polys) -> PolyMatrix:
@@ -500,12 +524,16 @@ def check_systematic_routes(code: MTCode) -> None:
 
 def check_meet_routes(code1: MTCode, code2: MTCode) -> None:
     """In both orders: `intersect` (one elimination modulo the block
-    moduli) gives the GPM and companion of the paper's quasi-cyclic route,
-    and `is_subcode_of` (one elimination of [G2; G1]) the paper's
-    congruence G1 @ diag(c_i) @ A2 = 0 modulo x^N - 1."""
+    moduli) gives the GPM and companion of `intersection_details`, whose
+    code, Q and P are those of the paper's quasi-cyclic route
+    (`paper_intersection_details`), and `is_subcode_of` (one elimination
+    of [G2; G1]) the paper's congruence G1 @ diag(c_i) @ A2 = 0 modulo
+    x^N - 1."""
     for a, b in ((code1, code2), (code2, code1)):
-        meet, paper = a.intersect(b), a.intersection_details(b).code
-        assert meet == paper and meet.companion == paper.companion
+        details = a.intersection_details(b)
+        assert details == paper_intersection_details(a, b)
+        meet = a.intersect(b)
+        assert meet == details.code and meet.companion == details.code.companion
         assert a.is_subcode_of(b) == _cofactor_product(a.gpm, b.companion, a.profile).is_zero()
 
 
@@ -554,13 +582,14 @@ def check_structured_vs_oracle(rng: random.Random, idx: int) -> None:
     assert oracle.intersect_galois_dual(lin1, lin1, kappa) == w1 & dual_set
     assert oracle.same_code(lin1.hull(kappa), w1 & dual_set)
     try:
-        hull = code1.galois_hull_details(kappa).code
+        hull_details = code1.galois_hull_details(kappa)
     except DomainError:
         # GPM route needs the dual to share the profile; linear route above
         # already covered this case
         pass
     else:
-        assert oracle.same_code(hull.to_linear(), w1 & dual_set)
+        assert oracle.same_code(hull_details.code.to_linear(), w1 & dual_set)
+        assert hull_details == paper_intersection_details(code1, code1, kappa)
 
     # reversal: full reversal flips the block structure, so compare wordwise
     rev = code1.reversed_code()

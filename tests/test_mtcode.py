@@ -38,6 +38,7 @@ from helpers import (
     f9_mod221,
     layer_types,
     modulus_diag,
+    paper_intersection_details,
     pmat,
     poly,
     random_linear_code,
@@ -1601,3 +1602,112 @@ def test_lcd_and_trivial_intersection_routes_agree_beyond_the_oracle():
             pairs.append(trivial)
     assert lcd.count(False) >= 10 and lcd.count(True) >= 30
     assert pairs.count(False) >= 10 and pairs.count(True) >= 10
+
+
+def _identity_code(rng: random.Random, f: Field, kappa: int) -> MTCode:
+    """A code over f with 0 < k < n, N <= 400 and shifts meeting the
+    kappa-Galois precondition; its profile is palindromic half the time,
+    and the code is a random one, its meet with its Galois dual, or its sum
+    with that dual, a third of the time each."""
+    shifts = [s for s in range(1, f.q) if f.frobenius(f.inv(s), f.e - kappa) == s]
+    while True:
+        ell = rng.randint(1, 3)
+        blocks = [rng.randint(1, 12) for _ in range(ell)]
+        lams = [rng.choice(shifts) for _ in range(ell)]
+        if rng.random() < 0.5:
+            for i in range(ell // 2):
+                blocks[ell - 1 - i], lams[ell - 1 - i] = blocks[i], f.inv(lams[i])
+            if ell % 2:
+                lams[ell // 2] = rng.choice((1, f.neg(1)))
+        prof = MTProfile(f, blocks, lams)
+        if prof.period > 400:
+            continue
+        code = random_mt_code(rng, prof, max_rows=ell)
+        variant = rng.randrange(3)
+        if variant == 1:
+            code = code.intersect(code.galois_dual(kappa))
+        elif variant == 2:
+            code = MTCode(prof, code.gpm.rows + code.galois_dual(kappa).gpm.rows)
+        if 0 < code.dim < code.n:
+            return code
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_paper_equivalences_hold_beyond_the_oracle(seed):
+    """Over GF(16), GF(25), GF(257), GF(17^2) and GF(2^9), too large to
+    enumerate, each verdict the paper states as an equivalence equals its
+    other route: the congruence for kappa-self-orthogonality equals
+    C <= C^(perp kappa), the one for dual-containment C^(perp kappa) <= C,
+    and on a palindromic profile the reversibility congruence
+    C.reversed_code() == C; reversal and the Euclidean dual are
+    involutions, and from_linear(to_linear(C)) == C."""
+    rng = random.Random(seed)
+    f = CROSS_FIELDS[seed % len(CROSS_FIELDS)]
+    kappa = rng.randrange(f.e)
+    code = _identity_code(rng, f, kappa)
+    dual = code.galois_dual(kappa)
+    assert code.property_check("self_orthogonal", kappa).holds == code.is_subcode_of(dual)
+    assert code.property_check("dual_containing", kappa).holds == dual.is_subcode_of(code)
+    rev = code.reversed_code()
+    if code.profile.reversed_profile() == code.profile:
+        assert code.property_check("reversible").holds == (rev == code)
+    assert rev.reversed_code() == code and code.dual().dual() == code
+    assert MTCode.from_linear(code.profile, code.to_linear()) == code
+
+
+# -- the reported (Q, P) pair against the paper's route -----------------------
+
+# Dense tables, a large prime field, log tables and base-p digit loops; every
+# element of GF(2^17) but 1 has order 2^17 - 1, so its shifts are all 1.
+PAPER_ROUTE_FIELDS = (
+    field(2), F3, field(2, 2), field(3, 2), field(2, 4), field(257), field(17, 2), field(2, 9), field(2, 17),
+)
+
+
+def _paper_route_code(rng: random.Random, prof: MTProfile) -> MTCode:
+    """The zero code, the full code, or a random code of prof."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return MTCode.zero(prof)
+    if kind == 1:
+        return MTCode.full(prof)
+    return random_mt_code(rng, prof)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_reported_pair_is_the_paper_routes(seed):
+    """`intersection_details`, `galois_intersection_details` for every
+    kappa and `galois_hull_details` give the code, Q and P of the paper's
+    route (`paper_intersection_details`: the cofactor product, its GPM
+    pair modulo x^N - 1, and the code of P^T @ G2), and
+    dim Q = ell N - sum deg Q_ii = dim C2 - dim(C1 cap C2).  Shifts have
+    order dividing gcd(q - 1, 840) and are +-1 half the time, so hulls
+    occur, and N stays at most 600."""
+    rng = random.Random(seed)
+    f = PAPER_ROUTE_FIELDS[seed % len(PAPER_ROUTE_FIELDS)]
+    h = math.gcd(f.q - 1, 840)
+    while True:
+        ell = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            shifts = [rng.choice((1, f.neg(1))) for _ in range(ell)]
+        else:
+            shifts = [f.pow(rng.randrange(1, f.q), (f.q - 1) // h) for _ in range(ell)]
+        prof = MTProfile(f, [rng.randint(1, 6) for _ in range(ell)], shifts)
+        if prof.period <= 600:
+            break
+    first, second = _paper_route_code(rng, prof), _paper_route_code(rng, prof)
+    cases = [(first.intersection_details(second), first, second, None)]
+    for kappa in range(f.e):
+        other = _paper_route_code(rng, prof.galois_dual_profile(kappa))
+        cases.append((first.galois_intersection_details(other, kappa), first, other, kappa))
+        if prof.galois_dual_profile(kappa) == prof:
+            cases.append((first.galois_hull_details(kappa), first, first, kappa))
+        else:
+            with pytest.raises(DomainError):
+                first.galois_hull_details(kappa)
+    for details, a, b, kappa in cases:
+        assert details == paper_intersection_details(a, b, kappa)
+        qc_dim = prof.ell * prof.period - sum(row[i].degree for i, row in enumerate(details.qc_gpm.rows))
+        assert qc_dim == b.dim - details.code.dim

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import mtcodes.mtcode as mtcode_mod
 from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod
-from mtcodes.pmat import _chain_type, _gpm_pair
+from mtcodes.mtcode import _cofactor_product
+from mtcodes.pmat import _chain_type
 from mtcodes.upoly import NEG_INF, is_irreducible
 
 from helpers import (
+    _gpm_pair,
     backward_identity,
     det,
     express_in_row_module,
@@ -185,16 +187,21 @@ def reference_gpm_pair(stack, moduli):
 
 def recorded_gpm_stacks(monkeypatch, build):
     """Every (stack, moduli, G, A) the code layer reduces while build()
-    runs: intersections' quasi-cyclic stacks, as `_gpm_pair` returns them,
-    and the stack of every `MTCode` construction (constructions, duals,
-    the codes read off P^T G2), with the code's GPM and its companion,
-    which is back-substituted when first read, here after build()."""
+    runs: the (Q, P) pair of every `intersection_details` result, with the
+    paper's quasi-cyclic stack [A1^T @ diag(c_i) @ G2^T; diag(x^N - 1)] it
+    stands for, and the stack of every `MTCode` construction
+    (constructions, duals, the codes read off P^T G2), with the code's GPM
+    and its companion, which is back-substituted when first read, here
+    after build()."""
     seen, built = [], []
-    real_pair, real_init = mtcode_mod._gpm_pair, mtcode_mod.MTCode.__init__
+    real_details, real_init = mtcode_mod.MTCode.intersection_details, mtcode_mod.MTCode.__init__
 
-    def pair_spy(top, moduli):
-        out = real_pair(top, moduli)
-        seen.append((PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)), list(moduli)) + out)
+    def details_spy(self, other):
+        out = real_details(self, other)
+        prof = self.profile
+        top = _cofactor_product(self.companion.transpose(), other.gpm.transpose(), prof)
+        moduli = [prof.annihilator()] * prof.ell
+        seen.append((PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)), moduli, out.qc_gpm, out.qc_companion))
         return out
 
     def init_spy(self, profile, rows=()):
@@ -202,7 +209,7 @@ def recorded_gpm_stacks(monkeypatch, build):
         top = rows.rows if isinstance(rows, PolyMatrix) else rows
         built.append((PolyMatrix(profile.field, [list(r) for r in top]), self))
 
-    monkeypatch.setattr(mtcode_mod, "_gpm_pair", pair_spy)
+    monkeypatch.setattr(mtcode_mod.MTCode, "intersection_details", details_spy)
     monkeypatch.setattr(mtcode_mod.MTCode, "__init__", init_spy)
     build()
     monkeypatch.undo()
