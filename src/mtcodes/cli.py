@@ -540,7 +540,9 @@ def cmd_check(args, budget) -> int:
 
     if prop == "reversible" and verdict is False:
         if subcode is None:
-            _, subcode = code.to_linear().reversibility()
+            # A definite False means rev C has C's profile, so C cap rev C
+            # is one meet of reduced GPMs.
+            subcode = code.intersect(code.reversed_code()).to_linear()
         payload["largest_reversible_subcode"] = {
             "dimension": subcode.k,
             "generator": scalar_rows(doc.field, subcode.gen),

@@ -41,7 +41,8 @@ Everything else in this module works through G and A:
   matrix is an outer product); only a factor with two or more
   eliminates, on residues modulo x^m_i - lam_i weighted by the
   cofactors c_i = (x^N - 1)/(x^m_i - lam_i) taken modulo p_j^f_j in
-  closed form (`MTProfile.factor_weights`), so no entry reaches degree N,
+  closed form, so no entry reaches degree N (`MTProfile.factor_plan`
+  holds what each factor needs),
 * Galois self-orthogonality, dual-containment and reversibility tests as
   exact polynomial congruences modulo x^N - 1.
 
@@ -130,33 +131,49 @@ class MTProfile(Record):
         return factor(self.annihilator())
 
     @cached_property
-    def factor_valuations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per factor p_j^f_j of x^N - 1, in `factorization` order: the
-        pairs (i, v) for the blocks whose modulus p_j divides (the active
-        blocks), v = v_p_j(x^m_i - lam_i) >= 1.
+    def factor_plan(self) -> tuple:
+        """Per factor p^f of x^N - 1, in `factorization` order, what its
+        layer of a table reads: (p, f, active, how).
 
-        The roots of p_j have order d_j, recorded as x^N - 1 is factored
-        (p_j divides Phi_d_j), and p_j divides x^m_i - lam_i exactly when a
-        root alpha has alpha^m_i = lam_i.  alpha^m_i has order
-        d_j / gcd(d_j, m_i): where that is not t_i, the order of lam_i, the
-        block is inactive, and where it is t_i <= 2 the block is active, as
-        lam_i is then the only element of order t_i.  Only a block with
-        t_i > 2 of matching order takes a remainder, x^(m_i mod d_j) modulo
-        p_j compared with lam_i, one per factor and distinct block length.
-        v follows from m_i alone: with c the characteristic and
-        m_i = m' * c^s, c not dividing m', x^m_i - lam_i is the c^s-th
-        power of the square-free x^m' - lam_i^(1/c^s), so v = c^s.  The
-        cofactor c_i = (x^N - 1) / (x^m_i - lam_i) has valuation f_j - v,
-        and the cofactor of every inactive block is a multiple of p_j^f_j,
-        since p_j^f_j divides x^N - 1 and is coprime to that block's
-        modulus."""
-        return tuple(active for active, _ in self._factor_activity)
+        active holds the pairs (i, v) for the blocks whose modulus p
+        divides, v = v_p(x^m_i - lam_i) >= 1.  how is, with no active
+        block, the layer of type (0, ..., 0) that every table of the
+        profile shares; with one, p's `_divisor_row`, by which
+        `_layer_table` divides that block's contents; with two or more,
+        (`_divisor_row` of p^f, ((i, w_i), ...)), w_i = c_i mod p^f a
+        coefficient list free of trailing zeros, for c_i =
+        (x^N - 1) / (x^m_i - lam_i).
 
-    @cached_property
-    def _factor_activity(self) -> tuple:
-        """Per factor, in `factorization` order: its pairs (i, v) of
-        `factor_valuations`, and its `_divisor_row`, built once when a
-        remainder needs it or it has exactly one active block, else None."""
+        The roots of p have order d, recorded as x^N - 1 is factored (p
+        divides Phi_d), and p divides x^m_i - lam_i exactly when a root
+        alpha has alpha^m_i = lam_i.  alpha^m_i has order d / gcd(d, m_i):
+        where that is not t_i, the order of lam_i, the block is inactive,
+        and where it is t_i <= 2 the block is active, as lam_i is then the
+        only element of order t_i.  Only a block with t_i > 2 of matching
+        order takes a remainder, x^(m_i mod d) modulo p compared with
+        lam_i, one per factor and distinct block length; that row of p is
+        reused as the layer divisor, and as p^f's when f = 1.  v follows
+        from m_i alone: with c the characteristic and m_i = m' * c^s, c not
+        dividing m', x^m_i - lam_i is the c^s-th power of the square-free
+        x^m' - lam_i^(1/c^s), so v = c^s.  c_i has valuation f - v, and the
+        cofactor of every inactive block is a multiple of p^f, since p^f
+        divides x^N - 1 and is coprime to that block's modulus.
+
+        The weights are closed forms.  With N = N' * f, x^N - 1 =
+        (x^N' - 1)^f, and x^m_i - lam_i = E^v for E = x^m'_i - mu,
+        mu^v = lam_i.  E divides x^N' - 1, square-free as c does not divide
+        N'; let e = (x^N' - 1)/E.  Differentiating e * E = x^N' - 1 modulo
+        p, where E vanishes, gives e * m'_i * x^(m'_i - 1) = N' *
+        x^(N' - 1), so e = (N'/m'_i) * mu^-1 modulo p, as x^N' = 1 and
+        x^m'_i = mu there.  Raising to the power v, a power of c, gives
+        e^v = kappa_i modulo p^v, with kappa_i = (N'/m'_i) * lam_i^-1 in
+        GF(c).  Then c_i = e^f * E^(f - v) = e^v * (x^N' - 1)^(f - v), and
+        p^(f - v) divides the second factor, so modulo p^f
+        c_i = kappa_i * (x^(N'v) - 1)^(f/v - 1)
+            = kappa_i * sum_(t < f/v) x^(t N' v),
+        since (y - 1)^(f/v) = y^(f/v) - 1 for y = x^(N'v).  For v = f this is
+        the constant kappa_i, and for c not dividing N it is (N/m_i) * lam_i^-1.
+        """
         fld, char = self.field, self.field.p
         mults = []
         for m in self.blocks:
@@ -165,8 +182,8 @@ class MTProfile(Record):
                 m //= char
                 v *= char
             mults.append(v)
-        out = []
-        for (p, _), d in zip(self.factorization, _monic_factors(fld, self.period)[1]):
+        plan = []
+        for (p, f), d in zip(self.factorization, _monic_factors(fld, self.period)[1]):
             active, div, powers = [], None, {}
             for i, (m, t, v) in enumerate(zip(self.blocks, self.orders, mults)):
                 if d // math.gcd(d, m) != t:
@@ -178,70 +195,23 @@ class MTProfile(Record):
                     if powers[m] != [self.shifts[i]]:
                         continue
                 active.append((i, v))
-            if len(active) == 1 and div is None:
-                div = _divisor_row(fld, p.coeffs)
-            out.append((tuple(active), div))
-        return tuple(out)
-
-    @cached_property
-    def factor_divisors(self) -> tuple:
-        """Per factor of x^N - 1, in `factorization` order: its
-        `_divisor_row` when it has exactly one active block
-        (`factor_valuations`), None otherwise.  `_layer_table` reads the
-        valuations of its block's contents by dividing by it, so every
-        table of the profile reuses the row, the one `factor_valuations`
-        took any remainder with."""
-        return tuple(div if len(active) == 1 else None for active, div in self._factor_activity)
-
-    @cached_property
-    def inactive_layers(self) -> tuple:
-        """Per factor, the layer of type (0, ..., 0) that every table of the
-        profile shares when it divides no block modulus, else None."""
-        return tuple(
-            None if active else FactorLayer(p, f, (0,) * f)
-            for (p, f), active in zip(self.factorization, self.factor_valuations)
-        )
-
-    @cached_property
-    def factor_weights(self) -> tuple:
-        """Per factor p^f of x^N - 1 with two or more active blocks, in
-        `factorization` order: `_divisor_row(p^f)` and the pairs (i, w_i)
-        over its active blocks, w_i = c_i mod p^f as a coefficient list free
-        of trailing zeros; None for every other factor.
-
-        With c the characteristic, N = N' * f and x^N - 1 = (x^N' - 1)^f,
-        and m_i = m'_i * v for v = v_p(x^m_i - lam_i) (`factor_valuations`),
-        x^m_i - lam_i = E^v for E = x^m'_i - mu, mu^v = lam_i.  E divides
-        x^N' - 1, square-free as c does not divide N'; let e = (x^N' - 1)/E.
-        Differentiating e * E = x^N' - 1 modulo p, where E vanishes, gives
-        e * m'_i * x^(m'_i - 1) = N' * x^(N' - 1), so e = (N'/m'_i) * mu^-1
-        modulo p, as x^N' = 1 and x^m'_i = mu there.  Raising to the power
-        v, a power of c, gives e^v = kappa_i modulo p^v, with
-        kappa_i = (N'/m'_i) * lam_i^-1 in GF(c).  Then
-        c_i = e^f * E^(f - v) = e^v * (x^N' - 1)^(f - v), and p^(f - v)
-        divides the second factor, so modulo p^f
-        c_i = kappa_i * (x^(N'v) - 1)^(f/v - 1)
-            = kappa_i * sum_(t < f/v) x^(t N' v),
-        since (y - 1)^(f/v) = y^(f/v) - 1 for y = x^(N'v).  For v = f this is
-        the constant kappa_i, and for c not dividing N it is (N/m_i) * lam_i^-1.
-        """
-        fld = self.field
-        out = []
-        for (p, f), (active, row) in zip(self.factorization, self._factor_activity):
-            if len(active) < 2:
-                out.append(None)
-                continue
-            div = row if f == 1 and row is not None else _divisor_row(fld, _power(p, f).coeffs)
-            n_red = self.period // f
-            weights = []
-            for i, v in active:
-                kappa = fld.mul(n_red // (self.blocks[i] // v) % fld.p, fld.inv(self.shifts[i]))
-                step = n_red * v
-                cs = [0] * ((f // v - 1) * step + 1)
-                cs[::step] = [kappa] * (f // v)
-                weights.append((i, _reduce(fld, cs, div)))
-            out.append((div, tuple(weights)))
-        return tuple(out)
+            if not active:
+                how = FactorLayer(p, f, (0,) * f)
+            elif len(active) == 1:
+                how = div or _divisor_row(fld, p.coeffs)
+            else:
+                if f > 1 or div is None:
+                    div = _divisor_row(fld, _power(p, f).coeffs)
+                n_red, weights = self.period // f, []
+                for i, v in active:
+                    kappa = fld.mul(n_red // (self.blocks[i] // v) % char, fld.inv(self.shifts[i]))
+                    step = n_red * v
+                    cs = [0] * ((f // v - 1) * step + 1)
+                    cs[::step] = [kappa] * (f // v)
+                    weights.append((i, _reduce(fld, cs, div)))
+                how = (div, tuple(weights))
+            plan.append((p, f, tuple(active), how))
+        return tuple(plan)
 
     # -- derived profiles --------------------------------------------------
 
@@ -519,7 +489,7 @@ class MTCode:
             row_list = [list(r) for r in rows]
         top = PolyMatrix(profile.field, row_list)
         try:
-            res = hnf(top, profile.moduli, transform=False)
+            res = hnf(top, profile.moduli)
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
         self.gpm = PolyMatrix._trusted(profile.field, res.h.rows[: profile.ell])
@@ -669,7 +639,7 @@ class MTCode:
         modulo the block moduli, so no entry reaches the degree of its
         modulus and no companion is formed."""
         stack = PolyMatrix._trusted(self.field, other.gpm.rows + self.gpm.rows)
-        return hnf(stack, self.profile.moduli, transform=False).h.rows[: self.profile.ell]
+        return hnf(stack, self.profile.moduli).h.rows[: self.profile.ell]
 
     def is_subcode_of(self, other: "MTCode") -> bool:
         """Whether this module lies in the other's.  The reduced GPM is
@@ -845,7 +815,7 @@ def _zassenhaus(profile: MTProfile, top_left, top_right, bottom, right_moduli) -
     fld, ell = profile.field, profile.ell
     zeros = (Poly.zero(fld),) * len(right_moduli)
     stack = [left + right for left, right in zip(top_left, top_right)] + [row + zeros for row in bottom]
-    rows = hnf(PolyMatrix._trusted(fld, stack), profile.moduli + tuple(right_moduli), transform=False).h.rows
+    rows = hnf(PolyMatrix._trusted(fld, stack), profile.moduli + tuple(right_moduli)).h.rows
     return [row[ell:] for row in rows[ell : 2 * ell]]
 
 
@@ -902,16 +872,16 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     p_j^f_j of x^N - 1.
 
     Modulo p_j^f_j only the blocks whose modulus p_j divides contribute
-    (`MTProfile.factor_valuations`):
+    (`MTProfile.factor_plan`):
 
     * a factor dividing no block modulus has type (0, ..., 0), its layer
-      shared by the profile's tables (`MTProfile.inactive_layers`);
+      shared by the profile's tables;
     * with one active block i the matrix is the outer product
       left[:, i] * c_i * right[i, :], whose type `_single_block_type`
       reads off the block's `_content`s, formed once per table;
     * with two or more, `_chain_type` eliminates the matrix of
       sum_i w_i * r_i modulo p_j^f_j (`_weighted_residues`), where
-      w_i = c_i mod p_j^f_j (`MTProfile.factor_weights`) and
+      w_i = c_i mod p_j^f_j and
       r_i = left[a][i] * right[i][b] mod x^m_i - lam_i, formed once per
       table for each block active in such a factor (`_block_residues`).  c_i * r_i differs from
       c_i * left[a][i] * right[i][b] by a multiple of x^N - 1, so no entry
@@ -919,35 +889,31 @@ def _layer_table(left: PolyMatrix, right: PolyMatrix, profile: MTProfile, target
     """
     fld = profile.field
     layers, residues, contents = [], {}, {}
-    for (p_j, f_j), div, active, weights, zero in zip(
-        profile.factorization, profile.factor_divisors, profile.factor_valuations, profile.factor_weights,
-        profile.inactive_layers,
-    ):
-        if zero is not None:
-            layers.append(zero)
+    for p_j, f_j, active, how in profile.factor_plan:
+        if not active:
+            layers.append(how)
             continue
         if len(active) > 1:
             for i, _ in active:
                 if i not in residues:
                     residues[i] = _block_residues(left, right, profile, i)
-            matrix = _weighted_residues(residues, weights, fld)
-            type_vector = _chain_type(matrix, p_j, f_j).type_vector
+            type_vector = _chain_type(_weighted_residues(residues, how, fld), p_j, f_j).type_vector
         else:
             ((i, v),) = active
             if i not in contents:
                 m = profile.moduli[i].coeffs
                 contents[i] = _content(fld, m, [row[i] for row in left.rows]), _content(fld, m, right.rows[i])
-            type_vector = _single_block_type(fld, contents[i], v, div, f_j)
+            type_vector = _single_block_type(fld, contents[i], v, how, f_j)
         layers.append(FactorLayer(p_j, f_j, type_vector))
     return LayerTable(tuple(layers), target)
 
 
 def _weighted_residues(residues, weights, fld: Field) -> list:
     """The matrix of sum_i w_i * r_i modulo P = p^f, as rows of coefficient
-    lists, for the residue matrices r_i (`_block_residues`) and one
-    factor's entry of `MTProfile.factor_weights`: P's `_divisor_row` and
-    the coefficient lists w_i.  Each entry is reduced modulo P once, after
-    the sum."""
+    lists, for the residue matrices r_i (`_block_residues`) and the plan
+    of a factor with two or more active blocks (`MTProfile.factor_plan`):
+    P's `_divisor_row` and the pairs (i, w_i).  Each entry is reduced
+    modulo P once, after the sum."""
     div, pairs = weights
 
     def entry(a: int, b: int) -> list[int]:

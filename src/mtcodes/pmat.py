@@ -4,10 +4,7 @@ The central routine is the row Hermite normal form: column-forward
 elimination producing an upper echelon matrix with monic pivots, entries
 above each pivot reduced to lower degree, and zero rows at the bottom.  One
 elimination core (`_echelon`) does this without a transform; `hnf` is its
-only entry.  On request `hnf` runs the core on [M | I] to carry the
-unimodular left transform along, so membership questions ("write this
-vector in the row module") reduce to back-substitution against the echelon
-rows.
+only entry.
 
 The degree of the determinant is read off the HNF diagonal (the
 determinant itself is never needed).  The twisted-code layer gets a GPM
@@ -200,12 +197,11 @@ class PolyMatrix:
 
 
 class HnfResult(Record):
-    """h = transform @ origin, det(transform) a nonzero constant; transform
-    is None when it was not requested."""
+    """The normal form h of a row module and the (row, column) of each
+    pivot."""
 
     h: PolyMatrix
-    transform: PolyMatrix | None
-    pivots: tuple[tuple[int, int], ...]  # (row, column) of each pivot
+    pivots: tuple[tuple[int, int], ...]
 
     @property
     def rank(self) -> int:
@@ -317,39 +313,26 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     return pivots
 
 
-def hnf(m: PolyMatrix, moduli=None, *, transform: bool = True) -> HnfResult:
-    """Row Hermite normal form, with its unimodular left transform on request.
-
-    With ``transform`` (the default) the elimination core runs on [m | I]
-    and the right half ends as the transform; without it the core runs on
-    m alone and ``transform`` is None.
+def hnf(m: PolyMatrix, moduli=None) -> HnfResult:
+    """Row Hermite normal form, by the elimination core `_echelon`.
 
     ``moduli`` d_0, ..., d_{c-1} stand for the rows diag(moduli) stacked
     below m: the result is the normal form of that stack, eliminated with
     column k reduced modulo d_k (see `_echelon`), so no entry reaches the
-    degree of its modulus.  No transform is kept for such a stack.
+    degree of its modulus.
     """
     field = m.field
     rows = [list(row) for row in m.rows]
     n_cols = m.shape[1]
     if moduli is not None:
         moduli = list(moduli)
-        if transform:
-            raise ValueError("no transform is kept for a stack reduced modulo its moduli")
         if rows and n_cols != len(moduli):
             raise ValueError(f"matrix has {n_cols} columns but {len(moduli)} moduli")
         if not all(moduli):
             raise ValueError("moduli must be nonzero")
         n_cols = len(moduli)
-    elif transform:
-        eye = PolyMatrix.identity(field, len(rows)).rows
-        rows = [row + list(e) for row, e in zip(rows, eye)]
     pivots = _echelon(field, rows, n_cols, moduli)
-    return HnfResult(
-        PolyMatrix._trusted(field, [row[:n_cols] for row in rows]),
-        PolyMatrix._trusted(field, [row[n_cols:] for row in rows]) if transform else None,
-        tuple(pivots),
-    )
+    return HnfResult(PolyMatrix._trusted(field, rows), tuple(pivots))
 
 
 def deg_det(m: PolyMatrix):
@@ -357,7 +340,7 @@ def deg_det(m: PolyMatrix):
     n_r, n_c = m.shape
     if n_r != n_c:
         raise ValueError("determinant of a non-square matrix")
-    res = hnf(m, transform=False)
+    res = hnf(m)
     if res.rank < n_r:
         return NEG_INF
     return sum(res.h.rows[i][i].degree for i in range(n_r))

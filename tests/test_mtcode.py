@@ -18,6 +18,7 @@ import mtcodes.pmat as pmat_mod
 from mtcodes import Field, LinearCode, MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf, oracle
 from mtcodes.errors import BudgetError, DomainError
 from mtcodes.mtcode import (
+    FactorLayer,
     _cofactor_product,
     _content,
     _single_block_type,
@@ -39,6 +40,7 @@ from helpers import (
     layer_types,
     modulus_diag,
     paper_intersection_details,
+    plan_activity,
     pmat,
     poly,
     random_linear_code,
@@ -808,7 +810,7 @@ def test_profile_factors_x_n_minus_1_once(monkeypatch):
     _layer_table_workout(prof, 7)
     assert len(calls) == 1
     assert prof.factorization.expand() == prof.annihilator()
-    for (p, _), active in zip(prof.factorization, prof.factor_valuations):
+    for p, _, active, _ in prof.factor_plan:
         assert [i for i, _ in active] == [i for i, m in enumerate(prof.moduli) if (m % p).is_zero()]
         assert all(v == _multiplicity(prof.moduli[i], p) for i, v in active)
 
@@ -823,7 +825,7 @@ def test_layer_tables_never_form_the_cofactor_product(monkeypatch, prof, multi):
     is a coefficient list already shorter than p^f."""
     import mtcodes.mtcode as mtcode_mod
 
-    assert sum(len(active) > 1 for active in prof.factor_valuations) == multi
+    assert sum(len(active) > 1 for active in plan_activity(prof)) == multi
     products = _count_calls(monkeypatch, mtcode_mod, "_cofactor_product")
     eliminations = _count_calls(monkeypatch, mtcode_mod, "_chain_type")
     rng = random.Random(11)
@@ -989,7 +991,7 @@ def test_sum_verdict_agrees_with_the_table_and_the_meet(data):
     shifts = tuple(data.draw(st.sampled_from(_shifts_of_small_order(f)), label="shift") for _ in range(ell))
     prof = MTProfile(f, blocks, shifts)
     primes = [[] for _ in blocks]
-    for (p, _), active in zip(prof.factorization, prof.factor_valuations):
+    for p, _, active, _ in prof.factor_plan:
         for i, v in active:
             primes[i] += [p] * v
     coeff = st.integers(0, f.q - 1)
@@ -1029,7 +1031,7 @@ def test_derived_profiles_share_one_factoring(monkeypatch, cold_factor_memo):
 def test_factor_valuations_match_divmod():
     for first, _ in _layer_table_cases():
         prof = first.profile
-        assert prof.factor_valuations == reference_factor_valuations(prof)
+        assert plan_activity(prof) == reference_factor_valuations(prof)
 
 
 ACTIVITY_FIELDS = (field(2), F3, f4(), field(3, 2), field(2, 4), field(17, 2))
@@ -1051,7 +1053,7 @@ def test_factor_valuations_from_root_orders_match_divmod(data):
     shifts = tuple(data.draw(st.integers(1, f.q - 1), label="shift") for _ in range(ell))
     prof = MTProfile(f, blocks, shifts)
     assume(prof.period <= 1200)
-    assert prof.factor_valuations == reference_factor_valuations(prof)
+    assert plan_activity(prof) == reference_factor_valuations(prof)
 
 
 @pytest.mark.parametrize(
@@ -1059,21 +1061,33 @@ def test_factor_valuations_from_root_orders_match_divmod(data):
 )
 def test_factor_valuations_divide_nothing_for_shifts_of_order_at_most_2(monkeypatch, base):
     """With every shift of order 1 or 2, a factor's root order alone
-    decides which block moduli it divides: building the activity table
-    takes no remainder and divides nothing.  Only the factors with one
-    active block get a divisor row."""
+    decides which block moduli it divides: building the plan takes no
+    activity remainder and divides nothing.  A factor with no active
+    block gets its shared (0, ..., 0) layer and no divisor row; one with
+    an active block gets one row, p's for one active block and p^f's, by
+    which each weight is reduced once, for two or more."""
     import mtcodes.mtcode as mtcode_mod
 
     prof = MTProfile(base.field, base.blocks, base.shifts)  # fresh caches
     assert max(prof.orders) <= 2
-    remainders = _count_calls(monkeypatch, mtcode_mod, "_reduce")
+    activity, weights = _count_remainders(monkeypatch, mtcode_mod)
     quotients = _count_calls(monkeypatch, mtcode_mod, "_exact_quotient")
-    active = prof.factor_valuations
-    assert remainders == [] and quotients == []
+    rows = _count_calls(monkeypatch, mtcode_mod, "_divisor_row")
+    plan = prof.factor_plan
+    built = len(rows)
+    assert activity == {} and quotients == []
+    active = plan_activity(prof)
     assert active == reference_factor_valuations(prof)
     assert {len(a) for a in active} == {0, 1, 2}
-    for (p, _), a, div in zip(prof.factorization, active, prof.factor_divisors):
-        assert div == (_divisor_row(p.field, p.coeffs) if len(a) == 1 else None)
+    assert built == sum(1 for a in active if a)
+    assert sum(weights.values()) == sum(len(a) for a in active if len(a) > 1)
+    for p, f, a, how in plan:
+        if not a:
+            assert how == FactorLayer(p, f, (0,) * f)
+        elif len(a) == 1:
+            assert how == _divisor_row(p.field, p.coeffs)
+        else:
+            assert how[0] == _divisor_row(p.field, _power(p, f).coeffs)
 
 
 def test_each_factor_row_is_built_once_per_profile(monkeypatch):
@@ -1087,33 +1101,43 @@ def test_each_factor_row_is_built_once_per_profile(monkeypatch):
 
     prof = MTProfile(field(7), (2, 3), (2, 1))
     rows = _count_calls(monkeypatch, mtcode_mod, "_divisor_row")
-    remainders = _count_remainders(monkeypatch, mtcode_mod)
-    active = prof.factor_valuations
-    assert remainders and all(n == 1 for n in remainders.values())
-    divisors, weights = prof.factor_divisors, prof.factor_weights
+    activity, weights = _count_remainders(monkeypatch, mtcode_mod)
+    plan = prof.factor_plan
+    assert activity and all(n == 1 for n in activity.values())
+    assert weights and set(weights) <= set(activity)
+    active = plan_activity(prof)
     assert active == reference_factor_valuations(prof)
-    by_factor = {p.coeffs: a for (p, _), a in zip(prof.factorization, active)}
+    by_factor = {p.coeffs: a for p, _, a, _ in plan}
     assert by_factor[(4, 1)] == ((0, 1),) and by_factor[(3, 1)] == ((0, 1), (1, 1))
     built = [tuple(cs) for _, cs in rows]
     assert len(built) == len(set(built)) and {(4, 1), (3, 1)} <= set(built)
-    for (p, f), a, div, w in zip(prof.factorization, active, divisors, weights):
-        assert div == (_divisor_row(p.field, p.coeffs) if len(a) == 1 else None)
-        assert (w is None) == (len(a) < 2)
+    for p, f, a, how in plan:
+        if not a:
+            assert how == FactorLayer(p, f, (0,) * f)
+        elif len(a) == 1:
+            assert how == _divisor_row(p.field, p.coeffs)
+        else:
+            assert f == 1 and how[0] == _divisor_row(p.field, p.coeffs)
 
 
 def _count_remainders(monkeypatch, owner):
     """Count the calls to owner._reduce per divisor, keyed by the divisor's
-    degree and nonzero terms below its leading one."""
-    counts = {}
+    degree and nonzero terms below its leading one, in two dicts.  The
+    first holds activity's remainders: each reduces a monomial x^k with
+    k >= 1, as a remainder is taken only when the root order d does not
+    divide the block length.  The second holds every other call, such as
+    the weights', whose constant term is kappa_i != 0."""
+    activity, other = {}, {}
     real = owner._reduce
 
     def counting(f, cs, div):
         key = (div[0], tuple(div[2]))
+        counts = activity if len(cs) > 1 and cs[-1] == 1 and not any(cs[:-1]) else other
         counts[key] = counts.get(key, 0) + 1
         return real(f, cs, div)
 
     monkeypatch.setattr(owner, "_reduce", counting)
-    return counts
+    return activity, other
 
 
 def test_activity_takes_one_remainder_per_factor_and_block_length(monkeypatch):
@@ -1124,10 +1148,10 @@ def test_activity_takes_one_remainder_per_factor_and_block_length(monkeypatch):
 
     prof = MTProfile(field(7), (2, 2, 3), (2, 4, 1))
     assert prof.orders[:2] == (3, 3)
-    remainders = _count_remainders(monkeypatch, mtcode_mod)
-    active = prof.factor_valuations
+    activity, _ = _count_remainders(monkeypatch, mtcode_mod)
+    active = plan_activity(prof)
     assert active == reference_factor_valuations(prof)
-    assert len(remainders) == 4 and all(n == 1 for n in remainders.values())
+    assert len(activity) == 4 and all(n == 1 for n in activity.values())
     assert sum(len(a) for a in active) == 7
 
 
@@ -1199,24 +1223,23 @@ def _weight_profiles():
         while found < 10:
             ell = rng.randint(2, 3)
             prof = MTProfile(f, tuple(rng.choice(lengths) for _ in range(ell)), tuple(rng.choice(shifts) for _ in range(ell)))
-            if prof.period % c == 0 and prof.period <= 600 and any(len(a) > 1 for a in prof.factor_valuations):
+            if prof.period % c == 0 and prof.period <= 600 and any(len(a) > 1 for a in plan_activity(prof)):
                 found += 1
                 yield prof
 
 
 def test_factor_weights_are_the_cofactors_modulo_p_f():
-    """`MTProfile.factor_weights` (c_i mod p^f in closed form) against
-    `cofactor_diag`'s degree-N cofactors reduced modulo p^f, p^f built by
-    f - 1 products."""
+    """The weights of `MTProfile.factor_plan` (c_i mod p^f in closed form)
+    against `cofactor_diag`'s degree-N cofactors reduced modulo p^f, p^f
+    built by f - 1 products."""
     triples, sparse, fields = 0, 0, set()
     for prof in _weight_profiles():
         cofactors = cofactor_diag(prof)
-        for (p, mult), active, weights in zip(prof.factorization, prof.factor_valuations, prof.factor_weights):
-            assert (weights is None) == (len(active) < 2)
-            if weights is None:
+        for p, mult, active, how in prof.factor_plan:
+            if len(active) < 2:
                 continue
             power = _power(p, mult)
-            div, pairs = weights
+            div, pairs = how
             assert div == _divisor_row(power.field, power.coeffs)
             assert [i for i, _ in pairs] == [i for i, _ in active]
             for (i, v), (_, w) in zip(active, pairs):
@@ -1640,8 +1663,9 @@ def test_paper_equivalences_hold_beyond_the_oracle(seed):
     other route: the congruence for kappa-self-orthogonality equals
     C <= C^(perp kappa), the one for dual-containment C^(perp kappa) <= C,
     and on a palindromic profile the reversibility congruence
-    C.reversed_code() == C; reversal and the Euclidean dual are
-    involutions, and from_linear(to_linear(C)) == C."""
+    C.reversed_code() == C, where the meet of reduced GPMs C cap rev C is
+    the linear meet `reversibility()[1]`; reversal and the Euclidean dual
+    are involutions, and from_linear(to_linear(C)) == C."""
     rng = random.Random(seed)
     f = CROSS_FIELDS[seed % len(CROSS_FIELDS)]
     kappa = rng.randrange(f.e)
@@ -1652,6 +1676,7 @@ def test_paper_equivalences_hold_beyond_the_oracle(seed):
     rev = code.reversed_code()
     if code.profile.reversed_profile() == code.profile:
         assert code.property_check("reversible").holds == (rev == code)
+        assert code.intersect(rev).to_linear() == code.to_linear().reversibility()[1]
     assert rev.reversed_code() == code and code.dual().dual() == code
     assert MTCode.from_linear(code.profile, code.to_linear()) == code
 

@@ -18,6 +18,7 @@ from helpers import (
     det,
     express_in_row_module,
     f4,
+    hnf_with_transform,
     pmat,
     poly,
     reduce_to_gpm,
@@ -67,11 +68,12 @@ def test_hnf_invariants(seed):
     rng = random.Random(seed)
     f = [F3, f4()][seed % 2]
     m = rand_matrix(rng, f, rng.randint(1, 4), rng.randint(1, 4))
-    res = hnf(m)
-    assert res.transform @ m == res.h
+    res, transform = hnf_with_transform(m)
+    assert hnf(m) == res
+    assert transform @ m == res.h
     assert_is_hnf(res.h, res.pivots)
     # transform is unimodular: constant nonzero determinant
-    assert deg_det(res.transform) == 0
+    assert deg_det(transform) == 0
     # idempotence: HNF of the HNF is itself
     assert hnf(res.h).h == res.h
 
@@ -112,19 +114,19 @@ def test_det_multiplicative():
 def test_express_in_row_module():
     f = F3
     m = pmat(f, [["1 + x", "x"], ["0", "2 + x^2"]])
-    res = hnf(m)
+    res, transform = hnf_with_transform(m)
     target = [poly(f, "1 + x"), poly(f, "x")]
-    cs = express_in_row_module(res, target)
+    cs = express_in_row_module(res, transform, target)
     assert cs[0] == Poly.one(f) and cs[1].is_zero()
     # 2 * row0 + x * row1
     combo = [poly(f, "2 + 2*x"), poly(f, "x + x^3")]
-    cs = express_in_row_module(res, combo)
+    cs = express_in_row_module(res, transform, combo)
     acc = [Poly.zero(f), Poly.zero(f)]
     for c, row in zip(cs, m.rows):
         acc = [a + c * e for a, e in zip(acc, row)]
     assert acc == combo
     with pytest.raises(ValueError):
-        express_in_row_module(res, [Poly.one(f), Poly.zero(f)])
+        express_in_row_module(res, transform, [Poly.one(f), Poly.zero(f)])
 
 
 def test_every_export_resolves():
@@ -170,18 +172,18 @@ def test_gpm_companion_round_trip(seed):
 
 
 def reference_gpm_pair(stack, moduli):
-    """Reference GPM pair: G from the transform-tracking `hnf` of the whole
-    stack, without modular reduction, and A from one membership solve per
-    diagonal row."""
+    """Reference GPM pair: G from the `hnf` of the whole stack, without
+    modular reduction, and A from one membership solve per diagonal row,
+    on the transform-tracking `hnf_with_transform` of G."""
     ell = len(moduli)
     g = PolyMatrix(stack.field, hnf(stack).h.rows[:ell])
-    res = hnf(g)
+    res, transform = hnf_with_transform(g)
     zero = Poly.zero(stack.field)
     rows = []
     for i, d in enumerate(moduli):
         v = [zero] * ell
         v[i] = d
-        rows.append(express_in_row_module(res, v))
+        rows.append(express_in_row_module(res, transform, v))
     return g, PolyMatrix(stack.field, rows)
 
 
@@ -306,12 +308,11 @@ def test_hnf_over_moduli_is_the_hnf_of_the_stack():
     f = F3
     moduli = [Poly.binomial(f, 3, 1), Poly.binomial(f, 2, 2)]
     top = pmat(f, [["1 + x^5", "2 + x"], ["x^4", "x^3"]])
-    res = hnf(top, moduli, transform=False)
+    res = hnf(top, moduli)
     full = hnf(PolyMatrix.stack(top, PolyMatrix.diagonal(moduli)))
     assert res.h == full.h and res.pivots == full.pivots
-    assert res.transform is None
-    with pytest.raises(ValueError):
-        hnf(top, moduli)
+    with pytest.raises(TypeError):
+        hnf(top, moduli, transform=True)
 
 
 # Dense tables (GF(2), GF(3), GF(4), GF(9)), a large prime field, log tables
@@ -331,9 +332,9 @@ def test_hnf_over_moduli_is_the_hnf_of_the_stack_in_every_representation(seed):
     ]
     top = rand_matrix(rng, f, rng.randint(0, 3), ell, max_deg=6)
     stack = PolyMatrix.stack(top, PolyMatrix.diagonal(moduli))
-    res = hnf(top, moduli, transform=False)
-    full = hnf(stack)
-    assert full.transform @ stack == full.h
+    res = hnf(top, moduli)
+    full, transform = hnf_with_transform(stack)
+    assert transform @ stack == full.h
     assert_is_hnf(res.h, res.pivots)
     assert res.h == full.h and res.pivots == full.pivots
     g, a = _gpm_pair(top, moduli)
@@ -513,7 +514,7 @@ def test_trusted_matrices_equal_their_validated_rebuild():
         m.transpose(),
         m.scale(Poly.one(F3)),
         hnf(m).h,
-        hnf(m).transform,
+        hnf(m, [Poly.binomial(F3, 2, 1)] * 3).h,
     ]
     for t in trusted:
         checked = PolyMatrix(F3, t.rows)
