@@ -21,11 +21,12 @@ Everything else in this module works through G and A:
 * duals and Galois duals (via the reciprocal transform of A),
 * reversed codes, whose GPM and companion are read off the dual's pair,
 * intersections of codes sharing a profile, from one elimination of the
-  stack [[G1, G1], [G2, 0]] modulo the block moduli (Zassenhaus's
-  sum-and-intersection), and the subcode and trivial-intersection tests,
-  which read the reduced GPM of C1 + C2 off one elimination of [G2; G1]
-  modulo the block moduli; none forms an entry of degree N or factors
-  x^N - 1,
+  stack [[G2, 0], [G1, G1]] modulo the block moduli (Zassenhaus's
+  sum-and-intersection), trivial-intersection tests, which read the
+  reduced GPM of C1 + C2 off one elimination of [G2; G1], both seeded by
+  G2 (no diagonal row that G2 spans is formed), and subcode tests by one
+  triangular solve X @ G2 = G1; none forms an entry of degree N or
+  factors x^N - 1,
 * the paper's auxiliary quasi-cyclic pair (Q, P) of an intersection, of
   co-index N = lcm(t_i * m_i), t_i the order of lam_i, which only the
   reported intersections and hulls read, off the same elimination,
@@ -65,7 +66,7 @@ from functools import cached_property, reduce
 from .errors import BudgetError, DomainError
 from .gf import Field
 from .lincode import LinearCode, check_enum_budget, check_kappa
-from .pmat import PolyMatrix, _back_substitute, _chain_type, _size_log_q, hnf
+from .pmat import PolyMatrix, _back_substitute, _chain_type, _diagonal_rows, _size_log_q, hnf
 from .record import Record
 from .upoly import (
     Factorization, Poly, _add_product, _divisor_row, _exact_quotient, _gcd, _long_divide, _monic_factors, _power,
@@ -512,7 +513,8 @@ class MTCode:
         """The A with A @ G = diag(x^m_i - lam_i), by back-substitution on
         the triangular GPM when first read."""
         fld = self.field
-        return PolyMatrix._trusted(fld, _back_substitute(fld, self.gpm.rows, self.profile.moduli))
+        diag = _diagonal_rows(self.profile.moduli)
+        return PolyMatrix._trusted(fld, _back_substitute(fld, self.gpm.rows, diag))
 
     # -- constructors ------------------------------------------------------
 
@@ -636,32 +638,33 @@ class MTCode:
     def _sum_gpm_rows(self, other: "MTCode") -> tuple:
         """The reduced GPM rows of C1 + C2, for a code of the same profile:
         the first ell rows of the normal form of [G2; G1], eliminated
-        modulo the block moduli, so no entry reaches the degree of its
-        modulus and no companion is formed."""
-        stack = PolyMatrix._trusted(self.field, other.gpm.rows + self.gpm.rows)
-        return hnf(stack, self.profile.moduli).h.rows[: self.profile.ell]
+        modulo the block moduli and seeded by G2, so no entry reaches the
+        degree of its modulus and no diagonal row or companion is formed."""
+        stack, ell = PolyMatrix._trusted(self.field, other.gpm.rows + self.gpm.rows), self.profile.ell
+        return hnf(stack, self.profile.moduli, seeded=ell).h.rows[:ell]
 
     def is_subcode_of(self, other: "MTCode") -> bool:
-        """Whether this module lies in the other's.  The reduced GPM is
-        unique per module, so exactly when the reduced GPM of C1 + C2
-        (`_sum_gpm_rows`) is G2 itself."""
+        """Whether this module lies in the other's: whether X @ G2 = G1
+        has a polynomial solution, by one triangular solve on G2
+        (`_back_substitute`) with no elimination."""
         self._require_same_profile(other)
-        return self._sum_gpm_rows(other) == other.gpm.rows
+        targets = [[e.coeffs for e in row] for row in self.gpm.rows]
+        return _back_substitute(self.field, other.gpm.rows, targets) is not None
 
     def intersect(self, other: "MTCode") -> "MTCode":
-        """C1 cap C2 by `_zassenhaus` on [[G1, G1], [G2, 0]]: its rows with
-        zero left half are [0 | a1 G1] for a1 G1 = -a2 G2, the module of
-        C1 cap C2, which holds A1 [G1 | G1] - A2 [G2 | 0] = [0 | D] for
-        D = diag(x^m_i - lam_i), so its right columns are reduced modulo the
-        block moduli too."""
+        """C1 cap C2 by `_zassenhaus` on [[G2, 0], [G1, G1]], seeded by G2:
+        its rows with zero left half are [0 | a1 G1] for a1 G1 = -a2 G2,
+        the module of C1 cap C2, which holds A1 [G1 | G1] - A2 [G2 | 0] =
+        [0 | D] for D = diag(x^m_i - lam_i), so its right columns are
+        reduced modulo the block moduli too."""
         self._require_same_profile(other)
-        rows = _zassenhaus(self.profile, self.gpm.rows, self.gpm.rows, other.gpm.rows, self.profile.moduli)
+        rows = _zassenhaus(self.profile, other.gpm.rows, self.gpm.rows, self.gpm.rows, self.profile.moduli, True)
         return MTCode._from_pair(self.profile, PolyMatrix._trusted(self.field, rows))
 
     def intersection_details(self, other: "MTCode") -> "GpmIntersection":
         """C1 cap C2 and the paper's quasi-cyclic pair (`_qc_intersection`)."""
         self._require_same_profile(other)
-        return _qc_intersection(self.gpm.rows, other)
+        return _qc_intersection(self.gpm.rows, other, seeded=True)
 
     def galois_intersection_details(self, other: "MTCode", kappa: int = 0) -> "GpmIntersection":
         """Details of self^(perp kappa) intersect other.
@@ -680,7 +683,7 @@ class MTCode:
                 f"expected ({', '.join(f.format_element(s) for s in want)})"
             )
         top = reciprocal_columns(self.companion.transpose(), self.profile).frobenius(f.e - kappa)
-        return _qc_intersection(top.rows, other)
+        return _qc_intersection(top.rows, other, seeded=False)
 
     def galois_hull_details(self, kappa: int = 0) -> "GpmIntersection":
         return self.galois_intersection_details(self, kappa)
@@ -802,38 +805,42 @@ class GpmIntersection(Record):
     qc_companion: PolyMatrix
 
 
-def _zassenhaus(profile: MTProfile, top_left, top_right, bottom, right_moduli) -> list:
+def _zassenhaus(profile: MTProfile, first, second, right, right_moduli, seeded: bool) -> list:
     """Zassenhaus's sum-and-intersection (H. Cohen, *A Course in
     Computational Algebraic Number Theory*, 2.4): the right halves of rows
-    ell to 2 ell - 1 of the normal form of [[top_left | top_right],
-    [bottom | 0]], its left columns reduced modulo the block moduli and its
-    right ones modulo right_moduli as it is eliminated.  Its rows with zero
-    left half are [0 | a @ top_right] for the a with a @ top_left in the
-    module of bottom and the block moduli; where the module of those rows
-    holds diag(right_moduli), they are its reduced GPM, and no entry
-    reaches the degree of its modulus."""
+    ell to 2 ell - 1 of the normal form of [[first | 0], [second | right]],
+    its left columns reduced modulo the block moduli and its right ones
+    modulo right_moduli as it is eliminated.  Its rows with zero left half
+    are [0 | a @ right] for the a with a @ second in the module of first
+    and the block moduli; where the module of those rows holds
+    diag(right_moduli), they are its reduced GPM, and no entry reaches the
+    degree of its modulus.  ``seeded``: first is a reduced GPM, so the
+    diagonal rows of the left half are never formed (see `hnf`)."""
     fld, ell = profile.field, profile.ell
     zeros = (Poly.zero(fld),) * len(right_moduli)
-    stack = [left + right for left, right in zip(top_left, top_right)] + [row + zeros for row in bottom]
-    rows = hnf(PolyMatrix._trusted(fld, stack), profile.moduli + tuple(right_moduli)).h.rows
+    stack = [row + zeros for row in first] + [left + r for left, r in zip(second, right)]
+    moduli, seed = profile.moduli + tuple(right_moduli), ell if seeded else 0
+    rows = hnf(PolyMatrix._trusted(fld, stack), moduli, seeded=seed).h.rows
     return [row[ell:] for row in rows[ell : 2 * ell]]
 
 
-def _qc_intersection(first_rows, second: MTCode) -> GpmIntersection:
+def _qc_intersection(first_rows, second: MTCode, seeded: bool) -> GpmIntersection:
     """C1 cap C2 and the paper's pair (Q, P), C1 the module of first_rows
     and second's block moduli: Q the reduced GPM of
     [A1^T diag(c_i) G2^T; (x^N - 1) I], c_i = (x^N - 1)/(x^m_i - lam_i),
     and P = (x^N - 1) Q^-1.  As G1 diag(c) A1 = (x^N - 1) I, a @ G2 lies in
     C1 iff Q a^T = 0 modulo x^N - 1, so P^T generates
     K = {a : a @ G2 in C1}, which holds L e_k for L the lcm of the block
-    moduli.  `_zassenhaus` of [[G2 | J], [C1 | 0]], J the backward
+    moduli.  `_zassenhaus` of [[C1 | 0], [G2 | J]], J the backward
     identity, gives the reduced GPM of K @ J, P^T being lower triangular,
-    and, as in `MTCode.reversed_code`, P is its antitranspose."""
+    and, as in `MTCode.reversed_code`, P is its antitranspose, seeded when
+    first_rows are a reduced GPM.  Q follows by one triangular solve."""
     prof, fld, ell = second.profile, second.field, second.profile.ell
     lcm = reduce(lambda a, b: a * b.exact_div(poly_gcd(a, b)), prof.moduli)
     back = PolyMatrix.identity(fld, ell).rows[::-1]
-    p = _antitranspose(PolyMatrix._trusted(fld, _zassenhaus(prof, second.gpm.rows, back, first_rows, [lcm] * ell)))
-    q = PolyMatrix._trusted(fld, _back_substitute(fld, p.rows, [prof.annihilator()] * ell))
+    meet = _zassenhaus(prof, first_rows, second.gpm.rows, back, [lcm] * ell, seeded)
+    p = _antitranspose(PolyMatrix._trusted(fld, meet))
+    q = PolyMatrix._trusted(fld, _back_substitute(fld, p.rows, _diagonal_rows([prof.annihilator()] * ell)))
     return GpmIntersection(MTCode(prof, p.transpose() @ second.gpm), q, p)
 
 

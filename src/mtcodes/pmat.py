@@ -10,9 +10,10 @@ The degree of the determinant is read off the HNF diagonal (the
 determinant itself is never needed).  The twisted-code layer gets a GPM
 from one transform-free elimination: the stack [top; diag(x^m_i - lam_i)]
 is reduced modulo those moduli as it is eliminated, so degrees stay below
-the block lengths.  Its companion A, with A * G = diag(x^m_i - lam_i),
-follows from the triangular G by back-substitution (`_back_substitute`),
-whose exact divisions certify that the module contains the diagonal rows.
+the block lengths; a stack headed by a reduced GPM, which holds those
+rows already, forms none of them.  One triangular solve on G
+(`_back_substitute`) gives its companion A, with
+A * G = diag(x^m_i - lam_i), and tests whether rows lie in its module.
 Every division goes through the coefficient-list kernel of `upoly`.
 
 The type of a row span over the chain ring GF(q)[x]/<p^f>, p irreducible,
@@ -208,7 +209,9 @@ class HnfResult(Record):
         return len(self.pivots)
 
 
-def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = None) -> list[tuple[int, int]]:
+def _echelon(
+    field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = None, seeded: int = 0
+) -> list[tuple[int, int]]:
     """Bring the first n_cols columns of ``rows`` to Hermite normal form in
     place, without a transform, and return the (row, column) pivots.
 
@@ -228,6 +231,15 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     degrees stay below the moduli's (the F_q[x] analogue of the
     modulo-determinant HNF of Domich, Kannan and Trotter).
 
+    ``seeded`` > 0 says that the first ``seeded`` rows are [G | 0] for a
+    reduced GPM G whose module holds diag(moduli[:seeded]), A @ G = that
+    diagonal.  Then the diagonal rows of those columns never join, and G's
+    rows are not reduced up front (a G_cc of d_c's degree makes G_c
+    d_c * e_c up to a unit, which must stay).  Row k of G is zero left of
+    column k, so no row operation touches it before column k: until
+    column c, G_c, G_(c+1), ... span d_c * e_c = sum_{k >= c} A_ck G_k,
+    which every reduction modulo d_c needs, and the module is unchanged.
+
     The elimination runs on one mutable coefficient list per entry, kept
     free of trailing zeros, and wraps each entry as a Poly once, on exit.
     A row update in column c divides the destination's column-c entry in
@@ -240,7 +252,7 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     work = [[list(e.coeffs) for e in row] for row in rows]
     mod_div = None if moduli is None else [_divisor_row(field, d.coeffs) for d in moduli]
     if mod_div is not None:
-        for row in work:
+        for row in work[seeded:]:
             for k, e in enumerate(row):
                 _reduce(field, e, mod_div[k])
 
@@ -263,7 +275,7 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     r = 0
     pivots = []
     for c in range(n_cols):
-        if moduli is not None:
+        if moduli is not None and c >= seeded:
             diag = [[] for _ in range(n_cols)]
             diag[c] = list(moduli[c].coeffs)
             work.append(diag)
@@ -313,13 +325,17 @@ def _echelon(field: Field, rows: list, n_cols: int, moduli: list[Poly] | None = 
     return pivots
 
 
-def hnf(m: PolyMatrix, moduli=None) -> HnfResult:
+def hnf(m: PolyMatrix, moduli=None, *, seeded: int = 0) -> HnfResult:
     """Row Hermite normal form, by the elimination core `_echelon`.
 
     ``moduli`` d_0, ..., d_{c-1} stand for the rows diag(moduli) stacked
     below m: the result is the normal form of that stack, eliminated with
     column k reduced modulo d_k (see `_echelon`), so no entry reaches the
-    degree of its modulus.
+    degree of its modulus.  ``seeded`` counts the leading rows of m that
+    are [G | 0] for a reduced GPM G whose module holds the first
+    ``seeded`` diagonal rows, which are then never formed (see `_echelon`).
+    h has a row per row of m and per modulus, less ``seeded``, zero rows
+    last.
     """
     field = m.field
     rows = [list(row) for row in m.rows]
@@ -331,7 +347,7 @@ def hnf(m: PolyMatrix, moduli=None) -> HnfResult:
         if not all(moduli):
             raise ValueError("moduli must be nonzero")
         n_cols = len(moduli)
-    pivots = _echelon(field, rows, n_cols, moduli)
+    pivots = _echelon(field, rows, n_cols, moduli, seeded)
     return HnfResult(PolyMatrix._trusted(field, rows), tuple(pivots))
 
 
@@ -346,45 +362,51 @@ def deg_det(m: PolyMatrix):
     return sum(res.h.rows[i][i].degree for i in range(n_r))
 
 
-_NOT_DIAGONAL = "row module does not contain the diagonal submodule"
+def _diagonal_rows(polys) -> list[list]:
+    """diag(polys) as rows of coefficient sequences."""
+    rows = [[()] * len(polys) for _ in polys]
+    for i, d in enumerate(polys):
+        rows[i][i] = d.coeffs
+    return rows
 
 
-def _back_substitute(field: Field, gpm_rows, diag_polys) -> list[list[Poly]]:
-    """Rows of the A with A @ G = diag(d) for an upper-triangular G.
+def _back_substitute(field: Field, gpm_rows, targets) -> list[list[Poly]] | None:
+    """Rows of the X with X @ G = B, for an upper-triangular G with a
+    nonzero diagonal and B given by ``targets``, rows of coefficient
+    sequences; None when some row of B is not in the row module of G.
 
-    Row i: A_ij = 0 for j < i, A_ii = d_i / G_ii and
-    A_ij = -(sum_{i <= k < j} A_ik * G_kj) / G_jj.  The solution over
-    GF(q)(x) is unique, so every division is exact exactly when d_i * e_i
-    lies in the row module of G; otherwise this raises ValueError.
-
-    Each G_jj is prepared as a `_divisor_row` once, and each numerator
-    is accumulated in one coefficient list.
+    Row i: X_ij = (B_ij - sum_{k < j} X_ik * G_kj) / G_jj.  The solution
+    over GF(q)(x) is unique, so every division is exact exactly when row i
+    of B lies in the row module of G.  It gives the companion
+    (B = diag(x^m_i - lam_i)), the paper's Q (B = (x^N - 1) I) and
+    membership (B = G1, `MTCode.is_subcode_of`).  G's entries above the
+    diagonal are negated once, and each G_jj prepared as a `_divisor_row`
+    once.
     """
-    ell = len(diag_polys)
-    if any(not gpm_rows[j][j] for j in range(ell)):
-        raise ValueError(_NOT_DIAGONAL)
+    ell = len(gpm_rows)
     neg = field.neg
     divs = [_divisor_row(field, gpm_rows[j][j].coeffs) for j in range(ell)]
-    g = [[e.coeffs for e in row] for row in gpm_rows]
+    negs = [
+        [[neg(x) for x in e.coeffs] if e.coeffs and k < j else () for j, e in enumerate(row)]
+        for k, row in enumerate(gpm_rows)
+    ]
     zero = Poly.zero(field)
     out = []
-    for i, d in enumerate(diag_polys):
+    for target in targets:
         row = [zero] * ell
-        negs = {}  # k -> the coefficients of -A_ik, for each nonzero A_ik
-        for j in range(i, ell):
-            if j == i:
-                num = d.coeffs
-            else:
-                num = []
-                for k, a in negs.items():
-                    _add_product(field, num, a, g[k][j])
+        quots = {}  # k -> the coefficients of X_ik, for each nonzero X_ik
+        for j, num in enumerate(target):
+            if quots:
+                num = list(num)
+                for k, a in quots.items():
+                    _add_product(field, num, a, negs[k][j])
                 _trim(num)
             if not num:
                 continue
             quot = _exact_quotient(field, num, divs[j])
             if quot is None:
-                raise ValueError(_NOT_DIAGONAL)
-            negs[j] = [neg(x) for x in quot]
+                return None
+            quots[j] = quot
             row[j] = Poly._trusted(field, quot)
         out.append(row)
     return out

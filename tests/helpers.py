@@ -14,11 +14,13 @@ from mtcodes.errors import DomainError
 from mtcodes.gf import _prime_factors
 from mtcodes.lincode import rref
 from mtcodes.mtcode import GpmIntersection, _cofactor_product, _dim_of, reciprocal_columns
-from mtcodes.pmat import _NOT_DIAGONAL, HnfResult, _back_substitute, _echelon
+from mtcodes.pmat import HnfResult, _back_substitute, _diagonal_rows, _echelon
 from mtcodes.upoly import _add_product, _divisor_row, _exact_quotient, _power, _reduce
 
 
 SMALL_FIELDS = ((2, 1), (3, 1), (4, 2), (5, 1), (9, 2))
+
+_NOT_DIAGONAL = "row module does not contain the diagonal submodule"
 
 
 def small_field(q: int) -> Field:
@@ -95,13 +97,17 @@ def hnf_with_transform(m: PolyMatrix) -> tuple[HnfResult, PolyMatrix]:
 def gpm_with_companion(res, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
     """The GPM G, the first rows of a generating stack's HNF result res,
     and its companion A with A @ G = diag(diag_polys), by
-    back-substitution; ValueError when the HNF has fewer than ell pivots."""
+    back-substitution; ValueError when the HNF has fewer than ell pivots
+    or its module does not hold diag(diag_polys)."""
     ell = len(diag_polys)
     if res.rank < ell:
         raise ValueError(_NOT_DIAGONAL)
     field = res.h.field
     gpm = res.h.rows[:ell]
-    return PolyMatrix(field, gpm), PolyMatrix(field, _back_substitute(field, gpm, diag_polys))
+    companion = _back_substitute(field, gpm, _diagonal_rows(diag_polys))
+    if companion is None:
+        raise ValueError(_NOT_DIAGONAL)
+    return PolyMatrix(field, gpm), PolyMatrix(field, companion)
 
 
 def _gpm_pair(top: PolyMatrix, diag_polys) -> tuple[PolyMatrix, PolyMatrix]:
@@ -542,8 +548,8 @@ def check_meet_routes(code1: MTCode, code2: MTCode) -> None:
     """In both orders: `intersect` (one elimination modulo the block
     moduli) gives the GPM and companion of `intersection_details`, whose
     code, Q and P are those of the paper's quasi-cyclic route
-    (`paper_intersection_details`), and `is_subcode_of` (one elimination
-    of [G2; G1]) the paper's congruence G1 @ diag(c_i) @ A2 = 0 modulo
+    (`paper_intersection_details`), and `is_subcode_of` (one triangular
+    solve on G2) the paper's congruence G1 @ diag(c_i) @ A2 = 0 modulo
     x^N - 1."""
     for a, b in ((code1, code2), (code2, code1)):
         details = a.intersection_details(b)

@@ -158,6 +158,20 @@ def test_parse_failure_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_an_invalid_code_fails_the_whole_document(tmp_path, capsys):
+    """Every code of a document is built and validated, whatever the
+    command names: `info` on the valid code A exits 2 because the unused
+    `gen` code B is not invariant under its twisted shift."""
+    doc = tmp_path / "doc.txt"
+    doc.write_text(
+        "GF(2)\ncode A\nmt 1\nblocks 3\nshifts 1\ngpm\n1 + x\n"
+        "code B\nmt 1\nblocks 3\nshifts 1\ngen\nmatrix 1 3\n1 1 0\n"
+    )
+    code, out, err = run_cli(capsys, "info", str(doc), "A")
+    assert code == 2 and out == ""
+    assert err == "error: line 12: code is not invariant under the profile's twisted shift\n"
+
+
 @pytest.mark.parametrize("make,reason", [
     (lambda path: None, os.strerror(errno.ENOENT)),
     (lambda path: path.mkdir(), os.strerror(errno.EISDIR)),

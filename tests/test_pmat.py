@@ -1,5 +1,6 @@
 """Polynomial matrices: HNF invariants, determinants, GPM reduction, chain types."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtcodes.mtcode as mtcode_mod
-from mtcodes import Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod
+from mtcodes import MTCode, MTProfile, Poly, PolyMatrix, chain_type, deg_det, field, hnf, rank_mod
 from mtcodes.mtcode import _cofactor_product
 from mtcodes.pmat import _chain_type
 from mtcodes.upoly import NEG_INF, is_irreducible
@@ -21,6 +22,7 @@ from helpers import (
     hnf_with_transform,
     pmat,
     poly,
+    random_mt_code,
     reduce_to_gpm,
     reference_chain_type,
     small_dim_pair,
@@ -340,6 +342,103 @@ def test_hnf_over_moduli_is_the_hnf_of_the_stack_in_every_representation(seed):
     g, a = _gpm_pair(top, moduli)
     assert g == PolyMatrix(f, full.h.rows[:ell])
     assert a @ g == PolyMatrix.diagonal(moduli)
+
+
+def _seed_code(rng: random.Random, prof: MTProfile) -> MTCode:
+    """The zero code, the full code, a random code, or a random code with
+    every generator zero on some blocks, whose reduced GPM then has the
+    block modulus itself on the diagonal there."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return MTCode.zero(prof)
+    if kind == 1:
+        return MTCode.full(prof)
+    code = random_mt_code(rng, prof)
+    if kind == 3:
+        zero = Poly.zero(prof.field)
+        keep = [rng.random() < 0.5 for _ in prof.blocks]
+        code = MTCode(prof, [[e if k else zero for e, k in zip(row, keep)] for row in code.gpm.rows])
+    return code
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_seeded_eliminations_and_the_subcode_solve_in_every_representation(seed):
+    """A stack headed by a reduced GPM G, [G; R] or [[G | 0], [R | S]],
+    has the same normal form seeded by G as unseeded, with ell fewer zero
+    rows; and `is_subcode_of`, one triangular solve, agrees with
+    containment of the linear codes and with the congruence
+    G1 @ diag(c_i) @ A2 = 0 modulo x^N - 1.  Shifts have order dividing
+    gcd(q - 1, 840), so N stays at most 600."""
+    rng = random.Random(seed)
+    f = REPRESENTATION_FIELDS[seed % len(REPRESENTATION_FIELDS)]
+    h = math.gcd(f.q - 1, 840)
+    while True:
+        ell = rng.randint(1, 3)
+        shifts = [f.pow(rng.randrange(1, f.q), (f.q - 1) // h) for _ in range(ell)]
+        prof = MTProfile(f, [rng.randint(1, 5) for _ in range(ell)], shifts)
+        if prof.period <= 600:
+            break
+    head = _seed_code(rng, prof)
+    if rng.random() < 0.5:
+        head = MTCode(prof, head.gpm.rows + _seed_code(rng, prof).gpm.rows)
+    below = rand_matrix(rng, f, rng.randint(0, 3), ell, max_deg=6).rows
+    right_moduli = [Poly(f, [rng.randrange(f.q) for _ in range(rng.randint(0, 3))] + [1]) for _ in range(ell)]
+    right = rand_matrix(rng, f, len(below), ell, max_deg=4).rows
+    zeros = (Poly.zero(f),) * ell
+    for rows, moduli in (
+        (head.gpm.rows + below, prof.moduli),
+        ([g + zeros for g in head.gpm.rows] + [b + r for b, r in zip(below, right)], prof.moduli + tuple(right_moduli)),
+    ):
+        stack = PolyMatrix(f, rows)
+        seeded, plain = hnf(stack, moduli, seeded=ell), hnf(stack, moduli)
+        assert seeded.pivots == plain.pivots
+        assert seeded.h.rows == plain.h.rows[: len(plain.h.rows) - ell]
+        assert all(e.is_zero() for row in plain.h.rows[len(seeded.h.rows) :] for e in row)
+    other = _seed_code(rng, prof)
+    kind = rng.randrange(3)
+    if kind == 1:
+        other = MTCode(prof, head.gpm.rows + other.gpm.rows)
+    elif kind == 2:
+        other = head.intersect(other)
+    for a, b in ((head, other), (other, head)):
+        lin_b = b.to_linear()
+        contained = all(lin_b.contains_word(w) for w in a.to_linear().gen)
+        assert a.is_subcode_of(b) == contained == _cofactor_product(a.gpm, b.companion, prof).is_zero()
+
+
+def test_a_seeded_gpm_stack_forms_no_diagonal_row(monkeypatch):
+    """[G; G] seeded by a reduced GPM G hands the elimination its 2 ell
+    rows and gets 2 ell back: no diagonal row joins, whether G's pivots
+    are proper divisors of the block moduli or the moduli themselves.  A
+    sum elimination (`trivially_intersects`) forms none either, and a meet
+    only the ell of its right half."""
+    import mtcodes.pmat as pmat_mod
+
+    sizes, real = [], pmat_mod._echelon
+
+    def spy(field_, rows, n_cols, moduli=None, seeded=0):
+        handed = len(rows)
+        pivots = real(field_, rows, n_cols, moduli, seeded)
+        sizes.append((handed, len(rows)))
+        return pivots
+
+    prof = MTProfile(F3, (4, 6), (1, 1))
+    proper = MTCode(prof, [[poly(F3, "2 + x"), poly(F3, "1 + x")], [Poly.zero(F3), poly(F3, "2 + x^2")]])
+    assert [row[i].degree for i, row in enumerate(proper.gpm.rows)] == [1, 1]
+    zero, full = MTCode.zero(prof), MTCode.full(prof)
+    monkeypatch.setattr(pmat_mod, "_echelon", spy)
+    for code in (proper, zero, full):
+        stack = PolyMatrix(F3, code.gpm.rows + code.gpm.rows)
+        sizes.clear()
+        res = hnf(stack, prof.moduli, seeded=2)
+        assert sizes == [(4, 4)] and res.h.rows[:2] == code.gpm.rows
+    sizes.clear()
+    assert proper.trivially_intersects(zero)
+    assert sizes == [(4, 4)]
+    sizes.clear()
+    assert proper.intersect(proper) == proper
+    assert sizes == [(4, 6)]
 
 
 def test_full_rank_stack_without_the_diagonal_is_rejected():
